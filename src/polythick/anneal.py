@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polygon import Polygon
-from .thickness import inv_delta_objective
+from .thickness import _edge_gap, inv_delta_objective
 
 __all__ = [
     "AnnealConfig",
@@ -130,53 +130,6 @@ def crankshaft_move(p: Polygon, i: int, j: int, theta: float) -> Polygon:
     return Polygon(V)
 
 
-def _batch_min_edge_distance(Vb: np.ndarray) -> np.ndarray:
-    """Min non-adjacent edge-pair distance for a stack of vertex arrays.
-
-    Same 5-candidate convex-quadratic minimisation as the single-polygon
-    kernel, with a leading batch axis; sized for the small n of annealing
-    sweeps where one fused call beats a per-substep loop.
-    """
-    B, n, _ = Vb.shape
-    E = np.roll(Vb, -1, axis=1) - Vb
-    lens2 = np.einsum("bik,bik->bi", E, E)
-    idx = np.arange(n)
-    gap = np.minimum((idx[None, :] - idx[:, None]) % n,
-                     (idx[:, None] - idx[None, :]) % n)
-    mask = (idx[None, :] > idx[:, None]) & (gap >= 2)
-    a = lens2[:, :, None]
-    c = lens2[:, None, :]
-    b = np.einsum("bik,bjk->bij", E, E)
-    w0 = Vb[:, :, None, :] - Vb[:, None, :, :]
-    w2 = np.einsum("bijk,bijk->bij", w0, w0)
-    c1 = np.einsum("bik,bijk->bij", E, w0)
-    c2 = np.einsum("bjk,bijk->bij", E, w0)
-    del w0
-    denom = a * c - b * b
-    ok = denom > 1e-14 * a * c
-    safe_den = np.where(ok, denom, 1.0)
-    s_int = np.where(ok, (b * c2 - c * c1) / safe_den, -1.0)
-    t_int = np.where(ok, (a * c2 - b * c1) / safe_den, -1.0)
-    d2 = np.full(b.shape, np.inf)
-
-    def acc(s, t):
-        nonlocal d2
-        cand = w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t)
-        d2 = np.minimum(d2, cand)
-
-    interior = ok & (s_int >= 0) & (s_int <= 1) & (t_int >= 0) & (t_int <= 1)
-    if np.any(interior):
-        acc(np.where(interior, s_int, 0.0), np.where(interior, t_int, 0.0))
-    zeros = np.zeros(b.shape)
-    ones = np.ones(b.shape)
-    acc(zeros, np.clip(c2 / c, 0.0, 1.0))
-    acc(ones, np.clip((c2 + b) / c, 0.0, 1.0))
-    acc(np.clip(-c1 / a, 0.0, 1.0), zeros)
-    acc(np.clip((b - c1) / a, 0.0, 1.0), ones)
-    d2 = np.where(mask[None, :, :], d2, np.inf)
-    return np.sqrt(np.maximum(d2.min(axis=(1, 2)), 0.0))
-
-
 def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
                        substeps: int = 16, clearance: float | None = None) -> bool:
     """True iff the rotation sweep keeps the polygon simple throughout.
@@ -200,7 +153,7 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
         return False
     moving = _subchain(n, i, j)
     if moving.size == 0:
-        return _batch_min_edge_distance(p.vertices[None]) [0] > clearance
+        return bool(_edge_gap(p.vertices) > clearance)
     u = axis / axis_len
     angles = theta * np.arange(substeps + 1) / substeps
     cos = np.cos(angles)[:, None, None]
@@ -211,7 +164,7 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     rotated = a + rel * cos + crs * sin + along * (1.0 - cos)
     Vb = np.broadcast_to(p.vertices, (substeps + 1,) + p.vertices.shape).copy()
     Vb[:, moving] = rotated
-    return bool(np.all(_batch_min_edge_distance(Vb) > clearance))
+    return bool(np.all(_edge_gap(Vb) > clearance))
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:
@@ -243,7 +196,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
     n = p0.n
     L = p0.length
     clearance = cfg.clearance_factor * L
-    f0 = inv_delta_objective(p0.vertices, clearance)
+    f0 = inv_delta_objective(p0, clearance)
     if not math.isfinite(f0):
         raise ValueError("start polygon must be simple with positive thickness")
     lower_bound = 2.0 * n * math.tan(math.pi / n) / L - 1e-9
@@ -275,7 +228,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
             except ValueError:
                 cand = None
             if cand is not None:
-                f_cand = inv_delta_objective(cand.vertices, clearance)
+                f_cand = inv_delta_objective(cand, clearance)
                 if math.isfinite(f_cand):
                     # both hold for every closed equilateral polygon; a
                     # violation means the kernel miscounted, so fail loudly

@@ -1,16 +1,13 @@
 """Experiment drivers: convergence sweeps, closed-form tables, campaigns.
 
 Each driver returns plain data (dataclasses or tuples) and leaves printing
-and file output to the CLI.  Sweep rows are independent; the worker count
-comes from the POLYTHICK_WORKERS environment variable and results are
-always emitted in ascending n regardless of completion order.
+and file output to the CLI.  Everything runs serially in the calling
+thread; sweep rows come back in ascending n.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +32,6 @@ __all__ = [
 # margins this small are recorded as degenerate rather than sign-tested;
 # near K*L = pi both chords approach the diameter and the difference drowns
 _DEGENERATE_MARGIN = 1e-10
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("POLYTHICK_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValueError(f"POLYTHICK_WORKERS must be an integer, got {raw!r}")
-    return max(1, w)
 
 
 def _fmt(x) -> str:
@@ -117,11 +105,7 @@ def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[Gam
     if not ns:
         return []
     proxy = 1.0 / smooth_thickness_proxy(curve, m_proxy)
-    workers = _worker_count()
-    if workers == 1:
-        return [_gamma_row(curve, n, proxy) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda n: _gamma_row(curve, n, proxy), ns))
+    return [_gamma_row(curve, n, proxy) for n in ns]
 
 
 _GAMMA_HEADER = ("n,length_tilde,inv_delta,min_rad,dcsd,scsd,binding,"
@@ -213,6 +197,8 @@ def schur_campaign(cases: int, seed: int, mode: str = "strict") -> SchurCampaign
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     margins = np.empty(cases)
     for k in range(cases):
         arc, K = _campaign_case(mode, seed + k)
@@ -233,6 +219,8 @@ def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
     sphere; the anchor inequality is enforced here with a hard check since
     it must hold within 1e-12 per case.
     """
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     margins = np.empty(cases)
     for k in range(cases):
         rng = np.random.default_rng(seed + k)

@@ -127,6 +127,19 @@ class ArcLengthCurve:
         return f"ArcLengthCurve(m={self._m})"
 
 
+def _unit_tangents(table: np.ndarray) -> np.ndarray:
+    """Unit tangents of a closed table sampled uniformly in arc length:
+    five-point centered differences, normalized."""
+    m = table.shape[0]
+    if m < 8:
+        raise ValueError(f"need at least 8 curve samples, got {m}")
+    h = 1.0 / m
+    T = (-np.roll(table, -2, axis=0) + 8.0 * np.roll(table, -1, axis=0)
+         - 8.0 * np.roll(table, 1, axis=0) + np.roll(table, 2, axis=0)) / (12.0 * h)
+    T /= np.linalg.norm(T, axis=1, keepdims=True)
+    return T
+
+
 def _parse_raw_samples(samples) -> np.ndarray:
     """Accept a list of (u, point) pairs or a plain (N, 3) position array."""
     if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == 3:
@@ -188,12 +201,7 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     spline = CubicSpline(s, np.vstack([P, P[:1]]) / total,
                          bc_type="periodic", axis=0)
     table = spline(np.arange(m) / m)
-
-    h = 1.0 / m
-    T = (-np.roll(table, -2, axis=0) + 8.0 * np.roll(table, -1, axis=0)
-         - 8.0 * np.roll(table, 1, axis=0) + np.roll(table, 2, axis=0)) / (12.0 * h)
-    T /= np.linalg.norm(T, axis=1, keepdims=True)
-    return ArcLengthCurve(table, T)
+    return ArcLengthCurve(table, _unit_tangents(table))
 
 
 # -- presets ----------------------------------------------------------------
@@ -394,11 +402,9 @@ def read_curve(path) -> ArcLengthCurve:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 coordinates")
-            rows.append([float(x) for x in parts])
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     table = np.asarray(rows, dtype=float)
-    m = table.shape[0]
-    h = 1.0 / m
-    T = (-np.roll(table, -2, axis=0) + 8.0 * np.roll(table, -1, axis=0)
-         - 8.0 * np.roll(table, 1, axis=0) + np.roll(table, 2, axis=0)) / (12.0 * h)
-    T /= np.linalg.norm(T, axis=1, keepdims=True)
-    return ArcLengthCurve(table, T)
+    return ArcLengthCurve(table, _unit_tangents(table))

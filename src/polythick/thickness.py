@@ -12,9 +12,16 @@ existing, so the boundary pairs are enumerated too.  The thickness radius is
 
     delta_n = min(min_rad, dcsd / 2),      delta_n = 0 when not embedded.
 
-The pair scan is O(n^2), blocked over rows so n = 4096 stays within a few
-seconds and a few hundred MB.  All candidate families are enumerated with
-numpy; Python-level pair objects are only materialised by critical_pairs().
+Every edge pair is described by one convex quadratic in the two foot
+parameters, built once per row block by _quadratic.  The critical-pair
+families are read off it, and so is the edge gap (the minimum distance
+between non-adjacent edges) that decides simplicity: delta_n and the
+annealing objective take both from the same pass, and _edge_gap runs the
+gap alone over an optional leading batch axis for is_simple and the
+annealer's sweep check.  The scan is O(n^2), blocked over rows so n = 4096
+stays within a few seconds and a few hundred MB.  All candidate families
+are enumerated with numpy; Python-level pair objects are only materialised
+by critical_pairs().
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import reduce
 
 import numpy as np
 
@@ -42,6 +50,7 @@ KIND_NAMES = ("vertex-vertex", "vertex-edge", "edge-edge")
 DEFAULT_TOL = 1e-9        # extremality classification (normalized derivatives)
 PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
+_CONTACT = 1e-12          # default simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
 
 
@@ -157,8 +166,99 @@ class _Collector:
         )
 
 
+# ---------------------------------------------------------------------------
+# the edge-pair quadratic
+# ---------------------------------------------------------------------------
+#
+# For rows i and columns j the squared distance between P_i + s E_i and
+# P_j + t E_j is
+#   d^2(s, t) = w2 + a s^2 + c t^2 + 2 (c1 s - c2 t - b s t)
+# with a = |E_i|^2, c = |E_j|^2 and w0 = P_i - P_j contracted into w2, b,
+# c1, c2, so no (rows, n, 3) displacement array outlives the row block.
+# Every function here accepts an optional leading batch axis.
+
+
+def _pair_mask(n: int, rows: slice) -> np.ndarray:
+    """Pairs i < j of non-adjacent edges (cyclic index gap at least 2)."""
+    d = np.arange(n)[None, :] - np.arange(n)[rows, None]
+    return (d >= 2) & (d <= n - 2)
+
+
+def _quadratic(V: np.ndarray, E: np.ndarray, rows: slice):
+    """(w0, b, w2, c1, c2) for the edges in rows against every edge."""
+    w0 = V[..., rows, None, :] - V[..., None, :, :]
+    # matmul rounds differently when its operands share a start address, as
+    # the first row block of E and E's transpose would; the copy avoids it
+    b = E[..., rows, :].copy() @ np.swapaxes(E, -1, -2)
+    w2 = np.einsum("...ijk,...ijk->...ij", w0, w0)
+    c1 = np.einsum("...ik,...ijk->...ij", E[..., rows, :], w0)
+    c2 = np.einsum("...jk,...ijk->...ij", E, w0)
+    return w0, b, w2, c1, c2
+
+
+def _square_min(d2_at, sides, inside, interior):
+    """Minimum of a convex quadratic over the unit square, given its value
+    function: the best of the four sides (each a clamped 1-d projection)
+    and, where it lies inside, the stationary point."""
+    d2 = reduce(np.minimum, [d2_at(s, t) for s, t in sides])
+    return np.where(inside, np.minimum(d2, d2_at(*interior)), d2)
+
+
+def _block_gap2(E, lens2, rows, mask, w0, b, w2, c1, c2):
+    """Smallest squared distance over the masked edge pairs of a block."""
+    a = lens2[..., rows, None]
+    c = lens2[..., None, :]
+    sides = [(0.0, np.clip(c2 / c, 0.0, 1.0)), (1.0, np.clip((c2 + b) / c, 0.0, 1.0)),
+             (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
+    denom = a * c - b * b
+    ok = denom > 1e-14 * a * c
+    safe_den = np.where(ok, denom, 1.0)
+    s_in = (b * c2 - c * c1) / safe_den
+    t_in = (a * c2 - b * c1) / safe_den
+    inside = ok & (s_in >= 0.0) & (s_in <= 1.0) & (t_in >= 0.0) & (t_in <= 1.0)
+    d2 = _square_min(
+        lambda s, t: w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t),
+        sides, inside, (s_in, t_in))
+    d2 = np.where(mask, d2, np.inf)
+    # the quadratic form loses sqrt(eps) of accuracy by cancellation where a
+    # pair nearly touches; measure those pairs from displacement vectors
+    near = np.nonzero(d2 <= 1e-4 * (w2 + a + c))
+    if near[0].size:
+        W, Ei, Ej = w0[near], E[..., rows, :][near[:-1]], E[near[:-2] + near[-1:]]
+
+        def exact(s, t):
+            D = (W + np.broadcast_to(s, d2.shape)[near][:, None] * Ei
+                 - np.broadcast_to(t, d2.shape)[near][:, None] * Ej)
+            return np.einsum("ik,ik->i", D, D)
+
+        d2[near] = _square_min(exact, sides, inside[near], (s_in, t_in))
+    return d2.min(axis=(-2, -1))
+
+
+def _edge_gap(V: np.ndarray):
+    """Minimum distance between non-adjacent edges of the closed polyline V.
+
+    V is (n, 3), or a stack (..., n, 3) of polylines sharing n, in which
+    case the result has the stack's shape.  +inf when no such pair exists.
+    """
+    n = V.shape[-2]
+    E = np.roll(V, -1, axis=-2) - V
+    lens2 = np.einsum("...ik,...ik->...i", E, E)
+    best2 = np.full(V.shape[:-2], np.inf)
+    for r0 in range(0, n, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        best2 = np.minimum(best2, _block_gap2(E, lens2, rows, _pair_mask(n, rows),
+                                              *_quadratic(V, E, rows)))
+    return np.sqrt(np.maximum(best2, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the pair scan
+# ---------------------------------------------------------------------------
+
+
 def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
-          block: int = _BLOCK) -> dict:
+          gap: bool = False) -> dict:
     """Enumerate critical-pair candidates on a closed polyline.
 
     Families:
@@ -178,6 +278,9 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
     Pairs whose two points share an edge are excluded (which also removes all
     arc-distance < edge-length configurations), as are edge-edge pairs on
     cyclically adjacent edges, whose minima collapse into the shared vertex.
+
+    With gap=True the result also holds "gap", the edge gap of V (as
+    _edge_gap computes it), taken from the same row blocks.
     """
     n = V.shape[0]
     E, lens, dirs, cum = _tables(V)
@@ -189,24 +292,23 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
         return (cum[edge_idx] + frac * lens[edge_idx]) / L
 
     Jrow = idx[None, :]
+    # |E|^2 is lens * lens in the critical families and E . E in the edge
+    # gap, as in _edge_gap; the two round differently
     c = (lens * lens)[None, :]                             # (1, n)
+    lens2 = np.einsum("ij,ij->i", E, E)
+    best2 = np.inf
 
-    # Squared distance between sliding points is the quadratic form
-    #   d^2(s, t) = w2 + a s^2 + c t^2 + 2 (c1 s - c2 t - b s t)
-    # in the foot parameters, so no (block, n, 3) displacement array is ever
-    # materialised once w0 has been contracted into w2, b, c1, c2.
-    for r0 in range(0, n, block):
-        R = idx[r0:r0 + block]
+    for r0 in range(0, n, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        R = idx[rows]
         Ri = R[:, None]
-        gap = np.minimum((Jrow - Ri) % n, (Ri - Jrow) % n)
-        pair_ok = (Jrow > Ri) & (gap >= 2)
+        pair_ok = _pair_mask(n, rows)
 
         a = (lens[R] * lens[R])[:, None]                   # (bi, 1)
-        b = E[R] @ E.T                                     # (bi, n)
-        w0 = V[R][:, None, :] - V[None, :, :]              # P_i - P_j (bi, n, 3)
-        w2 = np.einsum("bjk,bjk->bj", w0, w0)
-        c1 = np.einsum("bk,bjk->bj", E[R], w0)
-        c2 = np.einsum("jk,bjk->bj", E, w0)
+        w0, b, w2, c1, c2 = _quadratic(V, E, rows)
+        if gap:
+            best2 = min(best2, float(_block_gap2(E, lens2, rows, pair_ok,
+                                                 w0, b, w2, c1, c2)))
         um_w = np.einsum("bk,bjk->bj", dirs[(R - 1) % n], w0)   # <u-_k, w0>
         up_w = np.einsum("bk,bjk->bj", dirs[R], w0)             # <u+_k, w0>
         vm_w = -np.einsum("jk,bjk->bj", dirs[(idx - 1) % n], w0)  # <u-_j, -w0>
@@ -297,7 +399,10 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
                         np.broadcast_to((cum[R] / L)[:, None], dm.shape),
                         arc(Jrow, tmc), False)
 
-    return out.arrays()
+    arr = out.arrays()
+    if gap:
+        arr["gap"] = float(np.sqrt(max(best2, 0.0)))
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +423,7 @@ def critical_pairs(p: Polygon, mode: str = "doubly",
     """
     if mode not in ("doubly", "singly"):
         raise ValueError(f"mode must be 'doubly' or 'singly', got {mode!r}")
-    arr = _scan(np.asarray(p.vertices, dtype=float), singly=(mode == "singly"),
-                tol=tol)
+    arr = _scan(p.vertices, singly=(mode == "singly"), tol=tol)
     order = np.lexsort((arr["kind"], arr["j"], arr["i"], ~arr["doubly"]))
     seen: set[tuple] = set()
     pairs: list[CriticalPair] = []
@@ -342,6 +446,12 @@ def critical_pairs(p: Polygon, mode: str = "doubly",
     return pairs
 
 
+def _min_distance(arr: dict) -> float:
+    """Smallest candidate distance of a scan; +inf when it found none."""
+    d = arr["dist"]
+    return float(d.min()) if d.size else float("inf")
+
+
 def _min_with_tiebreak(arr: dict, mask: np.ndarray):
     """(min distance, winning index) with lexicographic (i, j) tie-break."""
     if not np.any(mask):
@@ -362,9 +472,7 @@ def _min_with_tiebreak(arr: dict, mask: np.ndarray):
 
 def dcsd(p: Polygon) -> float:
     """Doubly critical self distance; +inf when no doubly critical pair exists."""
-    arr = _scan(np.asarray(p.vertices, dtype=float), singly=False)
-    val, _ = _min_with_tiebreak(arr, np.ones(len(arr["dist"]), dtype=bool))
-    return val
+    return _min_distance(_scan(p.vertices, singly=False))
 
 
 def scsd(p: Polygon) -> float:
@@ -374,68 +482,7 @@ def scsd(p: Polygon) -> float:
     where such a family terminates (its perpendicular foot sliding off an
     edge end) the infimum may sit on the boundary, so boundary pairs count.
     """
-    arr = _scan(np.asarray(p.vertices, dtype=float), singly=True)
-    val, _ = _min_with_tiebreak(arr, np.ones(len(arr["dist"]), dtype=bool))
-    return val
-
-
-# ---------------------------------------------------------------------------
-# simplicity
-# ---------------------------------------------------------------------------
-
-
-def _min_nonadjacent_edge_distance(V: np.ndarray, block: int = _BLOCK) -> float:
-    """Exact minimum distance between all non-adjacent edge pairs.
-
-    For each pair the convex quadratic |(P_i + s E_i) - (P_j + t E_j)|^2 is
-    minimised over the unit square: the interior stationary point when it is
-    in range, else the best of the four clamped boundary edges.
-    """
-    n = V.shape[0]
-    E = np.roll(V, -1, axis=0) - V
-    lens2 = np.einsum("ij,ij->i", E, E)
-    idx = np.arange(n)
-    Jrow = idx[None, :]
-    c = lens2[None, :]
-    best2 = float("inf")
-    for r0 in range(0, n, block):
-        R = idx[r0:r0 + block]
-        Ri = R[:, None]
-        gap = np.minimum((Jrow - Ri) % n, (Ri - Jrow) % n)
-        mask = (Jrow > Ri) & (gap >= 2)
-        if not np.any(mask):
-            continue
-        a = lens2[R][:, None]
-        b = E[R] @ E.T
-        w0 = V[R][:, None, :] - V[None, :, :]
-        w2 = np.einsum("bjk,bjk->bj", w0, w0)
-        c1 = np.einsum("bk,bjk->bj", E[R], w0)
-        c2 = np.einsum("jk,bjk->bj", E, w0)
-        del w0
-        denom = a * c - b * b
-        ok = denom > 1e-14 * a * c
-        safe_den = np.where(ok, denom, 1.0)
-        s_int = np.where(ok, (b * c2 - c * c1) / safe_den, -1.0)
-        t_int = np.where(ok, (a * c2 - b * c1) / safe_den, -1.0)
-        d2 = np.full(b.shape, np.inf)
-
-        def acc(s, t):
-            nonlocal d2
-            cand = w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t)
-            d2 = np.minimum(d2, cand)
-
-        interior = ok & (s_int >= 0) & (s_int <= 1) & (t_int >= 0) & (t_int <= 1)
-        if np.any(interior):
-            acc(np.where(interior, s_int, 0.0), np.where(interior, t_int, 0.0))
-        zeros = np.zeros(b.shape)
-        ones = np.ones(b.shape)
-        acc(zeros, np.clip(c2 / c, 0.0, 1.0))
-        acc(ones, np.clip((c2 + b) / c, 0.0, 1.0))
-        acc(np.clip(-c1 / a, 0.0, 1.0), zeros)
-        acc(np.clip((b - c1) / a, 0.0, 1.0), ones)
-        masked = np.where(mask, d2, np.inf)
-        best2 = min(best2, float(max(masked.min(), 0.0)))
-    return float(np.sqrt(best2)) if np.isfinite(best2) else float("inf")
+    return _min_distance(_scan(p.vertices, singly=True))
 
 
 def is_simple(p: Polygon, clearance: float | None = None) -> bool:
@@ -443,14 +490,13 @@ def is_simple(p: Polygon, clearance: float | None = None) -> bool:
     and no two vertices coincide within clearance.  Default clearance is
     1e-12 * length: exact-contact detection only.
     """
-    V = np.asarray(p.vertices, dtype=float)
     if clearance is None:
-        clearance = 1e-12 * p.length
-    return _min_nonadjacent_edge_distance(V) > clearance
+        clearance = _CONTACT * p.length
+    return bool(_edge_gap(p.vertices) > clearance)
 
 
 # ---------------------------------------------------------------------------
-# the report
+# the report and the annealing objective
 # ---------------------------------------------------------------------------
 
 
@@ -463,7 +509,6 @@ def delta_n(p: Polygon) -> ThicknessReport:
     delta_n_alt = min(min_rad, scsd) is carried for cross-checking the
     alternative representation.
     """
-    V = np.asarray(p.vertices, dtype=float)
     kappas = p.kappa_d_all()
     mc = float(np.max(kappas))
     winners = np.nonzero(kappas >= mc - 1e-12 * max(mc, 1.0))[0]
@@ -471,9 +516,9 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc2 = float(np.max(p.kappa_d2_all()))
     mr = 0.0 if math.isinf(mc) else (float("inf") if mc == 0.0 else 1.0 / mc)
 
-    arr = _scan(V, singly=True)
+    arr = _scan(p.vertices, singly=True, gap=True)
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
-    s_val, _ = _min_with_tiebreak(arr, np.ones(len(arr["dist"]), dtype=bool))
+    s_val = _min_distance(arr)
 
     pair = None
     if d_idx is not None:
@@ -486,7 +531,7 @@ def delta_n(p: Polygon) -> ThicknessReport:
                             kind=KIND_NAMES[int(arr["kind"][d_idx])],
                             criticality="doubly", i=i, j=j)
 
-    simple = is_simple(p)
+    simple = arr["gap"] > _CONTACT * p.length
     binding = "curvature" if mr <= d_val / 2.0 else "distance"
     if simple:
         delta = min(mr, d_val / 2.0)
@@ -501,38 +546,19 @@ def delta_n(p: Polygon) -> ThicknessReport:
         achieving_vertex=achieving_vertex, achieving_pair=pair, simple=simple)
 
 
-# ---------------------------------------------------------------------------
-# fast paths shared with the annealer and the smooth-curve proxy
-# ---------------------------------------------------------------------------
-
-
-def inv_delta_objective(V: np.ndarray, clearance: float) -> float:
-    """max(max_curv, 2/dcsd) of the closed polyline V, +inf when the polygon
-    is within clearance of self-contact or folds back.  This is the annealing
-    objective: identical to 1/delta_n up to floating-point reciprocal
-    rounding, but skips pair materialisation and the report."""
-    E, lens, dirs, cum = _tables(V)
-    prev = np.roll(dirs, 1, axis=0)
-    phi = np.arctan2(np.linalg.norm(np.cross(prev, dirs), axis=1),
-                     np.einsum("ij,ij->i", prev, dirs))
-    if np.any(phi >= np.pi - 1e-15):
+def inv_delta_objective(p: Polygon, clearance: float) -> float:
+    """max(max_curv, 2/dcsd) of p, +inf when p is within clearance of
+    self-contact or folds back.  This is the annealing objective: identical
+    to 1/delta_n up to floating-point reciprocal rounding, but skips the
+    singly families, pair materialisation and the report."""
+    mc = float(np.max(p.kappa_d_all()))
+    if math.isinf(mc):
         return float("inf")
-    half = 0.5 * (np.roll(lens, 1) + lens)
-    mc = float(np.max(2.0 * np.tan(0.5 * phi) / half))
-    if _min_nonadjacent_edge_distance(V) <= clearance:
-        return float("inf")
-    arr = _scan(V, singly=False)
-    dv, _ = _min_with_tiebreak(arr, np.ones(len(arr["dist"]), dtype=bool))
-    if dv <= 0.0:
+    arr = _scan(p.vertices, singly=False, gap=True)
+    dv = _min_distance(arr)
+    if arr["gap"] <= clearance or dv <= 0.0:
         return float("inf")
     return max(mc, 2.0 / dv)
-
-
-def proxy_dcsd(V: np.ndarray) -> float:
-    """dcsd of a closed polyline given directly as a vertex array."""
-    arr = _scan(np.asarray(V, dtype=float), singly=False)
-    val, _ = _min_with_tiebreak(arr, np.ones(len(arr["dist"]), dtype=bool))
-    return val
 
 
 # ---------------------------------------------------------------------------

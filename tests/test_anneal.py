@@ -136,12 +136,12 @@ class TestObjective:
             r = delta_n(p)
             if not r.simple:
                 continue
-            f = inv_delta_objective(p.vertices, 1e-6 * p.length)
+            f = inv_delta_objective(p, 1e-6 * p.length)
             assert f == pytest.approx(r.inv_delta_n, abs=1e-12)
 
     def test_infinite_for_nonsimple(self):
         p = read_polygon("tests/data/pentagram10.txt")
-        assert math.isinf(inv_delta_objective(p.vertices, 1e-6 * p.length))
+        assert math.isinf(inv_delta_objective(p, 1e-6 * p.length))
 
 
 QUICK = AnnealConfig(seed=3, steps_per_temp=40, cooling=0.85, t_min=1e-3)

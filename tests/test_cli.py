@@ -80,6 +80,13 @@ class TestInscribeCommand:
         assert main(["inscribe", "--curve", str(cpath), "--n", "8"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 8
 
+    def test_empty_curve_file(self, tmp_path, capsys):
+        cpath = tmp_path / "empty.curve"
+        cpath.write_text("")
+        assert main(["inscribe", "--curve", str(cpath), "--n", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: need at least 8 curve samples, got 0\n"
+
     def test_impossible_n(self, capsys):
         assert main(["inscribe", "--curve", "circle", "--n", "3",
                      "--m", "512"]) == 1

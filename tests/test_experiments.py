@@ -75,22 +75,6 @@ class TestGammaCsv:
         assert "chord" in fields[10] or "marching" in fields[10]
 
 
-class TestGammaWorkers:
-    def test_thread_path_matches_serial(self, circle, monkeypatch):
-        monkeypatch.setenv("POLYTHICK_WORKERS", "1")
-        serial = gamma_series(circle, [8, 12, 16], m_proxy=256)
-        monkeypatch.setenv("POLYTHICK_WORKERS", "2")
-        threaded = gamma_series(circle, [8, 12, 16], m_proxy=256)
-        assert [r.n for r in threaded] == [8, 12, 16]
-        for a, b in zip(serial, threaded):
-            assert a == b
-
-    def test_worker_env_validation(self, circle, monkeypatch):
-        monkeypatch.setenv("POLYTHICK_WORKERS", "many")
-        with pytest.raises(ValueError, match="POLYTHICK_WORKERS"):
-            gamma_series(circle, [8], m_proxy=256)
-
-
 class TestSchurCampaign:
     def test_strict_clean(self):
         res = schur_campaign(300, seed=11, mode="strict")
@@ -124,6 +108,11 @@ class TestSchurCampaign:
         with pytest.raises(ValueError, match="mode"):
             schur_campaign(5, seed=0, mode="chaotic")
 
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_cases_validation(self, cases):
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            schur_campaign(cases, seed=0)
+
 
 class TestSphereCampaign:
     def test_clean(self):
@@ -136,3 +125,8 @@ class TestSphereCampaign:
         a = sphere_campaign(40, seed=7)
         b = sphere_campaign(40, seed=7)
         assert np.array_equal(a.margins, b.margins)
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_cases_validation(self, cases):
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            sphere_campaign(cases, seed=0)

@@ -251,3 +251,18 @@ class TestCurveIO:
         path.write_text("0 0\n")
         with pytest.raises(ValueError, match="line 1"):
             read_curve(path)
+
+    def test_unparsable_coordinate_names_line(self, tmp_path):
+        path = tmp_path / "bad.curve"
+        path.write_text("# header\n0 0 0\n1 0 zero\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_curve(path)
+
+    @pytest.mark.parametrize("rows", [0, 2, 7])
+    def test_too_few_rows(self, tmp_path, rows):
+        path = tmp_path / "short.curve"
+        path.write_text("# samples\n" + "".join(f"{k} {k * k} 0\n"
+                                                 for k in range(rows)))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="at least 8 curve samples"):
+                read_curve(path)

@@ -22,7 +22,10 @@ from polythick import (
     regular_ngon,
     scsd,
 )
+from polythick.anneal import crankshaft_move
+from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
+from polythick.thickness import _edge_gap, _scan
 
 from _gen import perturbed_regular
 from _oracle import double_grid_scan
@@ -265,6 +268,72 @@ class TestSimplicity:
     def test_regular_ngons_simple(self):
         for n in (3, 4, 7, 50):
             assert is_simple(regular_ngon(n))
+
+
+def _brute_edge_gap(V: np.ndarray) -> float:
+    """Minimum of geom.segment_min_distance over every non-adjacent edge pair."""
+    n = len(V)
+    best = math.inf
+    for i in range(n):
+        for j in range(i + 2, min(n, i + n - 1)):
+            d, _, _ = segment_min_distance(V[i], V[(i + 1) % n], V[j], V[(j + 1) % n])
+            best = min(best, d)
+    return best
+
+
+def _sweep_frames(p: Polygon, i: int, j: int, theta: float, frames: int) -> np.ndarray:
+    """Vertex stack of a crankshaft sweep, the batch shape the annealer uses."""
+    return np.stack([crankshaft_move(p, i, j, theta * k / (frames - 1)).vertices
+                     for k in range(frames)])
+
+
+class TestEdgeGapKernel:
+    """One kernel serves is_simple, the annealer's batched sweep check and
+    the gap fused into the pair scan; all must agree exactly."""
+
+    @staticmethod
+    def check(Vb: np.ndarray) -> None:
+        batched = _edge_gap(Vb)
+        assert batched.shape == Vb.shape[:1]
+        for k, V in enumerate(Vb):
+            single = _edge_gap(V)
+            assert batched[k].tobytes() == single.tobytes()
+            p = Polygon(V)
+            assert abs(float(single) - _brute_edge_gap(V)) <= 1e-12 * p.length
+            for singly in (False, True):
+                fused = _scan(V, singly=singly, gap=True)["gap"]
+                assert np.float64(fused).tobytes() == single.tobytes()
+            assert delta_n(p).simple == is_simple(p)
+
+    @given(st.integers(min_value=4, max_value=40),
+           st.integers(min_value=0, max_value=10**6),
+           st.one_of(st.none(), st.floats(0.01, 0.3)),
+           st.floats(-math.pi, math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_random_and_perturbed(self, n, seed, sigma, theta):
+        rng = np.random.default_rng(seed)
+        if sigma is None:
+            p = random_equilateral_polygon(n, rng)
+        else:
+            p = perturbed_regular(n, sigma, rng)
+        i = int(rng.integers(n))
+        j = (i + int(rng.integers(2, n - 1))) % n
+        self.check(_sweep_frames(p, i, j, theta, 4))
+
+    def test_pentagram(self):
+        # turning half the star about the axis through vertices 0 and 5 keeps
+        # its crossings on the axis, so every frame touches itself; at theta
+        # 0.4 the quadratic form alone reads that contact as 1.3e-9
+        p = read_polygon("tests/data/pentagram10.txt")
+        frames = _sweep_frames(p, 0, 5, 0.4, 3)
+        self.check(frames)
+        assert not any(is_simple(Polygon(V)) for V in frames)
+
+    def test_hexagon_flip(self):
+        # the sweep ends with vertices 1, 2 landing on 5, 4: exact contact
+        frames = _sweep_frames(regular_ngon(6), 0, 3, math.pi, 9)
+        self.check(frames)
+        assert _edge_gap(frames)[-1] <= 1e-12
 
 
 class TestRepresentationEquivalence:
