@@ -267,6 +267,11 @@ class PolyArc:
         half = 0.5 * (self._lens[i - 1] + self._lens[i])
         return float(phi / half)
 
+    def kappa_d2_all(self) -> np.ndarray:
+        """kappa_d2 at every interior vertex, from one angle evaluation."""
+        half = 0.5 * (self._lens[:-1] + self._lens[1:])
+        return self.interior_angles() / half
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyArc(m={self.m}, length={self.length:.6g})"
 
@@ -358,11 +363,9 @@ def max_curv(p: Polygon | PolyArc) -> float:
 
 def max_curv2(p: Polygon | PolyArc) -> float:
     """Largest kappa_d2, always finite."""
-    if isinstance(p, Polygon):
-        return float(np.max(p.kappa_d2_all()))
-    if p.m < 2:
+    if isinstance(p, PolyArc) and p.m < 2:
         return 0.0
-    return max(p.kappa_d2(i) for i in range(1, p.m))
+    return float(np.max(p.kappa_d2_all()))
 
 
 def min_rad(p: Polygon | PolyArc) -> float:

@@ -152,6 +152,23 @@ def sphere_exclusion_check(arc: PolyArc, K: float) -> SphereExclusionReport:
                                  anchor_lhs=lhs, anchor_rhs=rhs)
 
 
+# The arc walk runs on 3-tuples of floats: numpy's per-call overhead on
+# 3-vectors was most of a campaign case.  _cross keeps np.cross's operation
+# order and _unit np.linalg.norm's dot product, so the arcs are bitwise the
+# same as with the numpy calls.
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(v) -> tuple[float, float, float]:
+    a = np.array(v)
+    r = math.sqrt(a.dot(a))
+    return (v[0] / r, v[1] / r, v[2] / r)
+
+
 def random_bounded_arc(n: int, K: float, L: float, seed: int) -> PolyArc:
     """Equilateral n-edge arc with angle-based curvature at most K.
 
@@ -166,22 +183,23 @@ def random_bounded_arc(n: int, K: float, L: float, seed: int) -> PolyArc:
         raise ValueError("need K >= 0 and L > 0")
     rng = np.random.default_rng(seed)
     ell = L / n
-    d = np.array([1.0, 0.0, 0.0])
+    d = (1.0, 0.0, 0.0)
     pts = np.zeros((n + 1, 3))
     for k in range(1, n + 1):
-        pts[k] = pts[k - 1] + ell * d
+        pts[k] = [x + ell * dx for x, dx in zip(pts[k - 1].tolist(), d)]
         if k == n:
             break
         theta = rng.uniform(0.0, K * ell)
         psi = rng.uniform(0.0, 2.0 * math.pi)
         # orthonormal pair normal to d
-        helper = np.zeros(3)
-        helper[int(np.argmin(np.abs(d)))] = 1.0
-        n1 = np.cross(d, helper)
-        n1 /= np.linalg.norm(n1)
-        n2 = np.cross(d, n1)
-        axis = math.cos(psi) * n1 + math.sin(psi) * n2
+        mags = [abs(x) for x in d]
+        helper = [0.0, 0.0, 0.0]
+        helper[mags.index(min(mags))] = 1.0
+        n1 = _unit(_cross(d, helper))
+        n2 = _cross(d, n1)
+        c, s = math.cos(psi), math.sin(psi)
+        axis = [c * a + s * b for a, b in zip(n1, n2)]
         # Rodrigues rotation of d about axis (axis is orthogonal to d)
-        d = math.cos(theta) * d + math.sin(theta) * np.cross(axis, d)
-        d /= np.linalg.norm(d)
+        c, s = math.cos(theta), math.sin(theta)
+        d = _unit([c * a + s * b for a, b in zip(d, _cross(axis, d))])
     return PolyArc(pts)

@@ -235,6 +235,45 @@ class TestRandomBoundedArc:
             lens = arc.edge_lengths
             assert np.max(np.abs(lens - 0.15)) < 1e-15
 
+    def test_bitwise_equal_to_numpy_walk(self):
+        # the walk is written on float tuples for speed; it must draw the
+        # same arcs as the plain numpy formulation, to the last bit
+        def numpy_walk(n, K, L, seed):
+            rng = np.random.default_rng(seed)
+            ell = L / n
+            d = np.array([1.0, 0.0, 0.0])
+            pts = np.zeros((n + 1, 3))
+            for k in range(1, n + 1):
+                pts[k] = pts[k - 1] + ell * d
+                if k == n:
+                    break
+                theta = rng.uniform(0.0, K * ell)
+                psi = rng.uniform(0.0, 2.0 * math.pi)
+                helper = np.zeros(3)
+                helper[int(np.argmin(np.abs(d)))] = 1.0
+                n1 = np.cross(d, helper)
+                n1 /= np.linalg.norm(n1)
+                n2 = np.cross(d, n1)
+                axis = math.cos(psi) * n1 + math.sin(psi) * n2
+                d = math.cos(theta) * d + math.sin(theta) * np.cross(axis, d)
+                d /= np.linalg.norm(d)
+            return pts
+
+        rng = np.random.default_rng(11)
+        for seed in range(200):
+            n = int(rng.integers(2, 30))
+            K = float(rng.uniform(0.0, 6.0))
+            L = float(rng.uniform(0.05, 4.0))
+            arc = random_bounded_arc(n, K, L, seed=seed)
+            ref = numpy_walk(n, K, L, seed)
+            assert arc.vertices.tobytes() == ref.tobytes()
+
+    def test_max_curv2_matches_per_vertex(self):
+        for seed in range(50):
+            arc = random_bounded_arc(3 + seed % 20, 3.0, 2.0, seed=seed)
+            per_vertex = max(arc.kappa_d2(i) for i in range(1, arc.m))
+            assert max_curv2(arc) == per_vertex
+
     def test_zero_curvature_is_straight(self):
         arc = random_bounded_arc(8, 0.0, 1.0, seed=1)
         assert max_curv2(arc) == pytest.approx(0.0, abs=1e-12)
