@@ -15,7 +15,7 @@ import numpy as np
 from .anneal import AnnealConfig, anneal
 from .experiments import (gamma_csv, gamma_series, ngon_csv, ngon_table,
                           schur_campaign)
-from .polygon import read_polygon, write_polygon
+from .polygon import dumps_polygon, read_polygon, write_polygon
 from .smooth import inscribe_equilateral, preset_curve, read_curve, rescale_unit
 from .thickness import delta_n
 
@@ -52,8 +52,7 @@ def _cmd_inscribe(args) -> int:
     if args.rescale:
         p = rescale_unit(p)
     if args.out is None:
-        for x, y, z in p.vertices:
-            sys.stdout.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        sys.stdout.write(dumps_polygon(p))
     else:
         write_polygon(p, args.out)
     return 0
@@ -100,8 +99,7 @@ def _cmd_anneal(args) -> int:
         trace.to_csv(args.trace)
     report = delta_n(best)
     if args.out is None:
-        for x, y, z in best.vertices:
-            sys.stdout.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        sys.stdout.write(dumps_polygon(best))
     else:
         write_polygon(best, args.out,
                       comment=f"annealed, 1/delta_n = {report.inv_delta_n:.17g}")

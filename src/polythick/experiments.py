@@ -175,17 +175,41 @@ class SchurCampaignResult:
 def _campaign_case(mode: str, seed: int):
     """Draw one admissible (arc, K) pair; deterministic per seed.
 
+    The budget on K*L is pi in strict mode and pi/2 for the sphere check.
     For an equilateral n-edge arc the relaxed budget K*L <= pi + K*L/n
-    rearranges to K*L <= pi*n/(n-1); the draw stays 2% below either budget
+    rearranges to K*L <= pi*n/(n-1).  The draw stays 2% below the budget
     so feasibility never rides on rounding.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 25))
     K = float(rng.uniform(0.2, 5.0))
-    budget = math.pi if mode == "strict" else math.pi * n / (n - 1)
+    if mode == "strict":
+        budget = math.pi
+    elif mode == "relaxed":
+        budget = math.pi * n / (n - 1)
+    else:
+        budget = 0.5 * math.pi
     L = float(rng.uniform(0.1, 0.98 * budget)) / K
     arc = random_bounded_arc(n, K, L, seed=seed)
     return arc, K
+
+
+def _campaign(cases: int, seed: int, mode: str, margin) -> SchurCampaignResult:
+    """Margins margin(arc, K, k) of cases k = 0..cases-1, case k drawn with
+    seed + k, and their tally."""
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
+    margins = np.empty(cases)
+    for k in range(cases):
+        arc, K = _campaign_case(mode, seed + k)
+        margins[k] = margin(arc, K, k)
+    tiny = np.abs(margins) < _DEGENERATE_MARGIN
+    violations = int(np.count_nonzero((margins <= 0.0) & ~tiny))
+    return SchurCampaignResult(cases=cases, mode=mode,
+                               min_margin=float(margins.min()),
+                               violations=violations,
+                               degenerate=int(np.count_nonzero(tiny)),
+                               margins=margins)
 
 
 def schur_campaign(cases: int, seed: int, mode: str = "strict") -> SchurCampaignResult:
@@ -197,19 +221,8 @@ def schur_campaign(cases: int, seed: int, mode: str = "strict") -> SchurCampaign
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    margins = np.empty(cases)
-    for k in range(cases):
-        arc, K = _campaign_case(mode, seed + k)
-        margins[k] = schur_check(arc, K, mode=mode).margin
-    tiny = np.abs(margins) < _DEGENERATE_MARGIN
-    violations = int(np.count_nonzero((margins <= 0.0) & ~tiny))
-    return SchurCampaignResult(cases=cases, mode=mode,
-                               min_margin=float(margins.min()),
-                               violations=violations,
-                               degenerate=int(np.count_nonzero(tiny)),
-                               margins=margins)
+    return _campaign(cases, seed, mode,
+                     lambda arc, K, k: schur_check(arc, K, mode=mode).margin)
 
 
 def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
@@ -219,15 +232,7 @@ def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
     sphere; the anchor inequality is enforced here with a hard check since
     it must hold within 1e-12 per case.
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    margins = np.empty(cases)
-    for k in range(cases):
-        rng = np.random.default_rng(seed + k)
-        n = int(rng.integers(2, 25))
-        K = float(rng.uniform(0.2, 5.0))
-        L = float(rng.uniform(0.1, 0.98 * 0.5 * math.pi)) / K
-        arc = random_bounded_arc(n, K, L, seed=seed + k)
+    def margin(arc, K, k):
         report = sphere_exclusion_check(arc, K)
         gap = report.anchor_lhs - report.anchor_rhs
         if np.any(gap < -1e-12):
@@ -235,11 +240,6 @@ def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
                 f"anchor inequality failed by {float(gap.min()):.3e} "
                 f"at case {k} (seed {seed + k})"
             )
-        margins[k] = report.min_distance
-    tiny = np.abs(margins) < _DEGENERATE_MARGIN
-    violations = int(np.count_nonzero((margins <= 0.0) & ~tiny))
-    return SchurCampaignResult(cases=cases, mode="sphere",
-                               min_margin=float(margins.min()),
-                               violations=violations,
-                               degenerate=int(np.count_nonzero(tiny)),
-                               margins=margins)
+        return report.min_distance
+
+    return _campaign(cases, seed, "sphere", margin)

@@ -1,9 +1,12 @@
-"""Equilateral closed polygons and open polygonal arcs.
+"""Equilateral closed polygons, open polygonal arcs, and their text format.
 
 A Polygon is an immutable list of n >= 3 vertices in R^3 whose consecutive
 distances all agree to a relative tolerance; the closing edge from the last
 vertex back to the first is implicit.  Arc-length parameters live in [0, 1)
-and wrap, with t = k/n at vertex k.
+and wrap, with t = k/n at vertex k.  A PolyArc is an open chain of m >= 1
+edges of any lengths.  Both share one base, which owns the vertex and edge
+tables and the curvature; the two differ only in which edges meet at a
+vertex (cyclically, or at the m-1 interior vertices of the arc).
 
 Two discrete curvatures are tracked at each vertex, both nonnegative:
 
@@ -14,16 +17,21 @@ where phi_i is the exterior (turning) angle.  kappa_d2 <= kappa_d always,
 with equality only at straight vertices; kappa_d blows up to +inf as the
 polygon folds back (phi -> pi) while kappa_d2 stays bounded, which is why
 the thickness radius uses kappa_d and the comparison checks use kappa_d2.
+
+One text format, one 'x y z' row per vertex, serves polygons here and
+curve tables in smooth.py: _format_rows writes it and _parse_rows reads it.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Sequence
+import math
+from typing import Iterable
 
 import numpy as np
 
-from .geom import exterior_angle
+# not called here; kept as a module attribute that perfbench/spans.py rebinds
+from .geom import exterior_angle  # noqa: F401
 
 __all__ = [
     "Polygon",
@@ -44,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_TOL = 1e-9  # relative spread allowed among edge lengths
+_FOLD_BACK = np.pi - 1e-15  # turning angles this large give kappa_d = +inf
 
 
 def _vertex_array(points) -> np.ndarray:
@@ -63,16 +72,82 @@ def _angles_from_dirs(d_in: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return np.arctan2(sin, cos)
 
 
-class Polygon:
+class _Polyline:
+    """Vertices, edges and turning-angle curvature of a closed or open chain.
+
+    A subclass builds the edge vectors and supplies _at_vertices, which says
+    where curvature lives: for an array with one row per edge it returns
+    the rows of the edges coming into and going out of each such vertex.
+    The per-vertex kappa_d(i) and kappa_d2(i) read the all-vertex arrays at
+    the subclass's _index(i).
+    """
+
+    def __init__(self, v: np.ndarray, edges: np.ndarray):
+        self._v = v
+        self._edges = edges
+        self._lens = np.linalg.norm(edges, axis=1)
+        self._length = float(self._lens.sum())
+        for a in (self._v, self._edges, self._lens):
+            a.setflags(write=False)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self._v
+
+    @property
+    def length(self) -> float:
+        return self._length
+
+    def directions(self) -> np.ndarray:
+        """Unit edge directions, cached."""
+        d = getattr(self, "_dirs", None)
+        if d is None:
+            d = self._edges / self._lens[:, None]
+            d.setflags(write=False)
+            self._dirs = d
+        return d
+
+    def _turning(self) -> np.ndarray:
+        a = getattr(self, "_angles", None)
+        if a is None:
+            a = _angles_from_dirs(*self._at_vertices(self.directions()))
+            a.setflags(write=False)
+            self._angles = a
+        return a
+
+    def _half_lengths(self) -> np.ndarray:
+        e_in, e_out = self._at_vertices(self._lens)
+        return 0.5 * (e_in + e_out)
+
+    def kappa_d_all(self) -> np.ndarray:
+        """kappa_d at every vertex that has one; +inf at a fold-back."""
+        phi = self._turning()
+        with np.errstate(over="ignore"):
+            out = 2.0 * np.tan(0.5 * phi) / self._half_lengths()
+        return np.where(phi >= _FOLD_BACK, np.inf, out)
+
+    def kappa_d2_all(self) -> np.ndarray:
+        """kappa_d2 at every vertex that has one, always finite."""
+        return self._turning() / self._half_lengths()
+
+    def kappa_d(self, i: int) -> float:
+        """Tangent-based discrete curvature at vertex i; +inf at a fold-back."""
+        return float(self.kappa_d_all()[self._index(i)])
+
+    def kappa_d2(self, i: int) -> float:
+        """Angle-based discrete curvature at vertex i, always finite."""
+        return float(self.kappa_d2_all()[self._index(i)])
+
+
+class Polygon(_Polyline):
     """Closed equilateral polygon.  Construct via from_vertices or regular_ngon."""
 
     def __init__(self, vertices: np.ndarray, tolerance: float = DEFAULT_EDGE_TOL):
         v = _vertex_array(vertices)
-        n = v.shape[0]
-        if n < 3:
+        if v.shape[0] < 3:
             raise ValueError("a closed polygon needs at least 3 vertices")
-        edges = np.roll(v, -1, axis=0) - v
-        lens = np.linalg.norm(edges, axis=1)
+        super().__init__(v, np.roll(v, -1, axis=0) - v)
+        lens = self._lens
         mean = float(lens.mean())
         if mean <= 0.0:
             raise ValueError("polygon has zero total length")
@@ -83,26 +158,20 @@ class Polygon:
                 f"edge {i} has length {lens[i]:.17g}, expected {mean:.17g} "
                 f"within relative tolerance {tolerance:g}"
             )
-        self._v = v
-        self._v.setflags(write=False)
-        self._edges = edges
-        self._edges.setflags(write=False)
-        self._lens = lens
-        self._length = float(lens.sum())
+
+    @staticmethod
+    def _at_vertices(x: np.ndarray):
+        # vertex i sits between edges i-1 and i, cyclically
+        return np.roll(x, 1, axis=0), x
+
+    def _index(self, i: int) -> int:
+        return i % self.n
 
     # -- basic shape -------------------------------------------------------
 
     @property
     def n(self) -> int:
         return self._v.shape[0]
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self._v
-
-    @property
-    def length(self) -> float:
-        return self._length
 
     @property
     def edge_length(self) -> float:
@@ -112,15 +181,6 @@ class Polygon:
     def edges(self) -> np.ndarray:
         """Edge vectors, row i from vertex i to vertex i+1 (cyclic)."""
         return self._edges
-
-    def directions(self) -> np.ndarray:
-        """Unit edge directions, cached."""
-        d = getattr(self, "_dirs", None)
-        if d is None:
-            d = self._edges / self._lens[:, None]
-            d.setflags(write=False)
-            self._dirs = d
-        return d
 
     # -- arc-length parametrisation ----------------------------------------
 
@@ -157,69 +217,41 @@ class Polygon:
         d = self.directions()[k]
         return d if t.ndim else d.reshape(3)
 
-    # -- curvature ----------------------------------------------------------
-
     def exterior_angles(self) -> np.ndarray:
         """Turning angle at each vertex, in [0, pi]."""
-        a = getattr(self, "_angles", None)
-        if a is None:
-            d = self.directions()
-            a = _angles_from_dirs(np.roll(d, 1, axis=0), d)
-            a.setflags(write=False)
-            self._angles = a
-        return a
-
-    def kappa_d(self, i: int) -> float:
-        """Tangent-based discrete curvature at vertex i; +inf at a fold-back."""
-        phi = self.exterior_angles()[i % self.n]
-        half = 0.5 * (self._lens[(i - 1) % self.n] + self._lens[i % self.n])
-        if phi >= np.pi - 1e-15:
-            return float("inf")
-        return float(2.0 * np.tan(0.5 * phi) / half)
-
-    def kappa_d2(self, i: int) -> float:
-        """Angle-based discrete curvature at vertex i, always finite."""
-        phi = self.exterior_angles()[i % self.n]
-        half = 0.5 * (self._lens[(i - 1) % self.n] + self._lens[i % self.n])
-        return float(phi / half)
-
-    def kappa_d_all(self) -> np.ndarray:
-        phi = self.exterior_angles()
-        half = 0.5 * (np.roll(self._lens, 1) + self._lens)
-        with np.errstate(over="ignore"):
-            out = 2.0 * np.tan(0.5 * phi) / half
-        out = np.where(phi >= np.pi - 1e-15, np.inf, out)
-        return out
-
-    def kappa_d2_all(self) -> np.ndarray:
-        half = 0.5 * (np.roll(self._lens, 1) + self._lens)
-        return self.exterior_angles() / half
+        return self._turning()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polygon(n={self.n}, length={self.length:.6g})"
 
 
-class PolyArc:
+class PolyArc(_Polyline):
     """Open polygonal arc: m >= 1 edges, consecutive vertices distinct.
 
     Edges may have different lengths.  Curvatures are defined at the m-1
-    interior vertices only.
+    interior vertices only, numbered 1..m-1.
     """
 
     def __init__(self, vertices: np.ndarray):
         v = _vertex_array(vertices)
         if v.shape[0] < 2:
             raise ValueError("an arc needs at least 2 vertices")
-        edges = v[1:] - v[:-1]
-        lens = np.linalg.norm(edges, axis=1)
-        if np.any(lens == 0.0):
-            i = int(np.nonzero(lens == 0.0)[0][0])
+        super().__init__(v, v[1:] - v[:-1])
+        if np.any(self._lens == 0.0):
+            i = int(np.nonzero(self._lens == 0.0)[0][0])
             raise ValueError(f"consecutive vertices {i} and {i + 1} coincide")
-        self._v = v
-        self._v.setflags(write=False)
-        self._edges = edges
-        self._lens = lens
-        self._length = float(lens.sum())
+
+    @staticmethod
+    def _at_vertices(x: np.ndarray):
+        # interior vertex k sits between edges k-1 and k
+        return x[:-1], x[1:]
+
+    def _index(self, i: int) -> int:
+        if not 1 <= i <= self.m - 1:
+            raise IndexError(
+                f"interior vertex index must be in 1..{self.m - 1}, got {i}"
+            )
+        return i - 1
 
     @property
     def m(self) -> int:
@@ -227,50 +259,12 @@ class PolyArc:
         return self._v.shape[0] - 1
 
     @property
-    def vertices(self) -> np.ndarray:
-        return self._v
-
-    @property
-    def length(self) -> float:
-        return self._length
-
-    @property
     def edge_lengths(self) -> np.ndarray:
         return self._lens
 
-    def directions(self) -> np.ndarray:
-        return self._edges / self._lens[:, None]
-
     def interior_angles(self) -> np.ndarray:
         """Turning angles at the m-1 interior vertices."""
-        d = self.directions()
-        return _angles_from_dirs(d[:-1], d[1:])
-
-    def _check_interior(self, i: int) -> None:
-        if not 1 <= i <= self.m - 1:
-            raise IndexError(
-                f"interior vertex index must be in 1..{self.m - 1}, got {i}"
-            )
-
-    def kappa_d(self, i: int) -> float:
-        """kappa_d at interior vertex i (1-based position i in 1..m-1)."""
-        self._check_interior(i)
-        phi = float(self.interior_angles()[i - 1])
-        half = 0.5 * (self._lens[i - 1] + self._lens[i])
-        if phi >= np.pi - 1e-15:
-            return float("inf")
-        return float(2.0 * np.tan(0.5 * phi) / half)
-
-    def kappa_d2(self, i: int) -> float:
-        self._check_interior(i)
-        phi = float(self.interior_angles()[i - 1])
-        half = 0.5 * (self._lens[i - 1] + self._lens[i])
-        return float(phi / half)
-
-    def kappa_d2_all(self) -> np.ndarray:
-        """kappa_d2 at every interior vertex, from one angle evaluation."""
-        half = 0.5 * (self._lens[:-1] + self._lens[1:])
-        return self.interior_angles() / half
+        return self._turning()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyArc(m={self.m}, length={self.length:.6g})"
@@ -354,18 +348,12 @@ def kappa_d2(p: Polygon | PolyArc, i: int) -> float:
 
 def max_curv(p: Polygon | PolyArc) -> float:
     """Largest kappa_d over vertices (interior vertices for an arc)."""
-    if isinstance(p, Polygon):
-        return float(np.max(p.kappa_d_all()))
-    if p.m < 2:
-        return 0.0
-    return max(p.kappa_d(i) for i in range(1, p.m))
+    return float(np.max(p.kappa_d_all(), initial=0.0))
 
 
 def max_curv2(p: Polygon | PolyArc) -> float:
     """Largest kappa_d2, always finite."""
-    if isinstance(p, PolyArc) and p.m < 2:
-        return 0.0
-    return float(np.max(p.kappa_d2_all()))
+    return float(np.max(p.kappa_d2_all(), initial=0.0))
 
 
 def min_rad(p: Polygon | PolyArc) -> float:
@@ -380,33 +368,32 @@ def min_rad(p: Polygon | PolyArc) -> float:
 
 def total_curvature(p: Polygon | PolyArc) -> float:
     """Sum of turning angles (all vertices for a polygon, interior for an arc)."""
-    if isinstance(p, Polygon):
-        return float(np.sum(p.exterior_angles()))
-    if p.m < 2:
-        return 0.0
-    return float(np.sum(p.interior_angles()))
+    return float(np.sum(p._turning()))
 
 
 # -- text format --------------------------------------------------------------
 #
 # One vertex per line: three whitespace-separated floats at 17 significant
-# digits.  '#' starts a comment, blank lines are skipped, and the closing edge
-# is implicit (the first vertex is not repeated).
+# digits.  '#' starts a comment and blank lines are skipped.  Polygons and
+# curve tables share the format; a polygon's closing edge is implicit (the
+# first vertex is not repeated).
 
 
-def dumps_polygon(p: Polygon, comment: str | None = None) -> str:
+def _format_rows(V: np.ndarray, comment: str | None = None) -> str:
+    """The rows of V in the text format, after one '# ' line per comment line."""
     buf = io.StringIO()
     if comment:
         for line in comment.splitlines():
             buf.write(f"# {line}\n")
-    for x, y, z in p.vertices:
+    for x, y, z in V:
         buf.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
     return buf.getvalue()
 
 
-def loads_polygon(text: str, tolerance: float = DEFAULT_EDGE_TOL) -> Polygon:
+def _parse_rows(lines: Iterable[str]) -> np.ndarray:
+    """The (k, 3) array of rows in lines, k possibly 0; errors name the line."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -414,12 +401,24 @@ def loads_polygon(text: str, tolerance: float = DEFAULT_EDGE_TOL) -> Polygon:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
         try:
-            rows.append([float(x) for x in parts])
+            row = [float(x) for x in parts]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if not rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {lineno}: coordinates must be finite, got {line!r}")
+        rows.append(row)
+    return np.asarray(rows, dtype=float).reshape(-1, 3)
+
+
+def dumps_polygon(p: Polygon, comment: str | None = None) -> str:
+    return _format_rows(p.vertices, comment)
+
+
+def loads_polygon(text: str) -> Polygon:
+    V = _parse_rows(text.splitlines())
+    if not V.shape[0]:
         raise ValueError("no vertices found")
-    return from_vertices(np.asarray(rows), tolerance=tolerance)
+    return from_vertices(V)
 
 
 def write_polygon(p: Polygon, path, comment: str | None = None) -> None:
@@ -427,6 +426,6 @@ def write_polygon(p: Polygon, path, comment: str | None = None) -> None:
         fh.write(dumps_polygon(p, comment=comment))
 
 
-def read_polygon(path, tolerance: float = DEFAULT_EDGE_TOL) -> Polygon:
+def read_polygon(path) -> Polygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_polygon(fh.read(), tolerance=tolerance)
+        return loads_polygon(fh.read())

@@ -7,6 +7,11 @@ tangents with cubic position interpolation between samples.  On top of
 that sit the equilateral inscription (chord marching plus a closure root
 solve), the unit-length rescale, a thickness estimate, and the W^{1,inf}
 distance between a polygon and a curve.
+
+Three-point circumradii of consecutive samples come from one helper, used
+both for the sagitta correction of the arc-length quadrature and for the
+radius part of the thickness estimate.  Curve tables are stored in the
+polygon text format of polygon.py, one 'x y z' row per sample.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .polygon import Polygon
+from .polygon import Polygon, _format_rows, _parse_rows
 from .thickness import dcsd as _polygon_dcsd
 
 __all__ = [
@@ -140,6 +145,21 @@ def _unit_tangents(table: np.ndarray) -> np.ndarray:
     return T
 
 
+def _triple_terms(P: np.ndarray):
+    """Circumradius terms of each closed triple (P[k-1], P[k], P[k+1]):
+    twice its area and the product of its three side lengths, whose ratio
+    sides / (2 * area2) is the circumradius."""
+    prv = np.roll(P, 1, axis=0)
+    nxt = np.roll(P, -1, axis=0)
+    a = prv - P
+    b = nxt - P
+    area2 = np.linalg.norm(np.cross(a, b), axis=1)
+    la = np.linalg.norm(a, axis=1)
+    lb = np.linalg.norm(b, axis=1)
+    lc = np.linalg.norm(prv - nxt, axis=1)
+    return area2, la * lb * lc
+
+
 def _parse_raw_samples(samples) -> np.ndarray:
     """Accept a list of (u, point) pairs or a plain (N, 3) position array."""
     if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == 3:
@@ -179,20 +199,12 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
         N -= 1
         chords_open = chords_open[:-1]
 
-    nxt = np.roll(P, -1, axis=0)
-    prv = np.roll(P, 1, axis=0)
-    chords = np.linalg.norm(nxt - P, axis=1)
+    chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     # squared curvature at each raw vertex from the circumradius of the
     # neighbouring triple; collinear triples contribute zero
-    a = prv - P
-    b = nxt - P
-    cr = np.cross(a, b)
-    area2 = np.linalg.norm(cr, axis=1)
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(prv - nxt, axis=1)
+    area2, sides = _triple_terms(P)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa2 = np.where(area2 > 0.0, (2.0 * area2 / (la * lb * lc)) ** 2, 0.0)
+        kappa2 = np.where(area2 > 0.0, (2.0 * area2 / sides) ** 2, 0.0)
     k2_chord = 0.5 * (kappa2 + np.roll(kappa2, -1))
     arcs = chords * (1.0 + chords * chords * k2_chord / 24.0)
     total = float(arcs.sum())
@@ -340,17 +352,9 @@ def smooth_thickness_proxy(curve: ArcLengthCurve, m: int = 2048) -> float:
     m-gon.  Both parts converge as the resolution grows; a curve that is
     not embedded drives the dcsd part (and the result) to zero.
     """
-    P = curve.positions
-    prv = np.roll(P, 1, axis=0)
-    nxt = np.roll(P, -1, axis=0)
-    a = prv - P
-    b = nxt - P
-    area2 = np.linalg.norm(np.cross(a, b), axis=1)
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(nxt - prv, axis=1)
+    area2, sides = _triple_terms(curve.positions)
     with np.errstate(divide="ignore"):
-        radii = np.where(area2 > 0.0, la * lb * lc / (2.0 * area2), np.inf)
+        radii = np.where(area2 > 0.0, sides / (2.0 * area2), np.inf)
     min_rad_est = float(radii.min())
 
     fine = inscribe_equilateral(curve, m)
@@ -386,25 +390,13 @@ def w1inf_distance(p: Polygon, curve: ArcLengthCurve, grid: int):
 
 
 def write_curve(curve: ArcLengthCurve, path) -> None:
+    """The position table in the polygon text format, after a samples= line."""
     with open(path, "w") as fh:
-        fh.write(f"# samples={curve.m}\n")
-        for x, y, z in curve.positions:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        fh.write(_format_rows(curve.positions, f"samples={curve.m}"))
 
 
 def read_curve(path) -> ArcLengthCurve:
-    rows = []
+    """A curve written by write_curve (or any uniform arc-length table)."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 coordinates")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    table = np.asarray(rows, dtype=float)
+        table = _parse_rows(fh)
     return ArcLengthCurve(table, _unit_tangents(table))

@@ -33,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .polygon import Polygon
+from .polygon import Polygon, max_curv2, min_rad
 
 __all__ = [
     "CriticalPair",
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 KIND_NAMES = ("vertex-vertex", "vertex-edge", "edge-edge")
-DEFAULT_TOL = 1e-9        # extremality classification (normalized derivatives)
+_EXTREMAL_TOL = 1e-9      # extremality classification (normalized derivatives)
 PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # default simplicity clearance, relative to length
@@ -257,8 +257,7 @@ def _edge_gap(V: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
-          gap: bool = False) -> dict:
+def _scan(V: np.ndarray, singly: bool, gap: bool = False) -> dict:
     """Enumerate critical-pair candidates on a closed polyline.
 
     Families:
@@ -361,7 +360,7 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
         safe = np.where(dq > 0.0, dq, 1.0)
         am = (um_w - fc * um_E) / safe
         ap = (up_w - fc * up_E) / safe
-        vert_ok = _extremal(am, ap, tol)
+        vert_ok = _extremal(am, ap, _EXTREMAL_TOL)
         s_arc = np.broadcast_to((cum[R] / L)[:, None], dq.shape)
         out.add(inr_f & vert_ok, dq, Ri, Jrow, 1, s_arc, arc(Jrow, fc), True)
         if singly:
@@ -371,8 +370,8 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
         dvv = np.sqrt(w2)                                  # |V_k - V_j|
         safe_v = np.where(dvv > 0.0, dvv, 1.0)
         degenerate = dvv == 0.0
-        e1 = _extremal(um_w / safe_v, up_w / safe_v, tol) | degenerate
-        e2 = _extremal(vm_w / safe_v, vp_w / safe_v, tol) | degenerate
+        e1 = _extremal(um_w / safe_v, up_w / safe_v, _EXTREMAL_TOL) | degenerate
+        e2 = _extremal(vm_w / safe_v, vp_w / safe_v, _EXTREMAL_TOL) | degenerate
         svv = np.broadcast_to((cum[R] / L)[:, None], dvv.shape)
         tvv = np.broadcast_to((cum[:n] / L)[None, :], dvv.shape)
         out.add(pair_ok & e1 & e2, dvv, Ri, Jrow, 0, svv, tvv, True)
@@ -410,8 +409,19 @@ def _scan(V: np.ndarray, singly: bool, tol: float = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def critical_pairs(p: Polygon, mode: str = "doubly",
-                   tol: float = DEFAULT_TOL) -> list[CriticalPair]:
+def _pair_at(arr: dict, k: int) -> CriticalPair:
+    """Candidate k of a scan as a CriticalPair, normalised so s <= t."""
+    s, t = float(arr["s"][k]), float(arr["t"][k])
+    i, j = int(arr["i"][k]), int(arr["j"][k])
+    if s > t:
+        s, t, i, j = t, s, j, i
+    return CriticalPair(s=s, t=t, distance=float(arr["dist"][k]),
+                        kind=KIND_NAMES[int(arr["kind"][k])],
+                        criticality="doubly" if arr["doubly"][k] else "singly",
+                        i=i, j=j)
+
+
+def critical_pairs(p: Polygon, mode: str = "doubly") -> list[CriticalPair]:
     """Critical pairs of p, sorted by (distance, i, j).
 
     mode="doubly" returns only doubly critical pairs; mode="singly" returns
@@ -423,25 +433,17 @@ def critical_pairs(p: Polygon, mode: str = "doubly",
     """
     if mode not in ("doubly", "singly"):
         raise ValueError(f"mode must be 'doubly' or 'singly', got {mode!r}")
-    arr = _scan(p.vertices, singly=(mode == "singly"), tol=tol)
+    arr = _scan(p.vertices, singly=(mode == "singly"))
     order = np.lexsort((arr["kind"], arr["j"], arr["i"], ~arr["doubly"]))
     seen: set[tuple] = set()
     pairs: list[CriticalPair] = []
     for k in order:
-        s, t = float(arr["s"][k]), float(arr["t"][k])
-        i, j = int(arr["i"][k]), int(arr["j"][k])
-        if s > t:
-            s, t = t, s
-            i, j = j, i
-        key = (round(s, 9), round(t, 9))
+        q = _pair_at(arr, k)
+        key = (round(q.s, 9), round(q.t, 9))
         if key in seen:
             continue
         seen.add(key)
-        pairs.append(CriticalPair(
-            s=s, t=t, distance=float(arr["dist"][k]),
-            kind=KIND_NAMES[int(arr["kind"][k])],
-            criticality="doubly" if arr["doubly"][k] else "singly",
-            i=i, j=j))
+        pairs.append(q)
     pairs.sort(key=lambda q: (q.distance, q.i, q.j))
     return pairs
 
@@ -513,23 +515,14 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc = float(np.max(kappas))
     winners = np.nonzero(kappas >= mc - 1e-12 * max(mc, 1.0))[0]
     achieving_vertex = int(winners[0]) if winners.size else 0
-    mc2 = float(np.max(p.kappa_d2_all()))
-    mr = 0.0 if math.isinf(mc) else (float("inf") if mc == 0.0 else 1.0 / mc)
+    mc2 = max_curv2(p)
+    mr = min_rad(p)
 
     arr = _scan(p.vertices, singly=True, gap=True)
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
     s_val = _min_distance(arr)
 
-    pair = None
-    if d_idx is not None:
-        s, t = float(arr["s"][d_idx]), float(arr["t"][d_idx])
-        i, j = int(arr["i"][d_idx]), int(arr["j"][d_idx])
-        if s > t:
-            s, t = t, s
-            i, j = j, i
-        pair = CriticalPair(s=s, t=t, distance=float(arr["dist"][d_idx]),
-                            kind=KIND_NAMES[int(arr["kind"][d_idx])],
-                            criticality="doubly", i=i, j=j)
+    pair = None if d_idx is None else _pair_at(arr, d_idx)
 
     simple = arr["gap"] > _CONTACT * p.length
     binding = "curvature" if mr <= d_val / 2.0 else "distance"

@@ -87,6 +87,14 @@ class TestInscribeCommand:
         err = capsys.readouterr().err
         assert err == "error: need at least 8 curve samples, got 0\n"
 
+    def test_non_finite_curve_row(self, tmp_path, capsys):
+        cpath = tmp_path / "nan.curve"
+        cpath.write_text("# samples\n0 0 0\nnan 1 0\n" + "1 1 0\n" * 8)
+        assert main(["inscribe", "--curve", str(cpath), "--n", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_impossible_n(self, capsys):
         assert main(["inscribe", "--curve", "circle", "--n", "3",
                      "--m", "512"]) == 1

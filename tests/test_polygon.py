@@ -138,6 +138,9 @@ class TestDiscreteCurvature:
         arc = PolyArc([(0, 0, 0), (1, 0, 0), (0, 0, 0)])
         assert kappa_d(arc, 1) == math.inf
         assert kappa_d2(arc, 1) == pytest.approx(math.pi, rel=1e-15)
+        assert arc.kappa_d_all().tolist() == [math.inf]
+        assert arc.kappa_d2_all().tolist() == [kappa_d2(arc, 1)]
+        assert max_curv(arc) == math.inf
 
     @given(st.integers(4, 40), st.floats(0.0, 0.3), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -146,6 +149,11 @@ class TestDiscreteCurvature:
         kd = p.kappa_d_all()
         kd2 = p.kappa_d2_all()
         assert np.all(kd2 <= kd + 1e-12)
+        # the per-vertex values are the arrays read at i mod n, bit for bit
+        for i in range(-1, n + 1):
+            assert kappa_d(p, i) == kd[i % n]
+            assert kappa_d2(p, i) == kd2[i % n]
+        assert max_curv(p) == max(kappa_d(p, i) for i in range(n))
 
     def test_aggregates_on_regular_ngons(self):
         g6 = regular_ngon(6)
@@ -160,6 +168,9 @@ class TestDiscreteCurvature:
                           tolerance=1e-6)
         assert max_curv(p) == math.inf
         assert min_rad(p) == 0.0
+        assert p.kappa_d_all().tolist() == [math.inf, 0.0, math.inf, 0.0]
+        assert [kappa_d(p, i) for i in range(4)] == p.kappa_d_all().tolist()
+        assert [kappa_d2(p, i) for i in range(4)] == p.kappa_d2_all().tolist()
 
 
 class TestCircumradiusAngleIdentity:
@@ -251,6 +262,18 @@ class TestPolyArc:
             kappa_d(arc, 0)
         with pytest.raises(IndexError):
             kappa_d(arc, 3)
+        # a single edge has no interior vertex: no index is valid and every
+        # aggregate is that of an empty set of vertices
+        one = PolyArc([(0, 0, 0), (1, 0, 0)])
+        assert one.m == 1
+        for i in (0, 1):
+            with pytest.raises(IndexError):
+                kappa_d(one, i)
+            with pytest.raises(IndexError):
+                kappa_d2(one, i)
+        assert one.kappa_d_all().size == 0
+        assert max_curv(one) == max_curv2(one) == total_curvature(one) == 0.0
+        assert min_rad(one) == math.inf
 
     def test_unequal_edges_allowed(self):
         arc = PolyArc([(0, 0, 0), (1, 0, 0), (1, 3, 0)])
@@ -279,8 +302,9 @@ class TestTextFormat:
         assert p.n == 4
 
     def test_bad_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 3"):
-            loads_polygon("0 0 0\n1 0 0\n1 nope 0\n")
+        for bad in ("1 nope 0", "inf 0 0"):
+            with pytest.raises(ValueError, match="line 3"):
+                loads_polygon(f"0 0 0\n1 0 0\n{bad}\n")
 
     def test_file_round_trip(self, tmp_path):
         p = regular_ngon(7)

@@ -7,6 +7,7 @@ import pytest
 
 from polythick import (
     circle_chord,
+    max_curv,
     max_curv2,
     random_bounded_arc,
     schur_check,
@@ -273,6 +274,12 @@ class TestRandomBoundedArc:
             arc = random_bounded_arc(3 + seed % 20, 3.0, 2.0, seed=seed)
             per_vertex = max(arc.kappa_d2(i) for i in range(1, arc.m))
             assert max_curv2(arc) == per_vertex
+            # both curvatures: per-vertex values are the arrays at i - 1
+            kd = [arc.kappa_d(i) for i in range(1, arc.m)]
+            kd2 = [arc.kappa_d2(i) for i in range(1, arc.m)]
+            assert kd == arc.kappa_d_all().tolist()
+            assert kd2 == arc.kappa_d2_all().tolist()
+            assert max_curv(arc) == max(kd)
 
     def test_zero_curvature_is_straight(self):
         arc = random_bounded_arc(8, 0.0, 1.0, seed=1)

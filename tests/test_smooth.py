@@ -254,9 +254,10 @@ class TestCurveIO:
 
     def test_unparsable_coordinate_names_line(self, tmp_path):
         path = tmp_path / "bad.curve"
-        path.write_text("# header\n0 0 0\n1 0 zero\n")
-        with pytest.raises(ValueError, match="line 3"):
-            read_curve(path)
+        for bad in ("1 0 zero", "nan 0 0"):
+            path.write_text(f"# header\n0 0 0\n{bad}\n")
+            with pytest.raises(ValueError, match="line 3"):
+                read_curve(path)
 
     @pytest.mark.parametrize("rows", [0, 2, 7])
     def test_too_few_rows(self, tmp_path, rows):
