@@ -4,9 +4,6 @@ from .geom import circumradius, exterior_angle, segment_min_distance, sphere_dis
 from .polygon import (
     PolyArc,
     Polygon,
-    from_vertices,
-    kappa_d,
-    kappa_d2,
     max_curv,
     max_curv2,
     min_rad,
@@ -68,9 +65,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "circumradius", "exterior_angle", "segment_min_distance", "sphere_distance",
-    "Polygon", "PolyArc", "from_vertices", "regular_ngon",
+    "Polygon", "PolyArc", "regular_ngon",
     "random_equilateral_polygon", "read_polygon", "write_polygon",
-    "kappa_d", "kappa_d2", "min_rad", "max_curv", "max_curv2", "total_curvature",
+    "min_rad", "max_curv", "max_curv2", "total_curvature",
     "CriticalPair", "ThicknessReport", "critical_pairs", "dcsd", "scsd",
     "is_simple", "delta_n", "arc_total_curvature",
     "ArcLengthCurve", "arc_length_reparam", "preset_curve",

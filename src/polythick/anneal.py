@@ -3,7 +3,7 @@
 The move class is crankshaft rotations: a sub-chain between two pivot
 vertices turns rigidly about the pivot axis, which preserves every edge
 length exactly.  A move counts only if the whole rotation sweep stays
-simple at a configured number of substeps, so accepted paths are discrete
+simple at a fixed number of substeps, so accepted paths are discrete
 isotopies and the knot type is preserved at the checked resolution.
 """
 
@@ -26,29 +26,31 @@ __all__ = [
     "is_near_regular",
 ]
 
+_THETA_MAX = math.pi / 6     # proposal angles are uniform in +-_THETA_MAX
+_SUBSTEPS = 16               # sweep samples per move in the admissibility check
+_CLEARANCE_FACTOR = 1e-6     # clearance = factor * polygon length
+
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Schedule and move parameters; every knob the loop uses lives here."""
+    """Cooling schedule and seed; the move settings are module constants."""
 
     t0: float | None = None        # None: 0.5 * initial objective
     cooling: float = 0.95
     steps_per_temp: int = 200
     t_min: float = 1e-4
-    theta_max: float = math.pi / 6
-    substeps: int = 16
-    clearance_factor: float = 1e-6  # clearance = factor * polygon length
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
-        if not 0.0 < self.theta_max <= math.pi:
-            raise ValueError("theta_max must be in (0, pi]")
-        if self.substeps < 2:
-            raise ValueError("substeps must be at least 2")
         if self.steps_per_temp < 1:
             raise ValueError("steps_per_temp must be positive")
+        # a zero temperature would divide by zero in the Metropolis test
+        if not (math.isfinite(self.t_min) and self.t_min > 0.0):
+            raise ValueError(f"t_min must be finite and positive, got {self.t_min!r}")
+        if self.t0 is not None and not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise ValueError(f"t0 must be finite and positive, got {self.t0!r}")
 
 
 @dataclass
@@ -131,7 +133,8 @@ def crankshaft_move(p: Polygon, i: int, j: int, theta: float) -> Polygon:
 
 
 def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
-                       substeps: int = 16, clearance: float | None = None) -> bool:
+                       substeps: int = _SUBSTEPS,
+                       clearance: float | None = None) -> bool:
     """True iff the rotation sweep keeps the polygon simple throughout.
 
     The move is replayed at angles theta*k/substeps for k = 0..substeps and
@@ -145,7 +148,7 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     if i == j:
         return False
     if clearance is None:
-        clearance = 1e-6 * p.length
+        clearance = _CLEARANCE_FACTOR * p.length
     a = p.vertices[i]
     axis = p.vertices[j] - a
     axis_len = np.linalg.norm(axis)
@@ -195,7 +198,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
     """
     n = p0.n
     L = p0.length
-    clearance = cfg.clearance_factor * L
+    clearance = _CLEARANCE_FACTOR * L
     f0 = inv_delta_objective(p0, clearance)
     if not math.isfinite(f0):
         raise ValueError("start polygon must be simple with positive thickness")
@@ -220,7 +223,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
             # only gap 2 (spinning one vertex about the opposite edge)
             gap = int(rng.integers(2, n - 1)) if n > 3 else 2
             j = (i + gap) % n
-            theta = float(rng.uniform(-cfg.theta_max, cfg.theta_max))
+            theta = float(rng.uniform(-_THETA_MAX, _THETA_MAX))
 
             accepted = 0
             try:
@@ -239,7 +242,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
                         raise RuntimeError("no exterior angle reaches 2*pi/n")
                     if f_cand <= f or rng.random() < math.exp(-(f_cand - f) / T):
                         if move_is_admissible(current, i, j, theta,
-                                              cfg.substeps, clearance):
+                                              clearance=clearance):
                             current = cand
                             f = f_cand
                             accepted = 1

@@ -36,11 +36,8 @@ from .geom import exterior_angle  # noqa: F401
 __all__ = [
     "Polygon",
     "PolyArc",
-    "from_vertices",
     "regular_ngon",
     "random_equilateral_polygon",
-    "kappa_d",
-    "kappa_d2",
     "min_rad",
     "max_curv",
     "max_curv2",
@@ -56,7 +53,8 @@ _FOLD_BACK = np.pi - 1e-15  # turning angles this large give kappa_d = +inf
 
 
 def _vertex_array(points) -> np.ndarray:
-    v = np.asarray(points, dtype=float)
+    # a copy: the polyline freezes its vertex array, not the caller's
+    v = np.array(points, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) vertex array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -98,6 +96,10 @@ class _Polyline:
     def length(self) -> float:
         return self._length
 
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        return self._lens
+
     def directions(self) -> np.ndarray:
         """Unit edge directions, cached."""
         d = getattr(self, "_dirs", None)
@@ -107,7 +109,8 @@ class _Polyline:
             self._dirs = d
         return d
 
-    def _turning(self) -> np.ndarray:
+    def exterior_angles(self) -> np.ndarray:
+        """Turning angle at each vertex that has one, in [0, pi], cached."""
         a = getattr(self, "_angles", None)
         if a is None:
             a = _angles_from_dirs(*self._at_vertices(self.directions()))
@@ -121,14 +124,14 @@ class _Polyline:
 
     def kappa_d_all(self) -> np.ndarray:
         """kappa_d at every vertex that has one; +inf at a fold-back."""
-        phi = self._turning()
+        phi = self.exterior_angles()
         with np.errstate(over="ignore"):
             out = 2.0 * np.tan(0.5 * phi) / self._half_lengths()
         return np.where(phi >= _FOLD_BACK, np.inf, out)
 
     def kappa_d2_all(self) -> np.ndarray:
         """kappa_d2 at every vertex that has one, always finite."""
-        return self._turning() / self._half_lengths()
+        return self.exterior_angles() / self._half_lengths()
 
     def kappa_d(self, i: int) -> float:
         """Tangent-based discrete curvature at vertex i; +inf at a fold-back."""
@@ -140,7 +143,13 @@ class _Polyline:
 
 
 class Polygon(_Polyline):
-    """Closed equilateral polygon.  Construct via from_vertices or regular_ngon."""
+    """Closed equilateral polygon.
+
+    Polygon(points, tolerance) validates the equilateral constraint: the
+    implicit edge back to points[0] is included, and a ValueError names the
+    first edge whose length leaves the mean by more than the relative
+    tolerance.
+    """
 
     def __init__(self, vertices: np.ndarray, tolerance: float = DEFAULT_EDGE_TOL):
         v = _vertex_array(vertices)
@@ -217,10 +226,6 @@ class Polygon(_Polyline):
         d = self.directions()[k]
         return d if t.ndim else d.reshape(3)
 
-    def exterior_angles(self) -> np.ndarray:
-        """Turning angle at each vertex, in [0, pi]."""
-        return self._turning()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Polygon(n={self.n}, length={self.length:.6g})"
 
@@ -258,34 +263,11 @@ class PolyArc(_Polyline):
         """Number of edges."""
         return self._v.shape[0] - 1
 
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return self._lens
-
-    def interior_angles(self) -> np.ndarray:
-        """Turning angles at the m-1 interior vertices."""
-        return self._turning()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyArc(m={self.m}, length={self.length:.6g})"
 
 
 # -- constructors ------------------------------------------------------------
-
-
-def from_vertices(points, tolerance: float = DEFAULT_EDGE_TOL) -> Polygon:
-    """Build a closed polygon, validating the equilateral constraint.
-
-    Args:
-      points: (n, 3) array-like of vertices; the edge back to points[0] is
-        implicit and included in the equilateral check.
-      tolerance: allowed relative deviation of any edge from the mean length.
-
-    Raises:
-      ValueError: naming the first offending edge index if the lengths spread
-        wider than the tolerance, or on malformed input.
-    """
-    return Polygon(points, tolerance=tolerance)
 
 
 def regular_ngon(n: int) -> Polygon:
@@ -338,14 +320,6 @@ def random_equilateral_polygon(n: int, rng) -> Polygon:
 # -- module-level curvature aggregates ---------------------------------------
 
 
-def kappa_d(p: Polygon | PolyArc, i: int) -> float:
-    return p.kappa_d(i)
-
-
-def kappa_d2(p: Polygon | PolyArc, i: int) -> float:
-    return p.kappa_d2(i)
-
-
 def max_curv(p: Polygon | PolyArc) -> float:
     """Largest kappa_d over vertices (interior vertices for an arc)."""
     return float(np.max(p.kappa_d_all(), initial=0.0))
@@ -368,7 +342,7 @@ def min_rad(p: Polygon | PolyArc) -> float:
 
 def total_curvature(p: Polygon | PolyArc) -> float:
     """Sum of turning angles (all vertices for a polygon, interior for an arc)."""
-    return float(np.sum(p._turning()))
+    return float(np.sum(p.exterior_angles()))
 
 
 # -- text format --------------------------------------------------------------
@@ -418,7 +392,7 @@ def loads_polygon(text: str) -> Polygon:
     V = _parse_rows(text.splitlines())
     if not V.shape[0]:
         raise ValueError("no vertices found")
-    return from_vertices(V)
+    return Polygon(V)
 
 
 def write_polygon(p: Polygon, path, comment: str | None = None) -> None:

@@ -35,6 +35,17 @@ def circle_chord(K: float, L: float) -> float:
     return (2.0 / K) * math.sin(0.5 * K * L)
 
 
+def _check_curvature(arc: PolyArc, K: float) -> None:
+    """The precondition both checks share: K > 0 and max_curv2(arc) <= K."""
+    if K <= 0.0:
+        raise ValueError("need K > 0")
+    kc = max_curv2(arc)
+    if kc > K + _PRE_TOL:
+        raise ValueError(
+            f"curvature bound violated: max_curv2 = {kc:.17g} > K = {K:.17g}"
+        )
+
+
 @dataclass(frozen=True)
 class SchurCase:
     arc: PolyArc
@@ -71,13 +82,7 @@ def schur_check(arc: PolyArc, K: float, mode: str = "strict") -> SchurCase:
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if K <= 0.0:
-        raise ValueError("need K > 0")
-    kc = max_curv2(arc)
-    if kc > K + _PRE_TOL:
-        raise ValueError(
-            f"curvature bound violated: max_curv2 = {kc:.17g} > K = {K:.17g}"
-        )
+    _check_curvature(arc, K)
     L = arc.length
     lens = arc.edge_lengths
     budget = math.pi if mode == "strict" else math.pi + 0.5 * K * (lens[0] + lens[-1])
@@ -124,17 +129,11 @@ def sphere_exclusion_check(arc: PolyArc, K: float) -> SphereExclusionReport:
     inequality <p(a_k)-p(0), p(0)> >= <eta(a_k)-eta(0), eta(0)> against the
     tangent great circle eta.
     """
-    if K <= 0.0:
-        raise ValueError("need K > 0")
+    _check_curvature(arc, K)
     lens = arc.edge_lengths
     ell = float(lens.mean())
     if np.any(np.abs(lens - ell) > 1e-9 * ell):
         raise ValueError("sphere exclusion needs an equilateral arc")
-    kc = max_curv2(arc)
-    if kc > K + _PRE_TOL:
-        raise ValueError(
-            f"curvature bound violated: max_curv2 = {kc:.17g} > K = {K:.17g}"
-        )
     L = arc.length
     if K * L > 0.5 * math.pi + _PRE_TOL:
         raise ValueError(

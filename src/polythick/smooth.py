@@ -160,30 +160,21 @@ def _triple_terms(P: np.ndarray):
     return area2, la * lb * lc
 
 
-def _parse_raw_samples(samples) -> np.ndarray:
-    """Accept a list of (u, point) pairs or a plain (N, 3) position array."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == 3:
-        return np.asarray(samples, dtype=float)
-    us = []
-    pts = []
-    for item in samples:
-        u, p = item
-        us.append(float(u))
-        pts.append(np.asarray(p, dtype=float))
-    order = np.argsort(us)
-    return np.asarray(pts, dtype=float)[order]
-
-
 def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     """Build a unit-length arc-length curve from dense raw parametric samples.
 
-    Cumulative length comes from chord quadrature with a circumradius-based
-    sagitta correction (arc = chord * (1 + chord^2/(24 r^2) + ...)), which
+    samples is an (N, 3) array of points in parameter order around the
+    loop; the last point may repeat the first.  Cumulative length comes
+    from chord quadrature with a circumradius-based sagitta correction
+    (arc = chord * (1 + chord^2/(24 r^2) + ...)), which
     removes the O(h^2) chord bias; positions are then resampled at m uniform
     arc parameters through a periodic cubic spline, and tangents come from
     five-point centered differences on the resampled table, normalized.
     """
-    P = _parse_raw_samples(samples)
+    P = np.asarray(samples, dtype=float)
+    if P.ndim != 2 or P.shape[1] != 3:
+        raise ValueError(
+            f"expected an (N, 3) array of curve samples, got shape {P.shape}")
     N = P.shape[0]
     if N < 16:
         raise ValueError("need at least 16 raw samples")
@@ -219,29 +210,28 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
 # -- presets ----------------------------------------------------------------
 
 
-def circle_samples(radius: float = 1.0, count: int = 16384) -> list:
+def circle_samples(count: int = 16384) -> np.ndarray:
+    """(count, 3) samples of the unit circle in the xy-plane."""
     u = np.arange(count) * (2.0 * np.pi / count)
-    pts = radius * np.column_stack([np.cos(u), np.sin(u), np.zeros(count)])
-    return list(zip(u, pts))
+    return np.column_stack([np.cos(u), np.sin(u), np.zeros(count)])
 
 
 def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
-                       count: int = 16384) -> list:
+                       count: int = 16384) -> np.ndarray:
     """(a, b) curve on the torus of radii (R, rho); embedded for gcd(a,b)=1."""
     if math.gcd(abs(a), abs(b)) != 1:
         raise ValueError("torus knot parameters must be coprime")
     u = np.arange(count) * (2.0 * np.pi / count)
     w = R + rho * np.cos(b * u)
-    pts = np.column_stack([w * np.cos(a * u), w * np.sin(a * u),
-                           rho * np.sin(b * u)])
-    return list(zip(u, pts))
+    return np.column_stack([w * np.cos(a * u), w * np.sin(a * u),
+                            rho * np.sin(b * u)])
 
 
 def preset_curve(spec: str, m: int = 4096) -> ArcLengthCurve:
     """Build a named curve: "circle" or "torus:a,b[,R,rho]"."""
     raw_count = max(4 * m, 16384)
     if spec == "circle":
-        return arc_length_reparam(circle_samples(1.0, raw_count), m)
+        return arc_length_reparam(circle_samples(raw_count), m)
     if spec.startswith("torus:"):
         parts = spec[len("torus:"):].split(",")
         if len(parts) not in (2, 4):

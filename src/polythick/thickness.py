@@ -50,7 +50,7 @@ KIND_NAMES = ("vertex-vertex", "vertex-edge", "edge-edge")
 _EXTREMAL_TOL = 1e-9      # extremality classification (normalized derivatives)
 PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
-_CONTACT = 1e-12          # default simplicity clearance, relative to length
+_CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
 
 
@@ -106,17 +106,8 @@ class ThicknessReport:
 
 
 # ---------------------------------------------------------------------------
-# geometry tables
+# candidate classification and collection
 # ---------------------------------------------------------------------------
-
-
-def _tables(V: np.ndarray):
-    """Edge vectors, lengths, unit directions, cumulative arc lengths."""
-    E = np.roll(V, -1, axis=0) - V
-    lens = np.linalg.norm(E, axis=1)
-    dirs = E / lens[:, None]
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    return E, lens, dirs, cum
 
 
 def _extremal(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -257,8 +248,8 @@ def _edge_gap(V: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _scan(V: np.ndarray, singly: bool, gap: bool = False) -> dict:
-    """Enumerate critical-pair candidates on a closed polyline.
+def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
+    """Enumerate critical-pair candidates on a closed polygon.
 
     Families:
       edge-edge      mutual perpendicular feet inside non-adjacent edges,
@@ -278,11 +269,12 @@ def _scan(V: np.ndarray, singly: bool, gap: bool = False) -> dict:
     arc-distance < edge-length configurations), as are edge-edge pairs on
     cyclically adjacent edges, whose minima collapse into the shared vertex.
 
-    With gap=True the result also holds "gap", the edge gap of V (as
+    With gap=True the result also holds "gap", the edge gap of p (as
     _edge_gap computes it), taken from the same row blocks.
     """
+    V, E, lens, dirs = p.vertices, p.edges, p.edge_lengths, p.directions()
     n = V.shape[0]
-    E, lens, dirs, cum = _tables(V)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
     L = cum[-1]
     idx = np.arange(n)
     out = _Collector()
@@ -433,7 +425,7 @@ def critical_pairs(p: Polygon, mode: str = "doubly") -> list[CriticalPair]:
     """
     if mode not in ("doubly", "singly"):
         raise ValueError(f"mode must be 'doubly' or 'singly', got {mode!r}")
-    arr = _scan(p.vertices, singly=(mode == "singly"))
+    arr = _scan(p, singly=(mode == "singly"))
     order = np.lexsort((arr["kind"], arr["j"], arr["i"], ~arr["doubly"]))
     seen: set[tuple] = set()
     pairs: list[CriticalPair] = []
@@ -474,7 +466,7 @@ def _min_with_tiebreak(arr: dict, mask: np.ndarray):
 
 def dcsd(p: Polygon) -> float:
     """Doubly critical self distance; +inf when no doubly critical pair exists."""
-    return _min_distance(_scan(p.vertices, singly=False))
+    return _min_distance(_scan(p, singly=False))
 
 
 def scsd(p: Polygon) -> float:
@@ -484,17 +476,13 @@ def scsd(p: Polygon) -> float:
     where such a family terminates (its perpendicular foot sliding off an
     edge end) the infimum may sit on the boundary, so boundary pairs count.
     """
-    return _min_distance(_scan(p.vertices, singly=True))
+    return _min_distance(_scan(p, singly=True))
 
 
-def is_simple(p: Polygon, clearance: float | None = None) -> bool:
-    """True iff no two non-adjacent edges come within clearance of each other
-    and no two vertices coincide within clearance.  Default clearance is
-    1e-12 * length: exact-contact detection only.
-    """
-    if clearance is None:
-        clearance = _CONTACT * p.length
-    return bool(_edge_gap(p.vertices) > clearance)
+def is_simple(p: Polygon) -> bool:
+    """True iff no two non-adjacent edges, and so no two vertices, come
+    within 1e-12 * length of each other: exact-contact detection only."""
+    return bool(_edge_gap(p.vertices) > _CONTACT * p.length)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +506,7 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc2 = max_curv2(p)
     mr = min_rad(p)
 
-    arr = _scan(p.vertices, singly=True, gap=True)
+    arr = _scan(p, singly=True, gap=True)
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
     s_val = _min_distance(arr)
 
@@ -547,7 +535,7 @@ def inv_delta_objective(p: Polygon, clearance: float) -> float:
     mc = float(np.max(p.kappa_d_all()))
     if math.isinf(mc):
         return float("inf")
-    arr = _scan(p.vertices, singly=False, gap=True)
+    arr = _scan(p, singly=False, gap=True)
     dv = _min_distance(arr)
     if arr["gap"] <= clearance or dv <= 0.0:
         return float("inf")

@@ -15,6 +15,7 @@ from polythick import (
     read_polygon,
     regular_ngon,
 )
+from polythick.anneal import _THETA_MAX
 from polythick.polygon import Polygon
 from polythick.thickness import inv_delta_objective
 
@@ -178,7 +179,7 @@ class TestAnneal:
         ratios = temps[1:] / temps[:-1]
         assert np.max(np.abs(ratios - QUICK.cooling)) < 1e-12
         assert len(trace) % QUICK.steps_per_temp == 0
-        assert np.all(np.abs(trace.theta) <= QUICK.theta_max)
+        assert np.all(np.abs(trace.theta) <= _THETA_MAX)
 
     def test_csv_round_trip(self, tmp_path):
         p = perturbed_regular(6, 0.12, np.random.default_rng(10))
@@ -209,8 +210,12 @@ class TestAnneal:
         with pytest.raises(ValueError):
             AnnealConfig(cooling=1.5)
         with pytest.raises(ValueError):
-            AnnealConfig(theta_max=0.0)
-        with pytest.raises(ValueError):
-            AnnealConfig(substeps=1)
-        with pytest.raises(ValueError):
             AnnealConfig(steps_per_temp=0)
+        # a temperature of zero or below, or not finite, is refused before
+        # it can reach the Metropolis test, where it would divide by zero
+        for bad in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_min"):
+                AnnealConfig(t_min=bad)
+            with pytest.raises(ValueError, match="t0"):
+                AnnealConfig(t0=bad)
+        AnnealConfig(t0=None, t_min=1e-300)

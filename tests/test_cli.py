@@ -194,6 +194,14 @@ class TestAnnealCommand:
                      "--steps", "5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nonpositive_temperature(self, capsys):
+        # a zero temperature is an input error, refused before the run starts
+        for flag in ("--t-min", "--t0"):
+            assert main(["anneal", "--input", "tests/data/crumpled10.txt",
+                         flag, "0", "--cool", "0.01", "--steps", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

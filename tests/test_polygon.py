@@ -11,9 +11,6 @@ from polythick.polygon import (
     PolyArc,
     Polygon,
     dumps_polygon,
-    from_vertices,
-    kappa_d,
-    kappa_d2,
     loads_polygon,
     max_curv,
     max_curv2,
@@ -30,7 +27,7 @@ from _gen import perturbed_regular
 class TestConstruction:
     def test_square_side_quarter(self):
         s = 0.25
-        p = from_vertices([(0, 0, 0), (s, 0, 0), (s, s, 0), (0, s, 0)])
+        p = Polygon([(0, 0, 0), (s, 0, 0), (s, s, 0), (0, s, 0)])
         assert p.n == 4
         assert p.length == pytest.approx(1.0, abs=1e-15)
         assert p.edge_length == pytest.approx(0.25, abs=1e-15)
@@ -38,7 +35,7 @@ class TestConstruction:
     def test_unequal_triangle_rejected_with_edge_index(self):
         # degenerate sides 1, 1, 2: first offending edge is reported
         with pytest.raises(ValueError, match="edge 0"):
-            from_vertices([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+            Polygon([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
 
     def test_regular_hexagon_side_sixth(self):
         s = 1.0 / 6.0
@@ -46,17 +43,26 @@ class TestConstruction:
             (s * math.cos(k * math.pi / 3), s * math.sin(k * math.pi / 3), 0)
             for k in range(6)
         ]
-        p = from_vertices(pts)
+        p = Polygon(pts)
         assert p.length == pytest.approx(1.0, rel=1e-12)
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
-            from_vertices([(0, 0, 0), (1, 0, 0)])
+            Polygon([(0, 0, 0), (1, 0, 0)])
 
     def test_vertices_read_only(self):
         p = regular_ngon(5)
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 99.0
+
+    def test_caller_array_stays_writable(self):
+        # the constructors freeze their own copy, never the caller's array
+        V = regular_ngon(5).vertices.copy()
+        for make in (Polygon, PolyArc):
+            q = make(V)
+            before = q.vertices.copy()
+            V[0, 0] += 1.0
+            assert np.array_equal(q.vertices, before)
 
 
 class TestRegularNgon:
@@ -123,23 +129,23 @@ class TestDiscreteCurvature:
     def test_square_kappa_d(self):
         p = regular_ngon(4)
         for i in range(4):
-            assert kappa_d(p, i) == pytest.approx(8.0, rel=1e-13)
+            assert p.kappa_d(i) == pytest.approx(8.0, rel=1e-13)
 
     def test_square_kappa_d2(self):
         p = regular_ngon(4)
-        assert kappa_d2(p, 0) == pytest.approx(2 * math.pi, rel=1e-13)
+        assert p.kappa_d2(0) == pytest.approx(2 * math.pi, rel=1e-13)
 
     def test_straight_vertex_zero(self):
         arc = PolyArc([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-        assert kappa_d(arc, 1) == 0.0
-        assert kappa_d2(arc, 1) == 0.0
+        assert arc.kappa_d(1) == 0.0
+        assert arc.kappa_d2(1) == 0.0
 
     def test_doubled_back_vertex_infinite(self):
         arc = PolyArc([(0, 0, 0), (1, 0, 0), (0, 0, 0)])
-        assert kappa_d(arc, 1) == math.inf
-        assert kappa_d2(arc, 1) == pytest.approx(math.pi, rel=1e-15)
+        assert arc.kappa_d(1) == math.inf
+        assert arc.kappa_d2(1) == pytest.approx(math.pi, rel=1e-15)
         assert arc.kappa_d_all().tolist() == [math.inf]
-        assert arc.kappa_d2_all().tolist() == [kappa_d2(arc, 1)]
+        assert arc.kappa_d2_all().tolist() == [arc.kappa_d2(1)]
         assert max_curv(arc) == math.inf
 
     @given(st.integers(4, 40), st.floats(0.0, 0.3), st.integers(0, 2**31 - 1))
@@ -151,9 +157,9 @@ class TestDiscreteCurvature:
         assert np.all(kd2 <= kd + 1e-12)
         # the per-vertex values are the arrays read at i mod n, bit for bit
         for i in range(-1, n + 1):
-            assert kappa_d(p, i) == kd[i % n]
-            assert kappa_d2(p, i) == kd2[i % n]
-        assert max_curv(p) == max(kappa_d(p, i) for i in range(n))
+            assert p.kappa_d(i) == kd[i % n]
+            assert p.kappa_d2(i) == kd2[i % n]
+        assert max_curv(p) == max(p.kappa_d(i) for i in range(n))
 
     def test_aggregates_on_regular_ngons(self):
         g6 = regular_ngon(6)
@@ -164,13 +170,12 @@ class TestDiscreteCurvature:
 
     def test_doubled_back_polygon_minrad_zero(self):
         # equilateral quadrilateral folded flat: vertex 2 doubles back
-        p = from_vertices([(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0)],
-                          tolerance=1e-6)
+        p = Polygon([(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0)], tolerance=1e-6)
         assert max_curv(p) == math.inf
         assert min_rad(p) == 0.0
         assert p.kappa_d_all().tolist() == [math.inf, 0.0, math.inf, 0.0]
-        assert [kappa_d(p, i) for i in range(4)] == p.kappa_d_all().tolist()
-        assert [kappa_d2(p, i) for i in range(4)] == p.kappa_d2_all().tolist()
+        assert [p.kappa_d(i) for i in range(4)] == p.kappa_d_all().tolist()
+        assert [p.kappa_d2(i) for i in range(4)] == p.kappa_d2_all().tolist()
 
 
 class TestCircumradiusAngleIdentity:
@@ -227,7 +232,7 @@ class TestTotalCurvature:
         dirs = np.array([(math.cos(a), math.sin(a), 0.0) for a in dirs_angles])
         assert np.allclose(dirs.sum(axis=0), 0, atol=1e-15)
         verts = np.vstack([np.zeros(3), np.cumsum(dirs[:-1], axis=0)]) * s
-        p = from_vertices(verts)
+        p = Polygon(verts)
         assert total_curvature(p) == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_fenchel_lower_bound_random(self):
@@ -257,20 +262,20 @@ class TestPolyArc:
     def test_interior_curvature_indices(self):
         arc = PolyArc([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)])
         assert arc.m == 3
-        assert kappa_d(arc, 1) == pytest.approx(2 * math.tan(math.pi / 4), rel=1e-13)
+        assert arc.kappa_d(1) == pytest.approx(2 * math.tan(math.pi / 4), rel=1e-13)
         with pytest.raises(IndexError):
-            kappa_d(arc, 0)
+            arc.kappa_d(0)
         with pytest.raises(IndexError):
-            kappa_d(arc, 3)
+            arc.kappa_d(3)
         # a single edge has no interior vertex: no index is valid and every
         # aggregate is that of an empty set of vertices
         one = PolyArc([(0, 0, 0), (1, 0, 0)])
         assert one.m == 1
         for i in (0, 1):
             with pytest.raises(IndexError):
-                kappa_d(one, i)
+                one.kappa_d(i)
             with pytest.raises(IndexError):
-                kappa_d2(one, i)
+                one.kappa_d2(i)
         assert one.kappa_d_all().size == 0
         assert max_curv(one) == max_curv2(one) == total_curvature(one) == 0.0
         assert min_rad(one) == math.inf

@@ -60,7 +60,7 @@ class TestArcLengthReparam:
                         np.sin(2 * math.pi * warped),
                         np.zeros_like(warped)], axis=1)
         c1 = arc_length_reparam(pts, m=1024)
-        c2 = arc_length_reparam(circle_samples(1.0, 8192), m=1024)
+        c2 = arc_length_reparam(circle_samples(8192), m=1024)
         # both start at the same point (warp fixes u=0), so tables align
         assert np.max(np.linalg.norm(c1.positions - c2.positions, axis=1)) < 1e-6
 
@@ -77,6 +77,17 @@ class TestArcLengthReparam:
                         np.zeros_like(t)], axis=1)
         with pytest.raises(ValueError):
             arc_length_reparam(pts, m=256)
+
+    def test_samples_are_one_n_by_3_array(self):
+        # rows given as a list are the same samples; any other shape is
+        # refused by name instead of failing inside numpy
+        pts = circle_samples(64)
+        c1 = arc_length_reparam(pts, m=64)
+        c2 = arc_length_reparam(pts.tolist(), m=64)
+        assert c1.positions.tobytes() == c2.positions.tobytes()
+        for bad in (pts[:, :2], pts.ravel(), pts[None]):
+            with pytest.raises(ValueError, match=r"\(N, 3\) array of curve samples"):
+                arc_length_reparam(bad, m=64)
 
     def test_rejects_tiny_tables(self):
         with pytest.raises(ValueError):

@@ -301,7 +301,7 @@ class TestEdgeGapKernel:
             p = Polygon(V)
             assert abs(float(single) - _brute_edge_gap(V)) <= 1e-12 * p.length
             for singly in (False, True):
-                fused = _scan(V, singly=singly, gap=True)["gap"]
+                fused = _scan(p, singly=singly, gap=True)["gap"]
                 assert np.float64(fused).tobytes() == single.tobytes()
             assert delta_n(p).simple == is_simple(p)
 
