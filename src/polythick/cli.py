@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 input error (bad flags, unreadable or malformed
-files), 2 numerical failure (marching or annealing broke down).  Subcommand
+files, a curve that cannot be inscribed at that n), 2 numerical failure
+(annealing broke down, or a Schur campaign found violations).  Subcommand
 output goes to stdout; --out flags write the same bytes to a file instead.
 """
 

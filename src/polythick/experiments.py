@@ -77,7 +77,7 @@ def _gamma_row(curve: ArcLengthCurve, n: int, proxy: float) -> GammaRow:
         pos_sup, deriv_sup = w1inf_distance(inscribed, curve,
                                             grid=max(4096, 10 * n))
         report = delta_n(rescale_unit(inscribed))
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return GammaRow(n=n, length_tilde=nan, inv_delta=nan, min_rad=nan,
                         dcsd=nan, scsd=nan, binding="", pos_sup=nan,
                         deriv_sup=nan, proxy=proxy, failed=str(exc))
@@ -98,8 +98,8 @@ def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[Gam
     """Inscribe at every n, measure, and tabulate against the smooth proxy.
 
     Rows come back sorted by n.  A resolution that cannot be inscribed
-    (chord bracket fails, marching diverges) yields a failed row and the
-    sweep continues.
+    (inscribe_equilateral raises ValueError under its failure rule) yields
+    a failed row and the sweep continues.
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns:

@@ -4,9 +4,10 @@ A curve enters as a dense table of raw parametric samples, is
 reparametrized by arc length and rescaled to total length 1, and from then
 on lives as an ArcLengthCurve: a uniform table of positions and unit
 tangents with cubic position interpolation between samples.  On top of
-that sit the equilateral inscription (chord marching plus a closure root
-solve), the unit-length rescale, a thickness estimate, and the W^{1,inf}
-distance between a polygon and a curve.
+that sit the equilateral inscription (one Newton solve of the closure
+system for all vertex parameters and the chord at once), the unit-length
+rescale, a thickness estimate, and the W^{1,inf} distance between a polygon
+and a curve.
 
 Three-point circumradii of consecutive samples come from one helper, used
 both for the sagitta correction of the arc-length quadrature and for the
@@ -17,10 +18,12 @@ polygon text format of polygon.py, one 'x y z' row per sample.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .polygon import Polygon, _format_rows, _parse_rows
 from .thickness import dcsd as _polygon_dcsd
@@ -78,8 +81,8 @@ class ArcLengthCurve:
         spline = CubicSpline(knots, np.vstack([P, P[:1]]),
                              bc_type="periodic", axis=0)
         self._spline = spline
-        # raw coefficient view for the scalar fast path used by marching
-        self._coef = spline.c  # (4, m, 3)
+        # gamma' of the interpolant itself: the inscription's Newton Jacobian
+        self._dspline = spline.derivative()
 
     @property
     def m(self) -> int:
@@ -101,16 +104,6 @@ class ArcLengthCurve:
         """gamma(t), t taken mod 1; accepts scalars or arrays."""
         return self._spline(np.mod(t, 1.0))
 
-    def position_scalar(self, t: float) -> np.ndarray:
-        """Scalar gamma(t) via direct Horner evaluation (marching hot path)."""
-        u = t - math.floor(t)
-        k = int(u * self._m)
-        if k >= self._m:
-            k = self._m - 1
-        dt = u - k / self._m
-        c = self._coef
-        return ((c[0, k] * dt + c[1, k]) * dt + c[2, k]) * dt + c[3, k]
-
     def tangent(self, t) -> np.ndarray:
         """Unit tangent at t: linear interpolation of the table, renormalized."""
         u = np.mod(np.asarray(t, dtype=float), 1.0) * self._m
@@ -118,15 +111,6 @@ class ArcLengthCurve:
         frac = (u - k)[..., None]
         T = (1.0 - frac) * self._T[k] + frac * self._T[(k + 1) % self._m]
         return T / np.linalg.norm(T, axis=-1, keepdims=True)
-
-    def tangent_scalar(self, t: float) -> np.ndarray:
-        u = (t - math.floor(t)) * self._m
-        k = int(u)
-        if k >= self._m:
-            k = self._m - 1
-        frac = u - k
-        T = (1.0 - frac) * self._T[k] + frac * self._T[(k + 1) % self._m]
-        return T / np.linalg.norm(T)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ArcLengthCurve(m={self._m})"
@@ -175,8 +159,10 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     if P.ndim != 2 or P.shape[1] != 3:
         raise ValueError(
             f"expected an (N, 3) array of curve samples, got shape {P.shape}")
-    N = P.shape[0]
-    if N < 16:
+    finite = np.isfinite(P).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
+    if P.shape[0] < 16:
         raise ValueError("need at least 16 raw samples")
     chords_open = np.linalg.norm(np.diff(P, axis=0), axis=1)
     if np.any(chords_open == 0.0):
@@ -187,8 +173,6 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
         raise ValueError("raw samples do not close up into a loop")
     if wrap == 0.0:
         P = P[:-1]  # explicit duplicate of the start: drop it
-        N -= 1
-        chords_open = chords_open[:-1]
 
     chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     # squared curvature at each raw vertex from the circumradius of the
@@ -245,84 +229,62 @@ def preset_curve(spec: str, m: int = 4096) -> ArcLengthCurve:
 # -- inscription ------------------------------------------------------------
 
 
-def _march_step(curve: ArcLengthCurve, u: float, c: float) -> float:
-    """First parameter v > u with |gamma(v) - gamma(u)| = c.
-
-    Newton iteration on the chord length starting from v = u + c (arc is a
-    good initial guess for the chord), with a bracketed bisection fallback
-    when Newton wanders outside (u + c/5, u + 5c).
-    """
-    base = curve.position_scalar(u)
-    lo, hi = u + 0.2 * c, u + 5.0 * c
-    v = u + c
-    for _ in range(40):
-        d = curve.position_scalar(v) - base
-        dist = math.sqrt(float(d @ d))
-        f = dist - c
-        if abs(f) < 1e-14:
-            return v
-        slope = float(curve.tangent_scalar(v) @ d) / dist
-        if slope <= 0.0:
-            break
-        v_new = v - f / slope
-        if not lo < v_new < hi:
-            break
-        v = v_new
-    # fallback: scan for a sign change, then bisect
-    f_of = lambda w: math.sqrt(float(np.sum((curve.position_scalar(w) - base) ** 2))) - c
-    step = 0.25 * c
-    w0 = u + step
-    f0 = f_of(w0)
-    while w0 < u + 6.0 * c:
-        w1 = w0 + step
-        f1 = f_of(w1)
-        if f0 <= 0.0 <= f1:
-            return float(brentq(f_of, w0, w1, xtol=1e-15, maxiter=200))
-        w0, f0 = w1, f1
-    raise RuntimeError(
-        f"chord marching found no crossing at chord {c:g} from parameter {u:g}"
-    )
-
-
-def _march_closure(curve: ArcLengthCurve, n: int, c: float) -> float:
-    u = 0.0
-    for _ in range(n):
-        u = _march_step(curve, u, c)
-    return u
+# Newton on the closure system converges once every chord equals c to the
+# rounding of unit-length positions (scaled for tables far from the origin).
+_NEWTON_TOL = 1e-15
+_NEWTON_STEPS = 50  # n >= 64 needs 2-4; coarse knotted polygons a few dozen
 
 
 def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
     """Equilateral n-gon with all vertices on the curve, in cyclic order.
 
-    March n chords of trial length c from gamma(0) and solve for the c whose
-    total consumed arc is exactly 1: then the n-th chord ends at the start
-    point and all n chords have length c, so the polygon closes equilateral.
-    The polygon keeps its inscribed length n*c; see rescale_unit.
+    With u_0 = 0 and u_n = 1, Newton's method solves the n closure equations
+    F_k = |gamma(u_{k+1}) - gamma(u_k)| - c = 0 for u_1..u_{n-1} and the
+    chord c, from u_k = k/n and c the mean chord.  Its Jacobian is
+    bidiagonal plus a column of -1, so each step is one sparse solve.  The
+    vertices are gamma(u_k), vertex 0 is gamma(0), and the polygon keeps its
+    inscribed length n*c; see rescale_unit.
+
+    Failure rule: Newton stops after the first step that starts and ends
+    with max|F| <= 1e-15 (times the largest position coordinate if above 1),
+    which leaves the chords equal to the rounding of the positions.  A
+    ValueError naming n and the reason is raised if that takes more than
+    _NEWTON_STEPS steps, if a step is not finite (singular Jacobian), or if
+    u_0 < u_1 < ... < u_n is no longer strictly increasing after a step.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    lo, hi = 0.5 / n, 1.0 / n
-
-    def gap(c: float) -> float:
-        return _march_closure(curve, n, c) - 1.0
-
-    try:
-        g_lo, g_hi = gap(lo), gap(hi)
-    except RuntimeError as exc:
-        raise ValueError(f"n={n} too small for this curve ({exc})") from None
-    if not (g_lo < 0.0 < g_hi):
-        raise ValueError(
-            f"n={n} too small for this curve: closure gap does not change sign "
-            f"on the chord bracket ({g_lo:.3g}, {g_hi:.3g})"
-        )
-    c_star = float(brentq(gap, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200))
-
-    verts = np.empty((n, 3))
-    u = 0.0
-    for k in range(n):
-        verts[k] = curve.position_scalar(u)
-        u = _march_step(curve, u, c_star)
-    return Polygon(verts)
+    tol = _NEWTON_TOL * max(1.0, float(np.abs(curve.positions).max()))
+    # column j < n-1 is u_{j+1}, set in rows j and j+1; column n-1 is c
+    indptr = np.r_[0:2 * n - 1:2, 3 * n - 2]
+    indices = np.r_[np.arange(1, 2 * n - 1) // 2, 0:n]
+    data = np.full(3 * n - 2, -1.0)
+    u, c, converged = np.arange(n + 1) / n, None, False
+    for _ in range(_NEWTON_STEPS):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            P = curve.position(u[:n])
+            D = np.roll(P, -1, axis=0) - P
+            L = np.linalg.norm(D, axis=1)
+            c = float(L.mean()) if c is None else c
+            prev, converged = converged, float(np.abs(L - c).max()) <= tol
+            if prev and converged:
+                return Polygon(P)
+            E, G = D / L[:, None], curve._dspline(u[1:n])
+            data[0:2 * n - 2:2] = np.einsum("ij,ij->i", E[:-1], G)
+            data[1:2 * n - 2:2] = -np.einsum("ij,ij->i", E[1:], G)
+            step = spsolve(csc_matrix((data, indices, indptr), shape=(n, n)),
+                           L - c)
+        if not np.all(np.isfinite(step)):
+            raise ValueError(f"n={n}: inscription Newton step is not finite "
+                             "(singular closure Jacobian)")
+        u[1:n] -= step[:-1]
+        c -= float(step[-1])
+        if not np.all(np.diff(u) > 0.0):
+            raise ValueError(f"n={n}: inscription parameters are not strictly "
+                             "increasing after a Newton step")
+    raise ValueError(f"n={n}: inscription Newton did not converge "
+                     f"in {_NEWTON_STEPS} steps")
 
 
 def rescale_unit(p: Polygon) -> Polygon:
@@ -345,11 +307,8 @@ def smooth_thickness_proxy(curve: ArcLengthCurve, m: int = 2048) -> float:
     area2, sides = _triple_terms(curve.positions)
     with np.errstate(divide="ignore"):
         radii = np.where(area2 > 0.0, sides / (2.0 * area2), np.inf)
-    min_rad_est = float(radii.min())
-
-    fine = inscribe_equilateral(curve, m)
-    dcsd_est = _polygon_dcsd(fine)
-    return min(min_rad_est, 0.5 * dcsd_est)
+    return min(float(radii.min()),
+               0.5 * _polygon_dcsd(inscribe_equilateral(curve, m)))
 
 
 def w1inf_distance(p: Polygon, curve: ArcLengthCurve, grid: int):

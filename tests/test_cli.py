@@ -96,9 +96,18 @@ class TestInscribeCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_impossible_n(self, capsys):
-        assert main(["inscribe", "--curve", "circle", "--n", "3",
+        assert main(["inscribe", "--curve", "torus:2,3", "--n", "4",
                      "--m", "512"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_coarse_knot_inscribes(self, capsys):
+        assert main(["inscribe", "--curve", "torus:3,2", "--n", "8",
+                     "--m", "1024"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        V = np.array([[float(x) for x in ln.split()] for ln in lines])
+        lens = np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1)
+        assert np.max(np.abs(lens - lens[0])) < 1e-12
 
     def test_unknown_preset(self, capsys):
         assert main(["inscribe", "--curve", "helix", "--n", "8"]) == 1

@@ -65,14 +65,14 @@ class TestGammaCsv:
         assert fields[6] == "curvature"
         assert fields[10] == ""
 
-    def test_failed_row_rendering(self, circle):
-        rows = gamma_series(circle, [3], m_proxy=256)
+    def test_failed_row_rendering(self):
+        rows = gamma_series(preset_curve("torus:2,3", m=1024), [4], m_proxy=256)
         assert rows[0].failed
         line = gamma_csv(rows).splitlines()[1]
         fields = line.split(",")
-        assert fields[0] == "3"
+        assert fields[0] == "4"
         assert fields[1] == "nan"
-        assert "chord" in fields[10] or "marching" in fields[10]
+        assert "strictly increasing" in fields[10]
 
 
 class TestSchurCampaign:

@@ -1,9 +1,12 @@
 """Tests for smooth curves, inscription, and polygon-curve distance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polythick import (
     arc_length_reparam,
@@ -71,6 +74,12 @@ class TestArcLengthReparam:
         mid = circle.tangent((np.arange(circle.m) + 0.5) / circle.m)
         assert np.max(np.linalg.norm(fd - mid, axis=1)) < 1e-4
 
+    def test_rejects_non_finite_sample(self):
+        pts = circle_samples(64)
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="sample 3 is not finite"):
+            arc_length_reparam(pts, m=64)
+
     def test_rejects_open_polyline(self):
         t = np.linspace(0.0, 0.7, 512)   # an arc, not a loop
         pts = np.stack([np.cos(2 * math.pi * t), np.sin(2 * math.pi * t),
@@ -124,10 +133,14 @@ class TestInscription:
         assert p.length == pytest.approx(2.0 * math.sqrt(2.0) / math.pi,
                                          abs=1e-12)
 
-    def test_octagon_in_circle(self, circle):
-        p = inscribe_equilateral(circle, 8)
-        assert p.length == pytest.approx((8.0 / math.pi) * math.sin(math.pi / 8),
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64, 257])
+    def test_octagon_in_circle(self, circle, n):
+        # the regular n-gon inscribed in a circle of length 1, including the
+        # triangle of side sqrt(3)/(2 pi)
+        p = inscribe_equilateral(circle, n)
+        assert p.length == pytest.approx((n / math.pi) * math.sin(math.pi / n),
                                          abs=1e-12)
+        assert np.ptp(p.edge_lengths) <= 1e-15
 
     def test_vertices_lie_on_curve(self, circle):
         p = inscribe_equilateral(circle, 16)
@@ -150,11 +163,30 @@ class TestInscription:
         with pytest.raises(ValueError):
             inscribe_equilateral(circle, 2)
 
-    def test_too_coarse_for_curve(self, circle):
-        # no equilateral triangle of matching chord closes on this circle
-        # under chord marching from parameter 0
-        with pytest.raises(ValueError):
-            inscribe_equilateral(circle, 3)
+    def test_too_coarse_for_curve(self, trefoil):
+        # from uniform parameters the first Newton step puts the vertices
+        # of a trefoil 4-gon out of order
+        with pytest.raises(ValueError, match="n=4: .*strictly increasing"):
+            inscribe_equilateral(trefoil, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ab=st.sampled_from([(a, b) for a in range(1, 6) for b in range(1, 6)
+                               if math.gcd(a, b) == 1]),
+           R=st.floats(1.2, 5.0), rho=st.floats(0.2, 1.0),
+           n=st.integers(3, 64))
+    def test_inscribes_or_raises_value_error(self, ab, R, rho, n):
+        curve = preset_curve(f"torus:{ab[0]},{ab[1]},{R!r},{rho!r}", m=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                p = inscribe_equilateral(curve, n)
+            except ValueError as exc:
+                assert str(exc).startswith(f"n={n}: ")
+                return
+        # the stopping rule holds every chord within 1e-15 of c
+        assert p.n == n
+        assert np.ptp(p.edge_lengths) <= 2e-15
+        assert np.array_equal(p.vertices[0], curve.position(0.0))
 
 
 class TestRescale:
@@ -230,9 +262,9 @@ class TestGammaSeries:
             assert r.proxy == pytest.approx(6.2833035885939745, rel=1e-12)
             assert r.binding == "curvature"
 
-    def test_failed_row_keeps_sweep_alive(self, circle):
-        rows = gamma_series(circle, [3, 8], m_proxy=512)
-        assert rows[0].n == 3 and rows[0].failed
+    def test_failed_row_keeps_sweep_alive(self, trefoil):
+        rows = gamma_series(trefoil, [4, 8], m_proxy=512)
+        assert rows[0].n == 4 and rows[0].failed
         assert math.isnan(rows[0].inv_delta)
         assert rows[1].n == 8 and not rows[1].failed
 
