@@ -2,9 +2,13 @@
 
 The move class is crankshaft rotations: a sub-chain between two pivot
 vertices turns rigidly about the pivot axis, which preserves every edge
-length exactly.  A move counts only if the whole rotation sweep stays
-simple at a fixed number of substeps, so accepted paths are discrete
-isotopies and the knot type is preserved at the checked resolution.
+length exactly.  A move counts only if the rotation sweep, sampled at a
+fixed number of angles, keeps every pair of non-adjacent edges apart by a
+clearance.  The move and its sweep check turn the sub-chain with the same
+formula (_swept), so the last frame checked is the polygon the chain
+commits.  Crossings between sampled angles go undetected: accepted paths
+are discrete isotopies at the sampled resolution, which is not a proof
+that the knot type is preserved.
 """
 
 from __future__ import annotations
@@ -86,25 +90,32 @@ class AnnealTrace:
                 )
 
 
-def _rotation_about(axis_point: np.ndarray, axis_dir: np.ndarray, theta: float):
-    """Rodrigues rotation taking points around the line through axis_point."""
-    u = axis_dir / np.linalg.norm(axis_dir)
-    c, s = math.cos(theta), math.sin(theta)
+def _swept(p: Polygon, i: int, j: int, angles: np.ndarray) -> np.ndarray:
+    """(len(angles), n, 3) stack of p with the open sub-chain between pivots
+    i and j turned about the pivot axis by each angle."""
+    n = p.n
+    i, j = i % n, j % n
+    if i == j:
+        raise ValueError("pivots must differ")
+    a = p.vertices[i]
+    axis = p.vertices[j] - a
+    axis_len = np.linalg.norm(axis)
+    if axis_len < 1e-15 * p.length:
+        raise ValueError("pivot vertices coincide: rotation axis undefined")
+    u = axis / axis_len
+    moving = (i + 1 + np.arange((j - i) % n - 1)) % n
+    c = np.cos(angles)[:, None, None]
+    s = np.sin(angles)[:, None, None]
     K = np.array([[0.0, -u[2], u[1]],
                   [u[2], 0.0, -u[0]],
                   [-u[1], u[0], 0.0]])
     R = np.eye(3) * c + s * K + (1.0 - c) * np.outer(u, u)
-
-    def apply(pts: np.ndarray) -> np.ndarray:
-        return (pts - axis_point) @ R.T + axis_point
-
-    return apply
-
-
-def _subchain(n: int, i: int, j: int) -> np.ndarray:
-    """Vertex indices strictly between i and j walking forward from i."""
-    gap = (j - i) % n
-    return (i + 1 + np.arange(gap - 1)) % n
+    V = np.repeat(p.vertices[None], len(angles), axis=0)
+    V[:, moving] = (p.vertices[moving] - a) @ R.swapaxes(1, 2) + a
+    # a zero angle must reproduce p bit for bit; the rotation would
+    # round-trip each point through (x - a) + a and lose the last ulp
+    V[angles == 0.0] = p.vertices
+    return V
 
 
 def crankshaft_move(p: Polygon, i: int, j: int, theta: float) -> Polygon:
@@ -114,22 +125,7 @@ def crankshaft_move(p: Polygon, i: int, j: int, theta: float) -> Polygon:
     of every rotated edge and of the two bridge edges are preserved exactly.
     The candidate may self-intersect; see move_is_admissible.
     """
-    n = p.n
-    i, j = i % n, j % n
-    if i == j:
-        raise ValueError("pivots must differ")
-    a = p.vertices[i]
-    b = p.vertices[j]
-    axis = b - a
-    if np.linalg.norm(axis) < 1e-15 * p.length:
-        raise ValueError("pivot vertices coincide: rotation axis undefined")
-    moving = _subchain(n, i, j)
-    V = p.vertices.copy()
-    # theta = 0 must reproduce p bit for bit; the Rodrigues route would
-    # round-trip each point through (x - a) + a and lose the last ulp
-    if moving.size and theta != 0.0:
-        V[moving] = _rotation_about(a, axis, theta)(V[moving])
-    return Polygon(V)
+    return Polygon(_swept(p, i, j, np.array([theta], dtype=float))[0])
 
 
 def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
@@ -137,37 +133,22 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
                        clearance: float | None = None) -> bool:
     """True iff the rotation sweep keeps the polygon simple throughout.
 
-    The move is replayed at angles theta*k/substeps for k = 0..substeps and
-    each intermediate polygon must keep all non-adjacent edge pairs farther
-    apart than the clearance (default 1e-6 * length).  This is a discrete
-    isotopy check: crossings between substeps are not detected, so substeps
-    trades speed against safety.
+    The move is replayed at angles theta*k/substeps for k = 0..substeps, so
+    frame 0 is p and the last frame is the candidate crankshaft_move returns,
+    bit for bit.  Every frame must keep all non-adjacent edge pairs farther
+    apart than the clearance (default 1e-6 * length); pivots that coincide
+    make the move inadmissible.  Crossings between substeps are not
+    detected, so substeps trades speed against safety.
     """
-    n = p.n
-    i, j = i % n, j % n
-    if i == j:
-        return False
     if clearance is None:
         clearance = _CLEARANCE_FACTOR * p.length
-    a = p.vertices[i]
-    axis = p.vertices[j] - a
-    axis_len = np.linalg.norm(axis)
-    if axis_len < 1e-15 * p.length:
+    # k/substeps * theta, not theta*k/substeps: the last angle is theta exactly
+    angles = np.arange(substeps + 1) / substeps * theta
+    try:
+        frames = _swept(p, i, j, angles)
+    except ValueError:
         return False
-    moving = _subchain(n, i, j)
-    if moving.size == 0:
-        return bool(_edge_gap(p.vertices) > clearance)
-    u = axis / axis_len
-    angles = theta * np.arange(substeps + 1) / substeps
-    cos = np.cos(angles)[:, None, None]
-    sin = np.sin(angles)[:, None, None]
-    rel = p.vertices[moving] - a
-    crs = np.cross(np.broadcast_to(u, rel.shape), rel)
-    along = (rel @ u)[:, None] * u
-    rotated = a + rel * cos + crs * sin + along * (1.0 - cos)
-    Vb = np.broadcast_to(p.vertices, (substeps + 1,) + p.vertices.shape).copy()
-    Vb[:, moving] = rotated
-    return bool(np.all(_edge_gap(Vb) > clearance))
+    return bool(np.all(_edge_gap(frames) > clearance))
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:
@@ -212,8 +193,7 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
     f_best = f
 
     T = 0.5 * f0 if cfg.t0 is None else cfg.t0
-    rec_step, rec_T, rec_f, rec_acc = [], [], [], []
-    rec_i, rec_j, rec_th, rec_best = [], [], [], []
+    rows = []   # (step, T, f, accepted, i, j, theta, f_best) per proposal
 
     step = 0
     while T >= cfg.t_min:
@@ -250,26 +230,15 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
                                 f_best = f
                                 best = cand
 
-            rec_step.append(step)
-            rec_T.append(T)
-            rec_f.append(f)
-            rec_acc.append(accepted)
-            rec_i.append(i)
-            rec_j.append(j)
-            rec_th.append(theta)
-            rec_best.append(f_best)
+            rows.append((step, T, f, accepted, i, j, theta, f_best))
             step += 1
         T *= cfg.cooling
 
+    col = np.array(rows, dtype=float).reshape(-1, 8).T
     trace = AnnealTrace(
-        step=np.asarray(rec_step, dtype=int),
-        temperature=np.asarray(rec_T, dtype=float),
-        objective=np.asarray(rec_f, dtype=float),
-        accepted=np.asarray(rec_acc, dtype=int),
-        i=np.asarray(rec_i, dtype=int),
-        j=np.asarray(rec_j, dtype=int),
-        theta=np.asarray(rec_th, dtype=float),
-        best_objective=np.asarray(rec_best, dtype=float),
+        step=col[0].astype(int), temperature=col[1], objective=col[2],
+        accepted=col[3].astype(int), i=col[4].astype(int),
+        j=col[5].astype(int), theta=col[6], best_objective=col[7],
         best_vertices=best.vertices.copy(),
     )
     return best, trace

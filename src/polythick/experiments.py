@@ -8,7 +8,7 @@ thread; sweep rows come back in ascending n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -108,19 +108,9 @@ def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[Gam
     return [_gamma_row(curve, n, proxy) for n in ns]
 
 
-_GAMMA_HEADER = ("n,length_tilde,inv_delta,min_rad,dcsd,scsd,binding,"
-                 "pos_sup,deriv_sup,proxy,failed")
-
-
 def gamma_csv(rows: list[GammaRow]) -> str:
-    lines = [_GAMMA_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n), _fmt(r.length_tilde), _fmt(r.inv_delta),
-            _fmt(r.min_rad), _fmt(r.dcsd), _fmt(r.scsd), r.binding,
-            _fmt(r.pos_sup), _fmt(r.deriv_sup), _fmt(r.proxy),
-            r.failed or "",
-        ]))
+    lines = [",".join(f.name for f in fields(GammaRow))]
+    lines += [",".join(map(_fmt, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -147,8 +137,7 @@ def ngon_table(n_min: int, n_max: int) -> list[tuple[int, float, float, float]]:
 
 def ngon_csv(rows) -> str:
     lines = ["n,measured,closed_form,abs_diff"]
-    for n, measured, formula, diff in rows:
-        lines.append(f"{n},{measured:.17g},{formula:.17g},{diff:.17g}")
+    lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -46,28 +46,26 @@ __all__ = [
 # multiple of the median sample spacing, else the input is not a closed loop.
 _CLOSURE_FACTOR = 10.0
 
-_TANGENT_NORM_TOL = 1e-8
-
 
 class ArcLengthCurve:
     """Closed unit-length curve sampled uniformly in arc length.
 
-    positions[k] = gamma(k/m) and tangents[k] = gamma'(k/m) with |tangent|=1.
-    Between samples, positions interpolate with a periodic cubic spline and
-    tangents linearly (renormalized), so evaluation error decays like m^-4
-    for positions and m^-2 for tangent directions.
+    Built from the table positions[k] = gamma(k/m), m >= 8, alone: the unit
+    tangents tangents[k] = gamma'(k/m) come from five-point centered
+    differences of the positions, normalized.  Between samples, positions
+    interpolate with a periodic cubic spline and tangents linearly
+    (renormalized), so evaluation error decays like m^-4 for positions and
+    m^-2 for tangent directions.
     """
 
-    def __init__(self, positions: np.ndarray, tangents: np.ndarray):
-        P = np.asarray(positions, dtype=float)
-        T = np.asarray(tangents, dtype=float)
-        if P.ndim != 2 or P.shape[1] != 3 or P.shape[0] < 8:
-            raise ValueError("need an (m, 3) position table with m >= 8")
-        if T.shape != P.shape:
-            raise ValueError("tangent table must match position table shape")
-        norms = np.linalg.norm(T, axis=1)
-        if np.any(np.abs(norms - 1.0) > _TANGENT_NORM_TOL):
-            raise ValueError("tangents must be unit length within 1e-8")
+    def __init__(self, positions: np.ndarray):
+        P = np.array(positions, dtype=float)   # a copy: frozen below
+        if P.ndim != 2 or P.shape[1] != 3:
+            raise ValueError(f"need an (m, 3) position table, got shape {P.shape}")
+        finite = np.isfinite(P).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"position {int(np.argmin(finite))} is not finite")
+        T = _unit_tangents(P)
         gaps = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
         if gaps[-1] > _CLOSURE_FACTOR * np.median(gaps[:-1]):
             raise ValueError("position table does not wrap around cyclically")
@@ -125,8 +123,10 @@ def _unit_tangents(table: np.ndarray) -> np.ndarray:
     h = 1.0 / m
     T = (-np.roll(table, -2, axis=0) + 8.0 * np.roll(table, -1, axis=0)
          - 8.0 * np.roll(table, 1, axis=0) + np.roll(table, 2, axis=0)) / (12.0 * h)
-    T /= np.linalg.norm(T, axis=1, keepdims=True)
-    return T
+    norms = np.linalg.norm(T, axis=1, keepdims=True)
+    if not np.all(norms > 0.0):
+        raise ValueError(f"curve sample {int(np.argmin(norms))} has a zero tangent")
+    return T / norms
 
 
 def _triple_terms(P: np.ndarray):
@@ -188,7 +188,7 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     spline = CubicSpline(s, np.vstack([P, P[:1]]) / total,
                          bc_type="periodic", axis=0)
     table = spline(np.arange(m) / m)
-    return ArcLengthCurve(table, _unit_tangents(table))
+    return ArcLengthCurve(table)
 
 
 # -- presets ----------------------------------------------------------------
@@ -347,5 +347,4 @@ def write_curve(curve: ArcLengthCurve, path) -> None:
 def read_curve(path) -> ArcLengthCurve:
     """A curve written by write_curve (or any uniform arc-length table)."""
     with open(path) as fh:
-        table = _parse_rows(fh)
-    return ArcLengthCurve(table, _unit_tangents(table))
+        return ArcLengthCurve(_parse_rows(fh))

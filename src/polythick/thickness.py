@@ -21,7 +21,7 @@ gap alone over an optional leading batch axis for is_simple and the
 annealer's sweep check.  The scan is O(n^2), blocked over rows so n = 4096
 stays within a few seconds and a few hundred MB.  All candidate families
 are enumerated with numpy; Python-level pair objects are only materialised
-by critical_pairs().
+by critical_pairs() and, for its one achieving pair, by delta_n().
 """
 
 from __future__ import annotations
@@ -122,39 +122,40 @@ def _extremal(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _Collector:
-    """Flat arrays of accepted candidates from all enumeration families."""
+    """Flat arrays of accepted candidates from all enumeration families.
 
-    def __init__(self):
-        self._cols = {k: [] for k in ("dist", "i", "j", "kind", "s", "t", "doubly")}
+    add() takes one row block (rows r0.. against every column) with the edge
+    fractions fs, ft of the two points, 0.0 at a vertex, and derives the
+    labels i (row), j (column) and s = (cum[i] + fs * lens[i]) / L, t alike,
+    for the accepted entries only.  Labels are kept as found, s > t
+    included; _pair_at swaps such a pair when it is reported.
+    """
 
-    def add(self, mask, dist, i, j, kind, s, t, doubly: bool):
+    def __init__(self, cum: np.ndarray, lens: np.ndarray):
+        self._cum, self._lens = cum, lens
+        z = np.zeros(0)   # typed empty columns, so a scan with no candidates works
+        self._cols = dict(dist=[z], i=[z.astype(int)], j=[z.astype(int)],
+                          kind=[z.astype(np.int8)], s=[z], t=[z],
+                          doubly=[z.astype(bool)])
+
+    def add(self, r0: int, mask, dist, fs, ft, kind: int, doubly: bool):
         if not np.any(mask):
             return
+        rows, n = mask.shape
+        i = np.broadcast_to(np.arange(r0, r0 + rows)[:, None], mask.shape)[mask]
+        j = np.broadcast_to(np.arange(n), mask.shape)[mask]
+        cum, lens, L = self._cum, self._lens, self._cum[-1]
         cols = self._cols
         cols["dist"].append(np.broadcast_to(dist, mask.shape)[mask])
-        cols["i"].append(np.broadcast_to(i, mask.shape)[mask])
-        cols["j"].append(np.broadcast_to(j, mask.shape)[mask])
-        count = int(mask.sum())
-        cols["kind"].append(np.full(count, kind, dtype=np.int8))
-        cols["s"].append(np.broadcast_to(s, mask.shape)[mask])
-        cols["t"].append(np.broadcast_to(t, mask.shape)[mask])
-        cols["doubly"].append(np.full(count, doubly, dtype=bool))
+        cols["i"].append(i)
+        cols["j"].append(j)
+        cols["kind"].append(np.full(i.size, kind, dtype=np.int8))
+        cols["s"].append((cum[i] + np.broadcast_to(fs, mask.shape)[mask] * lens[i]) / L)
+        cols["t"].append((cum[j] + np.broadcast_to(ft, mask.shape)[mask] * lens[j]) / L)
+        cols["doubly"].append(np.full(i.size, doubly, dtype=bool))
 
     def arrays(self):
-        cols = self._cols
-        if not cols["dist"]:
-            z = np.zeros(0)
-            return dict(dist=z, i=z.astype(int), j=z.astype(int),
-                        kind=z.astype(np.int8), s=z, t=z, doubly=z.astype(bool))
-        return dict(
-            dist=np.concatenate(cols["dist"]),
-            i=np.concatenate(cols["i"]).astype(int),
-            j=np.concatenate(cols["j"]).astype(int),
-            kind=np.concatenate(cols["kind"]),
-            s=np.concatenate(cols["s"]),
-            t=np.concatenate(cols["t"]),
-            doubly=np.concatenate(cols["doubly"]),
-        )
+        return {k: np.concatenate(v) for k, v in self._cols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +276,8 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
     V, E, lens, dirs = p.vertices, p.edges, p.edge_lengths, p.directions()
     n = V.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(lens)])
-    L = cum[-1]
     idx = np.arange(n)
-    out = _Collector()
-
-    def arc(edge_idx, frac):
-        return (cum[edge_idx] + frac * lens[edge_idx]) / L
-
+    out = _Collector(cum, lens)
     Jrow = idx[None, :]
     # |E|^2 is lens * lens in the critical families and E . E in the edge
     # gap, as in _edge_gap; the two round differently
@@ -311,6 +307,9 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
         def d2_at(s, t):
             return w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t)
 
+        def foot_dist(f):      # row vertex to the point f along column edge
+            return np.sqrt(np.maximum(w2 - 2.0 * f * c2 + f * f * c, 0.0))
+
         # ---- edge-edge -----------------------------------------------------
         denom = a * c - b * b
         parallel = denom <= 1e-12 * a * c
@@ -323,7 +322,7 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
         sc = np.clip(s_star, 0.0, 1.0)
         tc = np.clip(t_star, 0.0, 1.0)
         dist = np.sqrt(np.maximum(d2_at(sc, tc), 0.0))
-        out.add(inr, dist, Ri, Jrow, 2, arc(Ri, sc), arc(Jrow, tc), True)
+        out.add(r0, inr, dist, sc, tc, 2, True)
 
         # parallel overlap representative: project edge-j ends on the i axis
         tau0 = -c1 / a
@@ -335,7 +334,7 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
             smid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
             tmid = np.clip((c2 + smid * b) / c, 0.0, 1.0)
             distp = np.sqrt(np.maximum(d2_at(smid, tmid), 0.0))
-            out.add(has, distp, Ri, Jrow, 2, arc(Ri, smid), arc(Jrow, tmid), True)
+            out.add(r0, has, distp, smid, tmid, 2, True)
 
         # ---- vertex(row) - edge(col): d^2(f) = w2 - 2 f c2 + f^2 c ----------
         foot = c2 / c
@@ -348,15 +347,14 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
         at1 = fc >= 1.0 - _MEMBER_EPS
         inr_f &= ~(at0 & (Jrow == (Ri + 1) % n))
         inr_f &= ~(at1 & (Jrow == (Ri - 2) % n))
-        dq = np.sqrt(np.maximum(w2 - 2.0 * fc * c2 + fc * fc * c, 0.0))
+        dq = foot_dist(fc)
         safe = np.where(dq > 0.0, dq, 1.0)
         am = (um_w - fc * um_E) / safe
         ap = (up_w - fc * up_E) / safe
         vert_ok = _extremal(am, ap, _EXTREMAL_TOL)
-        s_arc = np.broadcast_to((cum[R] / L)[:, None], dq.shape)
-        out.add(inr_f & vert_ok, dq, Ri, Jrow, 1, s_arc, arc(Jrow, fc), True)
+        out.add(r0, inr_f & vert_ok, dq, 0.0, fc, 1, True)
         if singly:
-            out.add(inr_f & ~vert_ok, dq, Ri, Jrow, 1, s_arc, arc(Jrow, fc), False)
+            out.add(r0, inr_f & ~vert_ok, dq, 0.0, fc, 1, False)
 
         # ---- vertex - vertex -------------------------------------------------
         dvv = np.sqrt(w2)                                  # |V_k - V_j|
@@ -364,11 +362,9 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
         degenerate = dvv == 0.0
         e1 = _extremal(um_w / safe_v, up_w / safe_v, _EXTREMAL_TOL) | degenerate
         e2 = _extremal(vm_w / safe_v, vp_w / safe_v, _EXTREMAL_TOL) | degenerate
-        svv = np.broadcast_to((cum[R] / L)[:, None], dvv.shape)
-        tvv = np.broadcast_to((cum[:n] / L)[None, :], dvv.shape)
-        out.add(pair_ok & e1 & e2, dvv, Ri, Jrow, 0, svv, tvv, True)
+        out.add(r0, pair_ok & e1 & e2, dvv, 0.0, 0.0, 0, True)
         if singly:
-            out.add(pair_ok & (e1 ^ e2), dvv, Ri, Jrow, 0, svv, tvv, False)
+            out.add(r0, pair_ok & (e1 ^ e2), dvv, 0.0, 0.0, 0, False)
 
         # ---- family ends: one-sided perpendicular sight from a vertex -------
         # An edge point y with (V_k - y) perpendicular to one of V_k's edge
@@ -385,10 +381,7 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
                 if not np.any(keep0):
                     continue
                 tmc = np.clip(tm, 0.0, 1.0)
-                dm = np.sqrt(np.maximum(w2 - 2.0 * tmc * c2 + tmc * tmc * c, 0.0))
-                out.add(keep0, dm, Ri, Jrow, 1,
-                        np.broadcast_to((cum[R] / L)[:, None], dm.shape),
-                        arc(Jrow, tmc), False)
+                out.add(r0, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
 
     arr = out.arrays()
     if gap:

@@ -1,9 +1,12 @@
 """Tests for crankshaft moves, admissibility, and the annealing loop."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polythick import (
     AnnealConfig,
@@ -12,10 +15,11 @@ from polythick import (
     delta_n,
     is_near_regular,
     move_is_admissible,
+    random_equilateral_polygon,
     read_polygon,
     regular_ngon,
 )
-from polythick.anneal import _THETA_MAX
+from polythick.anneal import _SUBSTEPS, _THETA_MAX
 from polythick.polygon import Polygon
 from polythick.thickness import inv_delta_objective
 
@@ -91,6 +95,35 @@ class TestMoveAdmissibility:
         p = regular_ngon(6)
         assert not move_is_admissible(p, 0, 3, math.pi, substeps=4)
         assert not move_is_admissible(p, 0, 3, math.pi, substeps=64)
+
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**31 - 1),
+           perturbed=st.booleans(), i=st.integers(0, 39),
+           gap=st.integers(0, 36), theta=st.floats(-_THETA_MAX, _THETA_MAX))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_ends_are_start_and_candidate(self, n, seed, perturbed,
+                                                i, gap, theta):
+        # the sweep check must see the polygon the chain commits: its first
+        # frame is p and its last is crankshaft_move's candidate, bit for bit
+        rng = np.random.default_rng(seed)
+        p = (perturbed_regular(n, 0.15, rng) if perturbed
+             else random_equilateral_polygon(n, rng))
+        i = i % n
+        j = (i + 2 + gap % (n - 3)) % n     # forward gap 2..n-2
+        seen = []
+
+        def capture(V):
+            seen.append(V.copy())
+            return np.full(V.shape[:-2], np.inf)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(importlib.import_module("polythick.anneal"),
+                       "_edge_gap", capture)
+            assert move_is_admissible(p, i, j, theta)
+        frames = seen[0]
+        assert frames.shape == (_SUBSTEPS + 1, n, 3)
+        assert frames[0].tobytes() == p.vertices.tobytes()
+        assert (frames[-1].tobytes()
+                == crankshaft_move(p, i, j, theta).vertices.tobytes())
 
     def test_clearance_scales(self):
         p = regular_ngon(8)
@@ -193,6 +226,17 @@ class TestAnneal:
         assert int(first[0]) == trace.step[0]
         assert float(first[2]) == trace.objective[0]
         assert int(first[3]) == trace.accepted[0]
+
+    def test_empty_trace(self, tmp_path):
+        # a start temperature below t_min runs no proposal at all
+        p = perturbed_regular(6, 0.12, np.random.default_rng(10))
+        best, trace = anneal(p, AnnealConfig(t0=1e-5, t_min=1e-4))
+        assert len(trace) == 0
+        assert trace.step.dtype.kind == "i" and trace.theta.dtype.kind == "f"
+        assert np.array_equal(best.vertices, p.vertices)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == (
+            "step,temperature,objective,accepted,i,j,theta\n")
 
     def test_rejects_nonsimple_start(self):
         p = read_polygon("tests/data/pentagram10.txt")

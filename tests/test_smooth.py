@@ -99,8 +99,28 @@ class TestArcLengthReparam:
                 arc_length_reparam(bad, m=64)
 
     def test_rejects_tiny_tables(self):
-        with pytest.raises(ValueError):
-            ArcLengthCurve(np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="need at least 8 curve samples, got 4"):
+            ArcLengthCurve(np.zeros((4, 3)))
+
+    def test_rejects_nan_position(self):
+        # the tangent table is built from the positions, so a nan row would
+        # otherwise spread into nan tangents around it
+        P = preset_curve("circle", m=64).positions.copy()
+        P[5, 0] = np.nan
+        with pytest.raises(ValueError, match="position 5 is not finite"):
+            ArcLengthCurve(P)
+
+    def test_rejects_degenerate_table(self):
+        # a constant table has zero difference tangents, which would
+        # normalise to nan
+        with pytest.raises(ValueError, match="curve sample 0 has a zero tangent"):
+            ArcLengthCurve(np.zeros((8, 3)))
+
+    def test_keeps_callers_table_writable(self):
+        P = preset_curve("circle", m=64).positions.copy()
+        curve = ArcLengthCurve(P)
+        P[0, 0] = 2.0
+        assert curve.positions[0, 0] != 2.0
 
 
 class TestPresets:
