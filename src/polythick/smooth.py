@@ -233,6 +233,7 @@ def preset_curve(spec: str, m: int = 4096) -> ArcLengthCurve:
 # rounding of unit-length positions (scaled for tables far from the origin).
 _NEWTON_TOL = 1e-15
 _NEWTON_STEPS = 50  # n >= 64 needs 2-4; coarse knotted polygons a few dozen
+_NEWTON_HALVINGS = 10  # a step that puts u out of order is halved this often
 
 
 def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
@@ -241,16 +242,18 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
     With u_0 = 0 and u_n = 1, Newton's method solves the n closure equations
     F_k = |gamma(u_{k+1}) - gamma(u_k)| - c = 0 for u_1..u_{n-1} and the
     chord c, from u_k = k/n and c the mean chord.  Its Jacobian is
-    bidiagonal plus a column of -1, so each step is one sparse solve.  The
-    vertices are gamma(u_k), vertex 0 is gamma(0), and the polygon keeps its
-    inscribed length n*c; see rescale_unit.
+    bidiagonal plus a column of -1, so each step is one sparse solve.  A
+    step that leaves u_0 < u_1 < ... < u_n out of order is halved, up to
+    _NEWTON_HALVINGS times; a step that keeps it ordered is taken whole.
+    The vertices are gamma(u_k), vertex 0 is gamma(0), and the polygon
+    keeps its inscribed length n*c; see rescale_unit.
 
     Failure rule: Newton stops after the first step that starts and ends
     with max|F| <= 1e-15 (times the largest position coordinate if above 1),
     which leaves the chords equal to the rounding of the positions.  A
     ValueError naming n and the reason is raised if that takes more than
     _NEWTON_STEPS steps, if a step is not finite (singular Jacobian), or if
-    u_0 < u_1 < ... < u_n is no longer strictly increasing after a step.
+    the last halving still leaves u out of order.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -278,11 +281,16 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
         if not np.all(np.isfinite(step)):
             raise ValueError(f"n={n}: inscription Newton step is not finite "
                              "(singular closure Jacobian)")
-        u[1:n] -= step[:-1]
-        c -= float(step[-1])
-        if not np.all(np.diff(u) > 0.0):
+        for _ in range(_NEWTON_HALVINGS + 1):
+            trial = u.copy()
+            trial[1:n] -= step[:-1]
+            if np.all(np.diff(trial) > 0.0):
+                break
+            step = 0.5 * step
+        else:
             raise ValueError(f"n={n}: inscription parameters are not strictly "
-                             "increasing after a Newton step")
+                             f"increasing after {_NEWTON_HALVINGS} step halvings")
+        u, c = trial, c - float(step[-1])
     raise ValueError(f"n={n}: inscription Newton did not converge "
                      f"in {_NEWTON_STEPS} steps")
 

@@ -13,15 +13,20 @@ existing, so the boundary pairs are enumerated too.  The thickness radius is
     delta_n = min(min_rad, dcsd / 2),      delta_n = 0 when not embedded.
 
 Every edge pair is described by one convex quadratic in the two foot
-parameters, built once per row block by _quadratic.  The critical-pair
-families are read off it, and so is the edge gap (the minimum distance
-between non-adjacent edges) that decides simplicity: delta_n and the
-annealing objective take both from the same pass, and _edge_gap runs the
-gap alone over an optional leading batch axis for is_simple and the
-annealer's sweep check.  The scan is O(n^2), blocked over rows so n = 4096
-stays within a few seconds and a few hundred MB.  All candidate families
-are enumerated with numpy; Python-level pair objects are only materialised
-by critical_pairs() and, for its one achieving pair, by delta_n().
+parameters.  One kernel, _families, reads every critical-pair family off
+it, and the edge gap (the minimum distance between non-adjacent edges)
+that decides simplicity.  Two enumerations feed it.  The dense scan
+(_scan) takes all n^2 pairs, a row block at a time; critical_pairs() uses
+it, and so do the minima below _CROSSOVER edges.  From there on delta_n,
+dcsd, scsd and the annealing objective take the pruned scan: only pairs
+whose edge midpoints lie within a growing radius and whose two arcs can
+both turn pi (pi/2 for the singly families).  Both form the same products
+and per-pair arithmetic, so their results agree bit for bit.  A polygon
+whose dcsd is its diameter, as the regular n-gon, keeps about half of its
+pairs and gains little.  _edge_gap runs the gap alone and densely, over an
+optional leading batch axis, for is_simple and the annealer's sweep
+check.  Python-level pair objects are only materialised by
+critical_pairs() and, for its one achieving pair, by delta_n().
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass, asdict
 from functools import reduce
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .polygon import Polygon, max_curv2, min_rad
 
@@ -52,6 +58,10 @@ PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
+_TIE = 1e-12              # distances this close to the minimum tie
+_CROSSOVER = 128          # n from which the minima come from the pruned scan
+_PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
+_TURN_SLACK = 1e-6        # turning slack of the pruned scan's arc filter
 
 
 @dataclass(frozen=True)
@@ -124,26 +134,26 @@ def _extremal(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 class _Collector:
     """Flat arrays of accepted candidates from all enumeration families.
 
-    add() takes one row block (rows r0.. against every column) with the edge
-    fractions fs, ft of the two points, 0.0 at a vertex, and derives the
-    labels i (row), j (column) and s = (cum[i] + fs * lens[i]) / L, t alike,
-    for the accepted entries only.  Labels are kept as found, s > t
-    included; _pair_at swaps such a pair when it is reported.
+    add() takes the row and column labels i, j of the evaluated pairs, as
+    broadcast against the mask, with the edge fractions fs, ft of the two
+    points, 0.0 at a vertex, and keeps i, j and s = (cum[i] + fs * lens[i])
+    / L, t alike, for the accepted entries only.  Labels are kept as found,
+    s > t included; _pair_at swaps such a pair when it is reported.
     """
 
-    def __init__(self, cum: np.ndarray, lens: np.ndarray):
-        self._cum, self._lens = cum, lens
+    def __init__(self, lens: np.ndarray):
+        self._cum = np.concatenate([[0.0], np.cumsum(lens)])
+        self._lens = lens
+        self.doubly_min = np.inf
         z = np.zeros(0)   # typed empty columns, so a scan with no candidates works
         self._cols = dict(dist=[z], i=[z.astype(int)], j=[z.astype(int)],
                           kind=[z.astype(np.int8)], s=[z], t=[z],
                           doubly=[z.astype(bool)])
 
-    def add(self, r0: int, mask, dist, fs, ft, kind: int, doubly: bool):
+    def add(self, i, j, mask, dist, fs, ft, kind: int, doubly: bool):
         if not np.any(mask):
             return
-        rows, n = mask.shape
-        i = np.broadcast_to(np.arange(r0, r0 + rows)[:, None], mask.shape)[mask]
-        j = np.broadcast_to(np.arange(n), mask.shape)[mask]
+        i, j = np.broadcast_to(i, mask.shape)[mask], np.broadcast_to(j, mask.shape)[mask]
         cum, lens, L = self._cum, self._lens, self._cum[-1]
         cols = self._cols
         cols["dist"].append(np.broadcast_to(dist, mask.shape)[mask])
@@ -153,6 +163,8 @@ class _Collector:
         cols["s"].append((cum[i] + np.broadcast_to(fs, mask.shape)[mask] * lens[i]) / L)
         cols["t"].append((cum[j] + np.broadcast_to(ft, mask.shape)[mask] * lens[j]) / L)
         cols["doubly"].append(np.full(i.size, doubly, dtype=bool))
+        if doubly:
+            self.doubly_min = min(self.doubly_min, float(cols["dist"][-1].min()))
 
     def arrays(self):
         return {k: np.concatenate(v) for k, v in self._cols.items()}
@@ -162,30 +174,39 @@ class _Collector:
 # the edge-pair quadratic
 # ---------------------------------------------------------------------------
 #
-# For rows i and columns j the squared distance between P_i + s E_i and
-# P_j + t E_j is
+# For row edges i and column edges j the squared distance between
+# P_i + s E_i and P_j + t E_j is
 #   d^2(s, t) = w2 + a s^2 + c t^2 + 2 (c1 s - c2 t - b s t)
 # with a = |E_i|^2, c = |E_j|^2 and w0 = P_i - P_j contracted into w2, b,
 # c1, c2, so no (rows, n, 3) displacement array outlives the row block.
+# Pairs come as index arrays I, J that broadcast together: a row block
+# against every column, or flat lists of kept pairs.  All of it is
+# elementwise in the pair but the matmul b, formed for a whole row block
+# (_gram; it rounds differently on column subsets) and then gathered.
 # Every function here accepts an optional leading batch axis.
 
 
-def _pair_mask(n: int, rows: slice) -> np.ndarray:
+def _pair_ok(I, J, n: int):
     """Pairs i < j of non-adjacent edges (cyclic index gap at least 2)."""
-    d = np.arange(n)[None, :] - np.arange(n)[rows, None]
+    d = J - I
     return (d >= 2) & (d <= n - 2)
 
 
-def _quadratic(V: np.ndarray, E: np.ndarray, rows: slice):
-    """(w0, b, w2, c1, c2) for the edges in rows against every edge."""
-    w0 = V[..., rows, None, :] - V[..., None, :, :]
+def _dot(x, y):
+    return np.einsum("...k,...k->...", x, y)
+
+
+def _gram(E, rows: slice):
+    """b = E_i . E_j of a row block against every column."""
     # matmul rounds differently when its operands share a start address, as
     # the first row block of E and E's transpose would; the copy avoids it
-    b = E[..., rows, :].copy() @ np.swapaxes(E, -1, -2)
-    w2 = np.einsum("...ijk,...ijk->...ij", w0, w0)
-    c1 = np.einsum("...ik,...ijk->...ij", E[..., rows, :], w0)
-    c2 = np.einsum("...jk,...ijk->...ij", E, w0)
-    return w0, b, w2, c1, c2
+    return E[..., rows, :].copy() @ np.swapaxes(E, -1, -2)
+
+
+def _quadratic(Vi, Vj, Ei, Ej):
+    """(w0, w2, c1, c2) from the vertices and edges of rows and columns."""
+    w0 = Vi - Vj
+    return w0, _dot(w0, w0), _dot(Ei, w0), _dot(Ej, w0)
 
 
 def _square_min(d2_at, sides, inside, interior):
@@ -196,10 +217,9 @@ def _square_min(d2_at, sides, inside, interior):
     return np.where(inside, np.minimum(d2, d2_at(*interior)), d2)
 
 
-def _block_gap2(E, lens2, rows, mask, w0, b, w2, c1, c2):
-    """Smallest squared distance over the masked edge pairs of a block."""
-    a = lens2[..., rows, None]
-    c = lens2[..., None, :]
+def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
+    """Squared distance between the edges of each pair in mask, +inf
+    elsewhere; Ei, Ej are the pairs' edge vectors and a, c their E . E."""
     sides = [(0.0, np.clip(c2 / c, 0.0, 1.0)), (1.0, np.clip((c2 + b) / c, 0.0, 1.0)),
              (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
     denom = a * c - b * b
@@ -216,7 +236,8 @@ def _block_gap2(E, lens2, rows, mask, w0, b, w2, c1, c2):
     # pair nearly touches; measure those pairs from displacement vectors
     near = np.nonzero(d2 <= 1e-4 * (w2 + a + c))
     if near[0].size:
-        W, Ei, Ej = w0[near], E[..., rows, :][near[:-1]], E[near[:-2] + near[-1:]]
+        W = w0[near]
+        Ei, Ej = (np.broadcast_to(x, w0.shape)[near] for x in (Ei, Ej))
 
         def exact(s, t):
             D = (W + np.broadcast_to(s, d2.shape)[near][:, None] * Ei
@@ -224,7 +245,7 @@ def _block_gap2(E, lens2, rows, mask, w0, b, w2, c1, c2):
             return np.einsum("ik,ik->i", D, D)
 
         d2[near] = _square_min(exact, sides, inside[near], (s_in, t_in))
-    return d2.min(axis=(-2, -1))
+    return d2
 
 
 def _edge_gap(V: np.ndarray):
@@ -235,22 +256,36 @@ def _edge_gap(V: np.ndarray):
     """
     n = V.shape[-2]
     E = np.roll(V, -1, axis=-2) - V
-    lens2 = np.einsum("...ik,...ik->...i", E, E)
+    lens2 = _dot(E, E)
+    idx = np.arange(n)
     best2 = np.full(V.shape[:-2], np.inf)
     for r0 in range(0, n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
-        best2 = np.minimum(best2, _block_gap2(E, lens2, rows, _pair_mask(n, rows),
-                                              *_quadratic(V, E, rows)))
+        Ei, Ej = E[..., rows, None, :], E[..., None, :, :]
+        w0, w2, c1, c2 = _quadratic(V[..., rows, None, :], V[..., None, :, :], Ei, Ej)
+        d2 = _gap2(Ei, Ej, lens2[..., rows, None], lens2[..., None, :],
+                   _pair_ok(idx[rows, None], idx[None, :], n), w0, _gram(E, rows),
+                   w2, c1, c2)
+        best2 = np.minimum(best2, d2.min(axis=(-2, -1)))
     return np.sqrt(np.maximum(best2, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# the pair scan
+# the pair scan: one family kernel, two enumerations
 # ---------------------------------------------------------------------------
 
 
-def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
-    """Enumerate critical-pair candidates on a closed polygon.
+def _products(p: Polygon, rows: slice):
+    """The matmul terms of a row block: b and the rows' one-sided vertex
+    directions u-, u+ against every edge."""
+    E, dirs = p.edges, p.directions()
+    R = np.arange(p.n)[rows]
+    return _gram(E, rows), dirs[(R - 1) % p.n] @ E.T, dirs[R] @ E.T
+
+
+def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E,
+              singly: bool, gap) -> float:
+    """Evaluate every candidate family on the pairs (I, J) into out.
 
     Families:
       edge-edge      mutual perpendicular feet inside non-adjacent edges,
@@ -266,127 +301,195 @@ def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
                      foot slides off an edge end, where the family distance
                      can keep decreasing right up to the (open) boundary.
 
-    Pairs whose two points share an edge are excluded (which also removes all
-    arc-distance < edge-length configurations), as are edge-edge pairs on
-    cyclically adjacent edges, whose minima collapse into the shared vertex.
-
-    With gap=True the result also holds "gap", the edge gap of p (as
-    _edge_gap computes it), taken from the same row blocks.
+    Row i stands for edge i and for its start vertex, column j likewise.
+    Pairs whose two points share an edge are excluded (which also removes
+    all arc-distance < edge-length configurations), as are edge-edge pairs
+    on cyclically adjacent edges, whose minima collapse into the shared
+    vertex.  Returns the smallest squared edge gap over the pairs that gap
+    selects (an index: ... for all, or a mask); +inf when gap is None.
     """
     V, E, lens, dirs = p.vertices, p.edges, p.edge_lengths, p.directions()
     n = V.shape[0]
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    idx = np.arange(n)
-    out = _Collector(cum, lens)
-    Jrow = idx[None, :]
-    # |E|^2 is lens * lens in the critical families and E . E in the edge
-    # gap, as in _edge_gap; the two round differently
-    c = (lens * lens)[None, :]                             # (1, n)
-    lens2 = np.einsum("ij,ij->i", E, E)
-    best2 = np.inf
+    pair_ok = _pair_ok(I, J, n)
+    Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
+    w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
+    gap2 = np.inf
+    if gap is not None:
+        # |E|^2 is E . E in the edge gap, as in _edge_gap, and lens * lens in
+        # the critical families; the two round differently
+        lens2 = _dot(E, E)
+        gap2 = float(_gap2(*(x[gap] for x in (Ei, Ej, lens2[I], lens2[J], pair_ok,
+                                              w0, b, w2, c1, c2))).min(initial=np.inf))
+    a, c = lens[I] * lens[I], lens[J] * lens[J]
+    um_w = _dot(dirs.take((I - 1) % n, axis=0), w0)     # <u-_i, w0>
+    up_w = _dot(dirs.take(I, axis=0), w0)               # <u+_i, w0>
+    vm_w = -_dot(dirs.take((J - 1) % n, axis=0), w0)    # <u-_j, -w0>
+    vp_w = -_dot(dirs.take(J, axis=0), w0)              # <u+_j, -w0>
+    del w0
 
-    for r0 in range(0, n, _BLOCK):
+    def d2_at(s, t):
+        return w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t)
+
+    def foot_dist(f):      # row vertex to the point f along column edge
+        return np.sqrt(np.maximum(w2 - 2.0 * f * c2 + f * f * c, 0.0))
+
+    # ---- edge-edge -----------------------------------------------------
+    denom = a * c - b * b
+    parallel = denom <= 1e-12 * a * c
+    safe_den = np.where(parallel, 1.0, denom)
+    s_star = np.where(parallel, -1.0, (b * c2 - c * c1) / safe_den)
+    t_star = np.where(parallel, -1.0, (a * c2 - b * c1) / safe_den)
+    inr = (pair_ok & ~parallel
+           & (s_star >= -PARAM_TOL) & (s_star <= 1.0 + PARAM_TOL)
+           & (t_star >= -PARAM_TOL) & (t_star <= 1.0 + PARAM_TOL))
+    sc = np.clip(s_star, 0.0, 1.0)
+    tc = np.clip(t_star, 0.0, 1.0)
+    dist = np.sqrt(np.maximum(d2_at(sc, tc), 0.0))
+    out.add(I, J, inr, dist, sc, tc, 2, True)
+
+    # parallel overlap representative: project edge-j ends on the i axis
+    tau0 = -c1 / a
+    tau1 = (b - c1) / a
+    lo = np.maximum(np.minimum(tau0, tau1), 0.0)
+    hi = np.minimum(np.maximum(tau0, tau1), 1.0)
+    has = pair_ok & parallel & (hi >= lo - PARAM_TOL)
+    if np.any(has):
+        smid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
+        tmid = np.clip((c2 + smid * b) / c, 0.0, 1.0)
+        distp = np.sqrt(np.maximum(d2_at(smid, tmid), 0.0))
+        out.add(I, J, has, distp, smid, tmid, 2, True)
+
+    # ---- vertex(row) - edge(col): d^2(f) = w2 - 2 f c2 + f^2 c ----------
+    foot = c2 / c
+    not_incident = (J != I) & (J != (I - 1) % n)
+    inr_f = (foot >= -PARAM_TOL) & (foot <= 1.0 + PARAM_TOL) & not_incident
+    fc = np.clip(foot, 0.0, 1.0)
+    # a foot at an edge end is that vertex; drop it when it shares an
+    # edge with the row vertex (the vertex-vertex family owns the rest)
+    at0 = fc <= _MEMBER_EPS
+    at1 = fc >= 1.0 - _MEMBER_EPS
+    inr_f &= ~(at0 & (J == (I + 1) % n))
+    inr_f &= ~(at1 & (J == (I - 2) % n))
+    dq = foot_dist(fc)
+    safe = np.where(dq > 0.0, dq, 1.0)
+    am = (um_w - fc * um_E) / safe
+    ap = (up_w - fc * up_E) / safe
+    vert_ok = _extremal(am, ap, _EXTREMAL_TOL)
+    out.add(I, J, inr_f & vert_ok, dq, 0.0, fc, 1, True)
+    if singly:
+        out.add(I, J, inr_f & ~vert_ok, dq, 0.0, fc, 1, False)
+
+    # ---- vertex - vertex -------------------------------------------------
+    dvv = np.sqrt(w2)                                  # |V_k - V_j|
+    safe_v = np.where(dvv > 0.0, dvv, 1.0)
+    degenerate = dvv == 0.0
+    e1 = _extremal(um_w / safe_v, up_w / safe_v, _EXTREMAL_TOL) | degenerate
+    e2 = _extremal(vm_w / safe_v, vp_w / safe_v, _EXTREMAL_TOL) | degenerate
+    out.add(I, J, pair_ok & e1 & e2, dvv, 0.0, 0.0, 0, True)
+    if singly:
+        out.add(I, J, pair_ok & (e1 ^ e2), dvv, 0.0, 0.0, 0, False)
+
+    # ---- family ends: one-sided perpendicular sight from a vertex -------
+    # An edge point y with (V_k - y) perpendicular to one of V_k's edge
+    # directions bounds the continuum {(x, foot of x): foot interior} that
+    # sweeps past V_k; the family's distances reach their infimum at this
+    # boundary even when the boundary pair itself has a descending other
+    # side, so no sign condition is applied here.
+    if singly:
+        for u_w, u_E in ((um_w, um_E), (up_w, up_E)):
+            good = np.abs(u_E) > 1e-15 * lens[J]
+            tm = np.where(good, u_w / np.where(good, u_E, 1.0), -1.0)
+            interior = (tm >= PARAM_TOL) & (tm <= 1.0 - PARAM_TOL)
+            keep0 = interior & not_incident
+            if not np.any(keep0):
+                continue
+            tmc = np.clip(tm, 0.0, 1.0)
+            out.add(I, J, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
+    return gap2
+
+
+def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
+    """Every critical-pair candidate of p: _families over all n^2 pairs,
+    one row block against every column at a time.
+
+    The result also holds "gap": with gap=True the edge gap of p (as
+    _edge_gap computes it), taken from the same row blocks, else +inf.
+    """
+    idx = np.arange(p.n)
+    out, gap2 = _Collector(p.edge_lengths), np.inf
+    for r0 in range(0, p.n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
-        R = idx[rows]
-        Ri = R[:, None]
-        pair_ok = _pair_mask(n, rows)
+        gap2 = min(gap2, _families(out, p, idx[rows, None], idx[None, :],
+                                   *_products(p, rows), singly, ... if gap else None))
+    return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
 
-        a = (lens[R] * lens[R])[:, None]                   # (bi, 1)
-        w0, b, w2, c1, c2 = _quadratic(V, E, rows)
-        if gap:
-            best2 = min(best2, float(_block_gap2(E, lens2, rows, pair_ok,
-                                                 w0, b, w2, c1, c2)))
-        um_w = np.einsum("bk,bjk->bj", dirs[(R - 1) % n], w0)   # <u-_k, w0>
-        up_w = np.einsum("bk,bjk->bj", dirs[R], w0)             # <u+_k, w0>
-        vm_w = -np.einsum("jk,bjk->bj", dirs[(idx - 1) % n], w0)  # <u-_j, -w0>
-        vp_w = -np.einsum("jk,bjk->bj", dirs, w0)                 # <u+_j, -w0>
-        um_E = dirs[(R - 1) % n] @ E.T
-        up_E = dirs[R] @ E.T
-        del w0
 
-        def d2_at(s, t):
-            return w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t)
+def _turning_window(p: Polygon, min_turn: float):
+    """Per row i, the range lo..hi of m = (j - i) mod n for which both arcs
+    joining edge i to edge j may turn min_turn.  Each arc is bounded by
+    every vertex either of its points can sit at: i .. j+1 forward, which
+    grows with m, and j .. i+1 back, which shrinks."""
+    n = p.n
+    A = np.concatenate([[0.0], np.cumsum(np.tile(p.exterior_angles(), 3))])
+    i = np.arange(n)
+    lo = np.searchsorted(A, A[i] + min_turn) - i - 2
+    hi = np.searchsorted(A, A[i + n + 2] - min_turn, side="right") - 1 - i
+    return lo, hi
 
-        def foot_dist(f):      # row vertex to the point f along column edge
-            return np.sqrt(np.maximum(w2 - 2.0 * f * c2 + f * f * c, 0.0))
 
-        # ---- edge-edge -----------------------------------------------------
-        denom = a * c - b * b
-        parallel = denom <= 1e-12 * a * c
-        safe_den = np.where(parallel, 1.0, denom)
-        s_star = np.where(parallel, -1.0, (b * c2 - c * c1) / safe_den)
-        t_star = np.where(parallel, -1.0, (a * c2 - b * c1) / safe_den)
-        inr = (pair_ok & ~parallel
-               & (s_star >= -PARAM_TOL) & (s_star <= 1.0 + PARAM_TOL)
-               & (t_star >= -PARAM_TOL) & (t_star <= 1.0 + PARAM_TOL))
-        sc = np.clip(s_star, 0.0, 1.0)
-        tc = np.clip(t_star, 0.0, 1.0)
-        dist = np.sqrt(np.maximum(d2_at(sc, tc), 0.0))
-        out.add(r0, inr, dist, sc, tc, 2, True)
+def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
+    """The candidates of _scan that can decide its minima, in rings of
+    growing edge-midpoint distance.
 
-        # parallel overlap representative: project edge-j ends on the i axis
-        tau0 = -c1 / a
-        tau1 = (b - c1) / a
-        lo = np.maximum(np.minimum(tau0, tau1), 0.0)
-        hi = np.minimum(np.maximum(tau0, tau1), 1.0)
-        has = pair_ok & parallel & (hi >= lo - PARAM_TOL)
-        if np.any(has):
-            smid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
-            tmid = np.clip((c2 + smid * b) / c, 0.0, 1.0)
-            distp = np.sqrt(np.maximum(d2_at(smid, tmid), 0.0))
-            out.add(r0, has, distp, smid, tmid, 2, True)
+    A candidate at distance d joins edges whose midpoints are at most
+    d + h_max apart, and both arcs between a doubly critical pair turn at
+    least pi (pi/2 for a singly critical one: its chord is perpendicular
+    to a tangent or a one-sided vertex direction at one end).  The radius
+    r starts at 2 min_rad and doubles until a doubly pair is found within
+    it; scsd <= dcsd, so the singly families need no more, and within a
+    ring the best doubly pair so far bounds the rest.  reach() pads r for
+    the tie window and the quadratic form's cancellation error.  Products
+    are formed per row block as in _scan, so the minima and the achieving
+    pair are the dense scan's bit for bit.  "gap" is the edge gap when
+    that is at most gap_within, and above gap_within otherwise.
+    """
+    n, M = p.n, p.vertices + 0.5 * p.edges
+    h = float(p.edge_lengths.max())
+    span = 2.0 * float(np.linalg.norm(M - M.mean(axis=0), axis=1).max())
+    tree = cKDTree(M)
+    lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
 
-        # ---- vertex(row) - edge(col): d^2(f) = w2 - 2 f c2 + f^2 c ----------
-        foot = c2 / c
-        not_incident = (Jrow != Ri) & (Jrow != (Ri - 1) % n)
-        inr_f = (foot >= -PARAM_TOL) & (foot <= 1.0 + PARAM_TOL) & not_incident
-        fc = np.clip(foot, 0.0, 1.0)
-        # a foot at an edge end is that vertex; drop it when it shares an
-        # edge with the row vertex (the vertex-vertex family owns the rest)
-        at0 = fc <= _MEMBER_EPS
-        at1 = fc >= 1.0 - _MEMBER_EPS
-        inr_f &= ~(at0 & (Jrow == (Ri + 1) % n))
-        inr_f &= ~(at1 & (Jrow == (Ri - 2) % n))
-        dq = foot_dist(fc)
-        safe = np.where(dq > 0.0, dq, 1.0)
-        am = (um_w - fc * um_E) / safe
-        ap = (up_w - fc * up_E) / safe
-        vert_ok = _extremal(am, ap, _EXTREMAL_TOL)
-        out.add(r0, inr_f & vert_ok, dq, 0.0, fc, 1, True)
-        if singly:
-            out.add(r0, inr_f & ~vert_ok, dq, 0.0, fc, 1, False)
+    def reach(r):
+        return r + _TIE + h + _PAD * (r + 4.0 * h)
 
-        # ---- vertex - vertex -------------------------------------------------
-        dvv = np.sqrt(w2)                                  # |V_k - V_j|
-        safe_v = np.where(dvv > 0.0, dvv, 1.0)
-        degenerate = dvv == 0.0
-        e1 = _extremal(um_w / safe_v, up_w / safe_v, _EXTREMAL_TOL) | degenerate
-        e2 = _extremal(vm_w / safe_v, vp_w / safe_v, _EXTREMAL_TOL) | degenerate
-        out.add(r0, pair_ok & e1 & e2, dvv, 0.0, 0.0, 0, True)
-        if singly:
-            out.add(r0, pair_ok & (e1 ^ e2), dvv, 0.0, 0.0, 0, False)
+    out, gap2 = _Collector(p.edge_lengths), np.inf
+    seen, gap_reach = -1.0, -1.0 if gap_within is None else reach(gap_within)
+    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
+    while True:
+        for r0 in range(0, n, _BLOCK):
+            ring = reach(min(r, out.doubly_min))
+            near = cKDTree(M[r0:r0 + _BLOCK]).sparse_distance_matrix(
+                tree, max(ring, gap_reach), output_type="ndarray")
+            i, j, d = near["i"] + r0, near["j"], near["v"]
+            m, g = (j - i) % n, (d <= gap_reach) & _pair_ok(i, j, n)
+            keep = g | ((d > seen) & (d <= ring) & (m >= lo[i]) & (m <= hi[i]))
+            if np.any(keep):
+                i, j, g = i[keep], j[keep], g[keep]
+                b, um_E, up_E = (x.take((i - r0) * n + j)
+                                 for x in _products(p, slice(r0, r0 + _BLOCK)))
+                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly,
+                                           None if gap_within is None else g))
+        if out.doubly_min <= r or reach(r) >= span:    # beyond span every pair is in
+            return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
+        seen, gap_reach, r = reach(r), -1.0, min(2.0 * r, out.doubly_min)
 
-        # ---- family ends: one-sided perpendicular sight from a vertex -------
-        # An edge point y with (V_k - y) perpendicular to one of V_k's edge
-        # directions bounds the continuum {(x, foot of x): foot interior} that
-        # sweeps past V_k; the family's distances reach their infimum at this
-        # boundary even when the boundary pair itself has a descending other
-        # side, so no sign condition is applied here.
-        if singly:
-            for u_w, u_E in ((um_w, um_E), (up_w, up_E)):
-                good = np.abs(u_E) > 1e-15 * lens[None, :]
-                tm = np.where(good, u_w / np.where(good, u_E, 1.0), -1.0)
-                interior = (tm >= PARAM_TOL) & (tm <= 1.0 - PARAM_TOL)
-                keep0 = interior & not_incident
-                if not np.any(keep0):
-                    continue
-                tmc = np.clip(tm, 0.0, 1.0)
-                out.add(r0, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
 
-    arr = out.arrays()
-    if gap:
-        arr["gap"] = float(np.sqrt(max(best2, 0.0)))
-    return arr
+def _minimum_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
+    """The scan behind delta_n, dcsd, scsd and the objective: dense below
+    _CROSSOVER edges, pruned from there on; the results agree bitwise."""
+    if p.n < _CROSSOVER:
+        return _scan(p, singly, gap=gap_within is not None)
+    return _pruned_scan(p, singly, gap_within)
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +549,23 @@ def _min_with_tiebreak(arr: dict, mask: np.ndarray):
     cand = np.nonzero(mask)[0]
     d = arr["dist"][cand]
     dmin = float(d.min())
-    near = cand[d <= dmin + 1e-12]
+    near = cand[d <= dmin + _TIE]
     ii, jj = arr["i"][near], arr["j"][near]
     ss, tt = arr["s"][near], arr["t"][near]
     # normalise labels the way critical_pairs() reports them
     swap = ss > tt
     ii2 = np.where(swap, jj, ii)
     jj2 = np.where(swap, ii, jj)
-    pick = near[np.lexsort((arr["kind"][near], jj2, ii2))[0]]
+    # a vertex and the edge it sees, found from either end, tie on every
+    # label; the finding row decides, as it comes first in the dense scan
+    pick = near[np.lexsort((ii, arr["kind"][near], jj2, ii2))[0]]
     return dmin, int(pick)
 
 
 def dcsd(p: Polygon) -> float:
-    """Doubly critical self distance; +inf when no doubly critical pair exists."""
-    return _min_distance(_scan(p, singly=False))
+    """Doubly critical self distance; +inf when no doubly critical pair
+    exists.  From _CROSSOVER edges on it comes from the pruned scan."""
+    return _min_distance(_minimum_scan(p, singly=False))
 
 
 def scsd(p: Polygon) -> float:
@@ -468,8 +574,9 @@ def scsd(p: Polygon) -> float:
     Pairs critical in exactly one direction come in one-parameter families;
     where such a family terminates (its perpendicular foot sliding off an
     edge end) the infimum may sit on the boundary, so boundary pairs count.
+    From _CROSSOVER edges on only pairs within the dcsd radius are scanned.
     """
-    return _min_distance(_scan(p, singly=True))
+    return _min_distance(_minimum_scan(p, singly=True))
 
 
 def is_simple(p: Polygon) -> bool:
@@ -490,7 +597,9 @@ def delta_n(p: Polygon) -> ThicknessReport:
     otherwise (coincident vertices or crossing edges).  binding says which of
     the two mechanisms attains the minimum, with ties reported as curvature;
     delta_n_alt = min(min_rad, scsd) is carried for cross-checking the
-    alternative representation.
+    alternative representation.  Critical pairs and the edge gap come from
+    one scan, pruned from _CROSSOVER edges on; the simplicity verdict only
+    needs pairs that could come within the 1e-12 * length clearance.
     """
     kappas = p.kappa_d_all()
     mc = float(np.max(kappas))
@@ -499,7 +608,7 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc2 = max_curv2(p)
     mr = min_rad(p)
 
-    arr = _scan(p, singly=True, gap=True)
+    arr = _minimum_scan(p, singly=True, gap_within=_CONTACT * p.length)
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
     s_val = _min_distance(arr)
 
@@ -528,7 +637,7 @@ def inv_delta_objective(p: Polygon, clearance: float) -> float:
     mc = float(np.max(p.kappa_d_all()))
     if math.isinf(mc):
         return float("inf")
-    arr = _scan(p, singly=False, gap=True)
+    arr = _minimum_scan(p, singly=False, gap_within=clearance)
     dv = _min_distance(arr)
     if arr["gap"] <= clearance or dv <= 0.0:
         return float("inf")

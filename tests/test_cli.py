@@ -96,7 +96,7 @@ class TestInscribeCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_impossible_n(self, capsys):
-        assert main(["inscribe", "--curve", "torus:2,3", "--n", "4",
+        assert main(["inscribe", "--curve", "torus:4,1", "--n", "5",
                      "--m", "512"]) == 1
         assert "error:" in capsys.readouterr().err
 

@@ -66,13 +66,13 @@ class TestGammaCsv:
         assert fields[10] == ""
 
     def test_failed_row_rendering(self):
-        rows = gamma_series(preset_curve("torus:2,3", m=1024), [4], m_proxy=256)
+        rows = gamma_series(preset_curve("torus:4,1", m=1024), [5], m_proxy=256)
         assert rows[0].failed
         line = gamma_csv(rows).splitlines()[1]
         fields = line.split(",")
-        assert fields[0] == "4"
+        assert fields[0] == "5"
         assert fields[1] == "nan"
-        assert "strictly increasing" in fields[10]
+        assert "did not converge" in fields[10]
 
 
 class TestSchurCampaign:

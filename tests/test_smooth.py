@@ -13,6 +13,7 @@ from polythick import (
     delta_n,
     gamma_series,
     inscribe_equilateral,
+    is_simple,
     preset_curve,
     read_curve,
     rescale_unit,
@@ -183,11 +184,24 @@ class TestInscription:
         with pytest.raises(ValueError):
             inscribe_equilateral(circle, 2)
 
-    def test_too_coarse_for_curve(self, trefoil):
-        # from uniform parameters the first Newton step puts the vertices
-        # of a trefoil 4-gon out of order
-        with pytest.raises(ValueError, match="n=4: .*strictly increasing"):
-            inscribe_equilateral(trefoil, 4)
+    def test_too_coarse_for_curve(self):
+        # a 5-gon on the four-times-winding (4, 1) torus curve: from uniform
+        # parameters even the damped Newton iteration does not settle
+        with pytest.raises(ValueError, match="n=5: .*did not converge"):
+            inscribe_equilateral(preset_curve("torus:4,1", m=2048), 5)
+
+    @pytest.mark.parametrize("spec, m, n", [
+        ("torus:2,3", 2048, 4), ("torus:3,1", 512, 8), ("torus:3,1", 4096, 10),
+        ("torus:4,1", 1024, 14), ("torus:5,1", 512, 24), ("torus:5,1", 4096, 21)])
+    def test_damped_step_recovers(self, spec, m, n):
+        # full Newton steps from uniform parameters put these vertices out
+        # of order; halved steps keep them ordered and still converge
+        curve = preset_curve(spec, m=m)
+        p = inscribe_equilateral(curve, n)
+        assert p.n == n
+        assert np.ptp(p.edge_lengths) <= 2e-15
+        assert np.array_equal(p.vertices[0], curve.position(0.0))
+        assert is_simple(p)
 
     @settings(max_examples=40, deadline=None)
     @given(ab=st.sampled_from([(a, b) for a in range(1, 6) for b in range(1, 6)
@@ -282,9 +296,9 @@ class TestGammaSeries:
             assert r.proxy == pytest.approx(6.2833035885939745, rel=1e-12)
             assert r.binding == "curvature"
 
-    def test_failed_row_keeps_sweep_alive(self, trefoil):
-        rows = gamma_series(trefoil, [4, 8], m_proxy=512)
-        assert rows[0].n == 4 and rows[0].failed
+    def test_failed_row_keeps_sweep_alive(self):
+        rows = gamma_series(preset_curve("torus:4,1", m=2048), [5, 8], m_proxy=512)
+        assert rows[0].n == 5 and rows[0].failed
         assert math.isnan(rows[0].inv_delta)
         assert rows[1].n == 8 and not rows[1].failed
 

@@ -1,5 +1,6 @@
 """Tests for the critical-pair kernel and discrete thickness."""
 
+import functools
 import math
 import time
 
@@ -16,16 +17,21 @@ from polythick import (
     dcsd,
     delta_n,
     is_simple,
+    inscribe_equilateral,
     min_rad,
+    preset_curve,
     random_equilateral_polygon,
     read_polygon,
     regular_ngon,
+    rescale_unit,
     scsd,
 )
+from polythick import thickness
 from polythick.anneal import crankshaft_move
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
-from polythick.thickness import _edge_gap, _scan
+from polythick.thickness import (_edge_gap, _scan, _turning_window,
+                                 inv_delta_objective)
 
 from _gen import perturbed_regular
 from _oracle import double_grid_scan
@@ -476,3 +482,100 @@ class TestPerformance:
         dt = time.perf_counter() - t0
         assert r.inv_delta_n == pytest.approx(closed_form_inv(4096), rel=1e-9)
         assert dt < 30.0
+
+
+# ---------------------------------------------------------------------------
+# the pruned scan: the turning lemma it rests on, and parity with the dense scan
+# ---------------------------------------------------------------------------
+
+SUBJECT_KINDS = ("random", "perturbed", "cranked", "torus", "near-contact",
+                 "pentagram", "strand20")
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_curve(spec: str):
+    return preset_curve(spec, m=512)
+
+
+def _subject(kind: str, n: int, seed: int, x: float) -> Polygon:
+    """A polygon of the given kind with about n edges, drawn from seed; x in
+    [0, 1] sets its perturbation, its turn or its closeness to contact."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_equilateral_polygon(n, rng)
+    if kind == "perturbed":
+        return perturbed_regular(n, 0.01 + 0.3 * x, rng)
+    if kind == "cranked":
+        p = random_equilateral_polygon(n, rng)
+        i = int(rng.integers(n))
+        j = (i + int(rng.integers(2, n - 1))) % n
+        return crankshaft_move(p, i, j, math.pi * (2.0 * x - 1.0))
+    if kind == "torus":
+        spec = ("torus:2,3", "torus:3,2", "torus:2,5", "torus:3,4")[seed % 4]
+        return inscribe_equilateral(_torus_curve(spec), 32 + n)
+    if kind == "near-contact":
+        # half of a regular polygon turned almost onto the other half
+        m = 2 * (n // 2 + 2)
+        return crankshaft_move(regular_ngon(m), 0, m // 2,
+                               math.pi * (1.0 - 10.0 ** (-2.0 - 8.0 * x)))
+    if kind == "pentagram":
+        # a sweep frame of the star: self-touching on the axis at every angle
+        return crankshaft_move(read_polygon("tests/data/pentagram10.txt"), 0, 5,
+                               math.pi * (2.0 * x - 1.0))
+    return read_polygon("tests/data/strand20.txt")
+
+
+def _in_window(p: Polygon, i, j, min_turn):
+    lo, hi = _turning_window(p, min_turn)
+    m = (j - i) % p.n
+    return (m >= lo[i]) & (m <= hi[i])
+
+
+class TestTurningLemma:
+    """The pruned scan drops a pair when the smaller of its two arcs cannot
+    turn pi (doubly families) or pi/2 (singly families).  Every candidate
+    the dense scan finds must pass its filter."""
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 120),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_dense_candidates(self, kind, n, seed, x):
+        p = _subject(kind, n, seed, x)
+        arr = _scan(p, singly=True)
+        i, j, doubly = arr["i"], arr["j"], arr["doubly"]
+        assert np.all(_in_window(p, i[doubly], j[doubly], math.pi - 1e-6))
+        assert np.all(_in_window(p, i, j, 0.5 * math.pi - 1e-6))
+        # the window is conservative: it holds a pair at its measured turning
+        rng = np.random.default_rng(seed)
+        for k in rng.choice(i.size, size=min(i.size, 20), replace=False):
+            turn = arc_total_curvature(p, arr["s"][k], arr["t"][k])
+            assert _in_window(p, i[k], j[k], turn - 1e-9)
+
+
+def _results(p: Polygon, crossover: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_CROSSOVER", crossover)
+        return (delta_n(p).to_json(), dcsd(p).hex(), scsd(p).hex(),
+                inv_delta_objective(p, 1e-6 * p.length).hex())
+
+
+class TestPrunedScan:
+    """delta_n, dcsd, scsd and the annealing objective agree bitwise whether
+    they come from the dense scan or the pruned one; a crossover of 0 sends
+    every n through the pruned scan."""
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 160),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense(self, kind, n, seed, x):
+        p = _subject(kind, n, seed, x)
+        assert _results(p, 0) == _results(p, 10**9)
+
+    @pytest.mark.parametrize("name", ["trefoil", "random"])
+    def test_matches_dense_at_2048(self, name):
+        if name == "trefoil":
+            p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
+        else:
+            p = random_equilateral_polygon(2048, np.random.default_rng(3))
+        assert p.n >= thickness._CROSSOVER
+        assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
