@@ -20,13 +20,19 @@ that decides simplicity.  Two enumerations feed it.  The dense scan
 it, and so do the minima below _CROSSOVER edges.  From there on delta_n,
 dcsd, scsd and the annealing objective take the pruned scan: only pairs
 whose edge midpoints lie within a growing radius and whose two arcs can
-both turn pi (pi/2 for the singly families).  Both form the same products
-and per-pair arithmetic, so their results agree bit for bit.  A polygon
-whose dcsd is its diameter, as the regular n-gon, keeps about half of its
-pairs and gains little.  _edge_gap runs the gap alone and densely, over an
-optional leading batch axis, for is_simple and the annealer's sweep
-check.  Python-level pair objects are only materialised by
-critical_pairs() and, for its one achieving pair, by delta_n().
+both turn pi (pi/2 for the singly families).  When the first radius
+already spans the polygon, as for the regular n-gon whose dcsd is its
+diameter, a perpendicularity filter replaces the radius: a candidate
+critical at one end has its other point within reach of that end's
+vertex, in one of its two edge slabs or its normal wedge, up to a slack
+sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
+rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
+always kept.  Both enumerations form the same products and per-pair
+arithmetic, so their results agree bit for bit.  _edge_gap runs the gap
+alone and densely, over an optional leading batch axis, for is_simple and
+the annealer's sweep check.  Python-level pair objects are only
+materialised by critical_pairs() and, for its one achieving pair, by
+delta_n().
 """
 
 from __future__ import annotations
@@ -437,6 +443,52 @@ def _turning_window(p: Polygon, min_turn: float):
     return lo, hi
 
 
+def _perpendicular(p: Polygon, singly: bool):
+    """The perpendicularity filter of the pruned scan: keep(R, J, b) is the
+    mask of pairs to keep among rows R and columns J with Gram block b.
+
+    A point y is out of reach of vertex k when, with F = (y - V_k) . u-_k
+    and G = (y - V_k) . u+_k, either F > 0 and G > h_k (past the far end of
+    edge k, ahead of V_k) or G < 0 and F < -h_(k-1) (before the start of
+    edge k-1, behind V_k).  Every candidate of _families that is critical
+    at its row end (a vertex extremal toward the other point, a family end,
+    or a mutual perpendicular foot inside edge i) has its column point
+    within reach of i, and likewise at the column end.  The row side keeps
+    pairs whose edge j may meet the reach of i, judged from its midpoint
+    with slack h_max/2 + sigma; the column side swaps the roles.  Doubly
+    candidates need both sides, singly ones either.  sigma covers the
+    kernel's tolerances (PARAM_TOL h, _EXTREMAL_TOL d) and the rounding of
+    both computations, which grows with the vertices' size.  Near-parallel
+    pairs are always kept: there the quadratic's feet lose about
+    eps d / (h sin^2 theta), so the kernel's verdict need not match the
+    geometry.
+    """
+    n, h, dirs = p.n, p.edge_lengths, p.directions()
+    Vc = p.vertices - p.vertices.mean(axis=0)          # less rounding off-centre
+    Mc = Vc + 0.5 * p.edges
+    span = 2.0 * float(np.linalg.norm(Mc, axis=1).max())
+    sigma = 1e-6 * (span + float(h.max()) + float(np.abs(p.vertices).max()))
+    e = 0.5 * float(h.max()) + sigma
+    um = np.roll(dirs, 1, axis=0)                      # u-_k = u+_(k-1)
+    um_V, up_V = _dot(um, Vc), _dot(dirs, Vc)
+    # out of reach of k at a midpoint y when y . u-_k > fa_k and
+    # y . u+_k > ga_k, or y . u+_k < gb_k and y . u-_k < fb_k
+    fa, ga = um_V + e, up_V + h + e
+    gb, fb = up_V - e, um_V - np.roll(h, 1) - e
+    parallel = (1.0 - 1e-4) * h * h * float(h.min()) ** 2
+
+    def out_of_reach(F, G, k):
+        return ((F > fa[k]) & (G > ga[k])) | ((G < gb[k]) & (F < fb[k]))
+
+    def keep(R, J, b):
+        out_row = out_of_reach(um[R] @ Mc[J].T, dirs[R] @ Mc[J].T, (R, None))
+        out_col = out_of_reach(Mc[R] @ um[J].T, Mc[R] @ dirs[J].T, J)
+        out = (out_row & out_col) if singly else (out_row | out_col)
+        return ~out | (b * b >= parallel[R, None])
+
+    return keep
+
+
 def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
     """The candidates of _scan that can decide its minima, in rings of
     growing edge-midpoint distance.
@@ -448,10 +500,15 @@ def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> d
     r starts at 2 min_rad and doubles until a doubly pair is found within
     it; scsd <= dcsd, so the singly families need no more, and within a
     ring the best doubly pair so far bounds the rest.  reach() pads r for
-    the tie window and the quadratic form's cancellation error.  Products
-    are formed per row block as in _scan, so the minima and the achieving
-    pair are the dense scan's bit for bit.  "gap" is the edge gap when
-    that is at most gap_within, and above gap_within otherwise.
+    the tie window and the quadratic form's cancellation error.  When the
+    first ring, reach(2 min_rad), already covers the span, the ring would
+    hold every pair, so no tree is built for critical pairs: each row
+    block keeps the columns of its turning window that pass _perpendicular
+    (one end within reach of the other's vertex, sigma slack, near-parallel
+    pairs kept), and the tree only supplies the gap pairs.  Products are
+    formed per row block as in _scan, so the minima and the achieving pair
+    are the dense scan's bit for bit.  "gap" is the edge gap when that is
+    at most gap_within, and above gap_within otherwise.
     """
     n, M = p.n, p.vertices + 0.5 * p.edges
     h = float(p.edge_lengths.max())
@@ -465,6 +522,38 @@ def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> d
     out, gap2 = _Collector(p.edge_lengths), np.inf
     seen, gap_reach = -1.0, -1.0 if gap_within is None else reach(gap_within)
     r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
+    if reach(r) >= span:
+        # the first ring holds every pair, so the tree would prune nothing:
+        # mask each row block by the turning window and the perpendicularity
+        # filter instead, and ask the tree for the gap pairs only
+        perpendicular, idx = _perpendicular(p, singly), np.arange(n)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)     # m lies in 0 .. n-1
+
+        def covering_block(r0):
+            # a function, so the block's products are freed before _families;
+            # columns i + lo .. i + hi of every row, unrolled so that m = U - i
+            rows = slice(r0, r0 + _BLOCK)
+            R = idx[rows]
+            U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
+            J, m = U % n, U - R[:, None]
+            products = _products(p, rows)
+            keep = ((m >= lo[rows, None]) & (m <= hi[rows, None])
+                    & perpendicular(R, J, products[0][:, J]))
+            ri, k = np.nonzero(keep)
+            flat, g = ri * n + J[k], None
+            if gap_within is not None:
+                near = cKDTree(M[rows]).sparse_distance_matrix(
+                    tree, gap_reach, output_type="ndarray")
+                gap = (near["i"] * n + near["j"])[_pair_ok(near["i"] + r0, near["j"], n)]
+                flat = np.union1d(flat, gap)
+                g = np.isin(flat, gap)
+            return (flat // n + r0, flat % n, *(x.take(flat) for x in products), g)
+
+        for r0 in range(0, n, _BLOCK):
+            i, j, b, um_E, up_E, g = covering_block(r0)
+            if i.size:
+                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly, g))
+        return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
     while True:
         for r0 in range(0, n, _BLOCK):
             ring = reach(min(r, out.doubly_min))

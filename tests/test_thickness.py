@@ -489,7 +489,7 @@ class TestPerformance:
 # ---------------------------------------------------------------------------
 
 SUBJECT_KINDS = ("random", "perturbed", "cranked", "torus", "near-contact",
-                 "pentagram", "strand20")
+                 "pentagram", "strand20", "regular", "convex")
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,6 +518,15 @@ def _subject(kind: str, n: int, seed: int, x: float) -> Polygon:
         m = 2 * (n // 2 + 2)
         return crankshaft_move(regular_ngon(m), 0, m // 2,
                                math.pi * (1.0 - 10.0 ** (-2.0 - 8.0 * x)))
+    if kind == "regular":
+        return regular_ngon(n)
+    if kind == "convex":
+        # nearly regular, so the first search ring already covers every pair
+        if seed % 2:
+            return perturbed_regular(n, 1e-3 * x, rng)
+        i = int(rng.integers(n))
+        j = (i + int(rng.integers(2, n - 1))) % n
+        return crankshaft_move(regular_ngon(n), i, j, 0.05 * (2.0 * x - 1.0))
     if kind == "pentagram":
         # a sweep frame of the star: self-touching on the axis at every angle
         return crankshaft_move(read_polygon("tests/data/pentagram10.txt"), 0, 5,
@@ -552,6 +561,48 @@ class TestTurningLemma:
             assert _in_window(p, i[k], j[k], turn - 1e-9)
 
 
+def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
+    """The pruned scan's perpendicularity filter over all n^2 pairs, formed
+    per row block as the scan forms it."""
+    keep, idx = thickness._perpendicular(p, singly), np.arange(p.n)
+    return np.vstack([keep(idx[r0:r0 + thickness._BLOCK], idx,
+                           thickness._gram(p.edges, slice(r0, r0 + thickness._BLOCK)))
+                      for r0 in range(0, p.n, thickness._BLOCK)])
+
+
+class TestPerpendicularityLemma:
+    """Where the search ring covers every pair, the pruned scan drops a pair
+    unless one edge can meet the reach of the other's start vertex: its two
+    edge slabs and its normal wedge.  Every candidate the dense scan finds
+    must pass: doubly candidates on both sides, singly ones on at least one
+    side, near-parallel pairs always."""
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 120),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_dense_candidates(self, kind, n, seed, x):
+        p = _subject(kind, n, seed, x)
+        arr = _scan(p, singly=True)
+        i, j, doubly = arr["i"], arr["j"], arr["doubly"]
+        assert np.all(_perpendicular_mask(p, False)[i[doubly], j[doubly]])
+        assert np.all(_perpendicular_mask(p, True)[i, j])
+
+    @pytest.mark.parametrize("n", [128, 512, 2048])
+    def test_regular_keeps_few_pairs_per_row(self, n):
+        p = regular_ngon(n)
+        evaluated = np.zeros(n, dtype=int)
+        families = thickness._families
+
+        def counting(out, q, I, J, *args):
+            np.add.at(evaluated, I, 1)
+            return families(out, q, I, J, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_families", counting)
+            thickness._pruned_scan(p, singly=True)
+        assert evaluated.max() <= 8
+
+
 def _results(p: Polygon, crossover: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thickness, "_CROSSOVER", crossover)
@@ -571,10 +622,12 @@ class TestPrunedScan:
         p = _subject(kind, n, seed, x)
         assert _results(p, 0) == _results(p, 10**9)
 
-    @pytest.mark.parametrize("name", ["trefoil", "random"])
+    @pytest.mark.parametrize("name", ["trefoil", "random", "regular"])
     def test_matches_dense_at_2048(self, name):
         if name == "trefoil":
             p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
+        elif name == "regular":
+            p = regular_ngon(2048)
         else:
             p = random_equilateral_polygon(2048, np.random.default_rng(3))
         assert p.n >= thickness._CROSSOVER
