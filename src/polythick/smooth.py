@@ -312,6 +312,8 @@ def smooth_thickness_proxy(curve: ArcLengthCurve, m: int = 2048) -> float:
     m-gon.  Both parts converge as the resolution grows; a curve that is
     not embedded drives the dcsd part (and the result) to zero.
     """
+    if m < 3:
+        raise ValueError(f"proxy resolution must be at least 3, got {m}")
     area2, sides = _triple_terms(curve.positions)
     with np.errstate(divide="ignore"):
         radii = np.where(area2 > 0.0, sides / (2.0 * area2), np.inf)

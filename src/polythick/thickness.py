@@ -20,9 +20,9 @@ that decides simplicity.  Two enumerations feed it.  The dense scan
 it, and so do the minima below _CROSSOVER edges.  From there on delta_n,
 dcsd, scsd and the annealing objective take the pruned scan: only pairs
 whose edge midpoints lie within a growing radius and whose two arcs can
-both turn pi (pi/2 for the singly families).  When the first radius
-already spans the polygon, as for the regular n-gon whose dcsd is its
-diameter, a perpendicularity filter replaces the radius: a candidate
+both turn pi (pi/2 for the singly families).  In any round whose reach
+covers the span, as the first does for the regular n-gon whose dcsd is
+its diameter, a perpendicularity filter replaces the radius: a candidate
 critical at one end has its other point within reach of that end's
 vertex, in one of its two edge slabs or its normal wedge, up to a slack
 sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
@@ -443,9 +443,11 @@ def _turning_window(p: Polygon, min_turn: float):
     return lo, hi
 
 
-def _perpendicular(p: Polygon, singly: bool):
+def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
     """The perpendicularity filter of the pruned scan: keep(R, J, b) is the
     mask of pairs to keep among rows R and columns J with Gram block b.
+    M holds the edge midpoints, centred on the vertices' mean, and span is
+    twice the largest of their norms.
 
     A point y is out of reach of vertex k when, with F = (y - V_k) . u-_k
     and G = (y - V_k) . u+_k, either F > 0 and G > h_k (past the far end of
@@ -463,13 +465,11 @@ def _perpendicular(p: Polygon, singly: bool):
     eps d / (h sin^2 theta), so the kernel's verdict need not match the
     geometry.
     """
-    n, h, dirs = p.n, p.edge_lengths, p.directions()
-    Vc = p.vertices - p.vertices.mean(axis=0)          # less rounding off-centre
-    Mc = Vc + 0.5 * p.edges
-    span = 2.0 * float(np.linalg.norm(Mc, axis=1).max())
+    h, dirs = p.edge_lengths, p.directions()
     sigma = 1e-6 * (span + float(h.max()) + float(np.abs(p.vertices).max()))
     e = 0.5 * float(h.max()) + sigma
     um = np.roll(dirs, 1, axis=0)                      # u-_k = u+_(k-1)
+    Vc = M - 0.5 * p.edges
     um_V, up_V = _dot(um, Vc), _dot(dirs, Vc)
     # out of reach of k at a midpoint y when y . u-_k > fa_k and
     # y . u+_k > ga_k, or y . u+_k < gb_k and y . u-_k < fb_k
@@ -481,8 +481,8 @@ def _perpendicular(p: Polygon, singly: bool):
         return ((F > fa[k]) & (G > ga[k])) | ((G < gb[k]) & (F < fb[k]))
 
     def keep(R, J, b):
-        out_row = out_of_reach(um[R] @ Mc[J].T, dirs[R] @ Mc[J].T, (R, None))
-        out_col = out_of_reach(Mc[R] @ um[J].T, Mc[R] @ dirs[J].T, J)
+        out_row = out_of_reach(um[R] @ M[J].T, dirs[R] @ M[J].T, (R, None))
+        out_col = out_of_reach(M[R] @ um[J].T, M[R] @ dirs[J].T, J)
         out = (out_row & out_col) if singly else (out_row | out_col)
         return ~out | (b * b >= parallel[R, None])
 
@@ -490,7 +490,7 @@ def _perpendicular(p: Polygon, singly: bool):
 
 
 def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
-    """The candidates of _scan that can decide its minima, in rings of
+    """The candidates of _scan that can decide its minima, in rounds of
     growing edge-midpoint distance.
 
     A candidate at distance d joins edges whose midpoints are at most
@@ -498,77 +498,72 @@ def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> d
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  The radius
     r starts at 2 min_rad and doubles until a doubly pair is found within
-    it; scsd <= dcsd, so the singly families need no more, and within a
-    ring the best doubly pair so far bounds the rest.  reach() pads r for
-    the tie window and the quadratic form's cancellation error.  When the
-    first ring, reach(2 min_rad), already covers the span, the ring would
-    hold every pair, so no tree is built for critical pairs: each row
-    block keeps the columns of its turning window that pass _perpendicular
-    (one end within reach of the other's vertex, sigma slack, near-parallel
-    pairs kept), and the tree only supplies the gap pairs.  Products are
-    formed per row block as in _scan, so the minima and the achieving pair
-    are the dense scan's bit for bit.  "gap" is the edge gap when that is
-    at most gap_within, and above gap_within otherwise.
+    it; scsd <= dcsd, so the singly families need no more.  reach() pads r
+    for the tie window and the quadratic form's cancellation error.  A ring
+    round takes, per row block, the pairs of its turning window whose
+    midpoint distance lies in the new ring, up to the reach of the best
+    doubly pair so far.  Any round whose reach covers the span would take
+    every pair, so it is the last, and it takes instead the window columns
+    that pass _perpendicular (one end within reach of the other's vertex,
+    sigma slack, near-parallel pairs kept); pairs an earlier round took
+    come again with the same values.  Every round adds the gap pairs the
+    tree finds at the gap reach.  Products are formed per row block as in
+    _scan, so the minima and the achieving pair are the dense scan's bit
+    for bit.  "gap" is the edge gap when that is at most gap_within, and
+    above gap_within otherwise.
     """
-    n, M = p.n, p.vertices + 0.5 * p.edges
-    h = float(p.edge_lengths.max())
-    span = 2.0 * float(np.linalg.norm(M - M.mean(axis=0), axis=1).max())
+    n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
+    M = p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges   # centred: less rounding
+    span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     tree = cKDTree(M)
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
 
     def reach(r):
         return r + _TIE + h + _PAD * (r + 4.0 * h)
 
-    out, gap2 = _Collector(p.edge_lengths), np.inf
-    seen, gap_reach = -1.0, -1.0 if gap_within is None else reach(gap_within)
-    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
-    if reach(r) >= span:
-        # the first ring holds every pair, so the tree would prune nothing:
-        # mask each row block by the turning window and the perpendicularity
-        # filter instead, and ask the tree for the gap pairs only
-        perpendicular, idx = _perpendicular(p, singly), np.arange(n)
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)     # m lies in 0 .. n-1
-
-        def covering_block(r0):
-            # a function, so the block's products are freed before _families;
-            # columns i + lo .. i + hi of every row, unrolled so that m = U - i
-            rows = slice(r0, r0 + _BLOCK)
-            R = idx[rows]
-            U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
-            J, m = U % n, U - R[:, None]
-            products = _products(p, rows)
-            keep = ((m >= lo[rows, None]) & (m <= hi[rows, None])
-                    & perpendicular(R, J, products[0][:, J]))
-            ri, k = np.nonzero(keep)
-            flat, g = ri * n + J[k], None
-            if gap_within is not None:
-                near = cKDTree(M[rows]).sparse_distance_matrix(
-                    tree, gap_reach, output_type="ndarray")
-                gap = (near["i"] * n + near["j"])[_pair_ok(near["i"] + r0, near["j"], n)]
-                flat = np.union1d(flat, gap)
-                g = np.isin(flat, gap)
-            return (flat // n + r0, flat % n, *(x.take(flat) for x in products), g)
-
-        for r0 in range(0, n, _BLOCK):
-            i, j, b, um_E, up_E, g = covering_block(r0)
-            if i.size:
-                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly, g))
-        return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
-    while True:
-        for r0 in range(0, n, _BLOCK):
-            ring = reach(min(r, out.doubly_min))
-            near = cKDTree(M[r0:r0 + _BLOCK]).sparse_distance_matrix(
+    def block(r0, perpendicular):
+        # a function, so the block's products are freed before _families
+        rows, products = slice(r0, r0 + _BLOCK), None
+        ring = reach(min(r, out.doubly_min)) if perpendicular is None else -1.0
+        flat, g = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+        if max(ring, gap_reach) >= 0.0:             # the tree takes no negative radius
+            near = cKDTree(M[rows]).sparse_distance_matrix(
                 tree, max(ring, gap_reach), output_type="ndarray")
             i, j, d = near["i"] + r0, near["j"], near["v"]
             m, g = (j - i) % n, (d <= gap_reach) & _pair_ok(i, j, n)
             keep = g | ((d > seen) & (d <= ring) & (m >= lo[i]) & (m <= hi[i]))
-            if np.any(keep):
-                i, j, g = i[keep], j[keep], g[keep]
-                b, um_E, up_E = (x.take((i - r0) * n + j)
-                                 for x in _products(p, slice(r0, r0 + _BLOCK)))
-                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly,
-                                           None if gap_within is None else g))
-        if out.doubly_min <= r or reach(r) >= span:    # beyond span every pair is in
+            flat, g = (i[keep] - r0) * n + j[keep], g[keep]
+            del near, i, j, d, m, keep              # freed before the products
+        if perpendicular is not None:
+            # columns i + lo .. i + hi of every row, unrolled so that m = U - i;
+            # the ring is empty, so the tree gave the gap pairs only
+            R, products = idx[rows], _products(p, rows)
+            U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
+            J, m = U % n, U - R[:, None]
+            ri, k = np.nonzero((m >= lo[rows, None]) & (m <= hi[rows, None])
+                               & perpendicular(R, J, products[0][:, J]))
+            gap, flat = flat, np.union1d(ri * n + J[k], flat)
+            g = np.isin(flat, gap)
+        if not flat.size:
+            return None
+        if products is None:
+            products = _products(p, rows)
+        return (flat // n + r0, flat % n, *(x.take(flat) for x in products),
+                None if gap_within is None else g)
+
+    out, gap2 = _Collector(p.edge_lengths), np.inf
+    seen, gap_reach = -1.0, -1.0 if gap_within is None else reach(gap_within)
+    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
+    while True:
+        covering = reach(r) >= span                     # beyond span every pair is in
+        perpendicular = _perpendicular(p, singly, M, span) if covering else None
+        for r0 in range(0, n, _BLOCK):
+            pairs = block(r0, perpendicular)
+            if pairs is not None:
+                i, j, b, um_E, up_E, g = pairs
+                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly, g))
+        if covering or out.doubly_min <= r:
             return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
         seen, gap_reach, r = reach(r), -1.0, min(2.0 * r, out.doubly_min)
 

@@ -130,6 +130,11 @@ class TestGammaCommand:
     def test_empty_ns(self, capsys):
         assert main(["gamma", "--curve", "circle", "--ns", ","]) == 1
 
+    def test_bad_proxy_resolution(self, capsys):
+        assert main(["gamma", "--curve", "torus:2,3", "--ns", "8", "--m-proxy", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: proxy resolution must be at least 3, got 0\n"
+
 
 class TestNgonTableCommand:
     def test_default_range(self, capsys):

@@ -521,7 +521,7 @@ def _subject(kind: str, n: int, seed: int, x: float) -> Polygon:
     if kind == "regular":
         return regular_ngon(n)
     if kind == "convex":
-        # nearly regular, so the first search ring already covers every pair
+        # nearly regular, so the filter prunes the round that covers the span
         if seed % 2:
             return perturbed_regular(n, 1e-3 * x, rng)
         i = int(rng.integers(n))
@@ -564,7 +564,9 @@ class TestTurningLemma:
 def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
     """The pruned scan's perpendicularity filter over all n^2 pairs, formed
     per row block as the scan forms it."""
-    keep, idx = thickness._perpendicular(p, singly), np.arange(p.n)
+    M = p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges
+    span = 2.0 * float(np.linalg.norm(M, axis=1).max())
+    keep, idx = thickness._perpendicular(p, singly, M, span), np.arange(p.n)
     return np.vstack([keep(idx[r0:r0 + thickness._BLOCK], idx,
                            thickness._gram(p.edges, slice(r0, r0 + thickness._BLOCK)))
                       for r0 in range(0, p.n, thickness._BLOCK)])
@@ -589,18 +591,32 @@ class TestPerpendicularityLemma:
 
     @pytest.mark.parametrize("n", [128, 512, 2048])
     def test_regular_keeps_few_pairs_per_row(self, n):
-        p = regular_ngon(n)
-        evaluated = np.zeros(n, dtype=int)
-        families = thickness._families
+        assert _pairs_per_row(regular_ngon(n), singly=True).max() <= 8
 
-        def counting(out, q, I, J, *args):
-            np.add.at(evaluated, I, 1)
-            return families(out, q, I, J, *args)
+    @pytest.mark.parametrize("name", ["cranked", "near-regular"])
+    def test_covering_after_rings_keeps_few_pairs_per_row(self, name):
+        # the first ring of these falls short of the span, so the filter
+        # only serves the round whose reach covers it
+        if name == "cranked":
+            p, singly = crankshaft_move(regular_ngon(2048), 0, 700, 0.01), True
+        else:
+            p, singly = perturbed_regular(2048, 1e-3, np.random.default_rng(1)), False
+        assert _pairs_per_row(p, singly).max() <= 8
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness, "_families", counting)
-            thickness._pruned_scan(p, singly=True)
-        assert evaluated.max() <= 8
+
+def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
+    """How many pairs of each row the pruned scan hands to _families."""
+    evaluated = np.zeros(p.n, dtype=int)
+    families = thickness._families
+
+    def counting(out, q, I, J, *args):
+        np.add.at(evaluated, I, 1)
+        return families(out, q, I, J, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_families", counting)
+        thickness._pruned_scan(p, singly)
+    return evaluated
 
 
 def _results(p: Polygon, crossover: int):
@@ -622,12 +638,17 @@ class TestPrunedScan:
         p = _subject(kind, n, seed, x)
         assert _results(p, 0) == _results(p, 10**9)
 
-    @pytest.mark.parametrize("name", ["trefoil", "random", "regular"])
+    @pytest.mark.parametrize("name", ["trefoil", "random", "regular", "near-regular",
+                                      "cranked"])
     def test_matches_dense_at_2048(self, name):
         if name == "trefoil":
             p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
         elif name == "regular":
             p = regular_ngon(2048)
+        elif name == "near-regular":
+            p = perturbed_regular(2048, 1e-3, np.random.default_rng(1))
+        elif name == "cranked":
+            p = crankshaft_move(regular_ngon(2048), 0, 700, 0.01)
         else:
             p = random_equilateral_polygon(2048, np.random.default_rng(3))
         assert p.n >= thickness._CROSSOVER
