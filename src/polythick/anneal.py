@@ -138,8 +138,11 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     bit for bit.  Every frame must keep all non-adjacent edge pairs farther
     apart than the clearance (default 1e-6 * length); pivots that coincide
     make the move inadmissible.  Crossings between substeps are not
-    detected, so substeps trades speed against safety.
+    detected, so substeps trades speed against safety; it must be at
+    least 1.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps!r}")
     if clearance is None:
         clearance = _CLEARANCE_FACTOR * p.length
     # k/substeps * theta, not theta*k/substeps: the last angle is theta exactly

@@ -8,7 +8,7 @@ thread; sweep rows come back in ascending n.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -72,26 +72,21 @@ class GammaRow:
 
 def _gamma_row(curve: ArcLengthCurve, n: int, proxy: float) -> GammaRow:
     nan = float("nan")
+    row = GammaRow(n=n, length_tilde=nan, inv_delta=nan, min_rad=nan, dcsd=nan,
+                   scsd=nan, binding="", pos_sup=nan, deriv_sup=nan, proxy=proxy)
     try:
         inscribed = inscribe_equilateral(curve, n)
         pos_sup, deriv_sup = w1inf_distance(inscribed, curve,
                                             grid=max(4096, 10 * n))
         report = delta_n(rescale_unit(inscribed))
     except ValueError as exc:
-        return GammaRow(n=n, length_tilde=nan, inv_delta=nan, min_rad=nan,
-                        dcsd=nan, scsd=nan, binding="", pos_sup=nan,
-                        deriv_sup=nan, proxy=proxy, failed=str(exc))
+        return replace(row, failed=str(exc))
+    row = replace(row, length_tilde=inscribed.length, min_rad=report.min_rad,
+                  dcsd=report.dcsd, scsd=report.scsd, pos_sup=pos_sup,
+                  deriv_sup=deriv_sup)
     if not report.simple:
-        return GammaRow(n=n, length_tilde=inscribed.length, inv_delta=nan,
-                        min_rad=report.min_rad, dcsd=report.dcsd,
-                        scsd=report.scsd, binding="", pos_sup=pos_sup,
-                        deriv_sup=deriv_sup, proxy=proxy,
-                        failed="inscribed polygon is not embedded")
-    return GammaRow(n=n, length_tilde=inscribed.length,
-                    inv_delta=report.inv_delta_n, min_rad=report.min_rad,
-                    dcsd=report.dcsd, scsd=report.scsd,
-                    binding=report.binding, pos_sup=pos_sup,
-                    deriv_sup=deriv_sup, proxy=proxy)
+        return replace(row, failed="inscribed polygon is not embedded")
+    return replace(row, inv_delta=report.inv_delta_n, binding=report.binding)
 
 
 def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[GammaRow]:

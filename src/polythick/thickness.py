@@ -14,25 +14,25 @@ existing, so the boundary pairs are enumerated too.  The thickness radius is
 
 Every edge pair is described by one convex quadratic in the two foot
 parameters.  One kernel, _families, reads every critical-pair family off
-it, and the edge gap (the minimum distance between non-adjacent edges)
-that decides simplicity.  Two enumerations feed it.  The dense scan
-(_scan) takes all n^2 pairs, a row block at a time; critical_pairs() uses
-it, and so do the minima below _CROSSOVER edges.  From there on delta_n,
-dcsd, scsd and the annealing objective take the pruned scan: only pairs
-whose edge midpoints lie within a growing radius and whose two arcs can
-both turn pi (pi/2 for the singly families).  In any round whose reach
-covers the span, as the first does for the regular n-gon whose dcsd is
-its diameter, a perpendicularity filter replaces the radius: a candidate
-critical at one end has its other point within reach of that end's
-vertex, in one of its two edge slabs or its normal wedge, up to a slack
+it.  Two enumerations feed it.  The dense scan (_scan) takes all n^2
+pairs, a row block at a time; critical_pairs() uses it, and so do the
+minima below _CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
+annealing objective take the pruned scan: only pairs whose edge midpoints
+lie within a growing radius and whose two arcs can both turn pi (pi/2 for
+the singly families).  In any round whose reach covers the span, as the
+first does for the regular n-gon whose dcsd is its diameter, a
+perpendicularity filter replaces the radius: a candidate critical at one
+end has its other point within reach of that end's vertex, in one of its
+two edge slabs or its normal wedge, up to a slack
 sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
 rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
 always kept.  Both enumerations form the same products and per-pair
-arithmetic, so their results agree bit for bit.  _edge_gap runs the gap
-alone and densely, over an optional leading batch axis, for is_simple and
-the annealer's sweep check.  Python-level pair objects are only
-materialised by critical_pairs() and, for its one achieving pair, by
-delta_n().
+arithmetic, so their minima agree bit for bit.  Simplicity is separate:
+the edge gap (the minimum distance between non-adjacent edges) comes from
+the pairs a midpoint tree finds within reach of a clearance (_gap_within)
+for is_simple and the objective, and densely, over an optional leading
+batch axis (_edge_gap), for the annealer's sweep check.  Python-level pair
+objects are only materialised by critical_pairs() and delta_n().
 """
 
 from __future__ import annotations
@@ -138,42 +138,44 @@ def _extremal(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _Collector:
-    """Flat arrays of accepted candidates from all enumeration families.
+    """Accepted candidates from all enumeration families, with their minima.
 
     add() takes the row and column labels i, j of the evaluated pairs, as
     broadcast against the mask, with the edge fractions fs, ft of the two
-    points, 0.0 at a vertex, and keeps i, j and s = (cum[i] + fs * lens[i])
-    / L, t alike, for the accepted entries only.  Labels are kept as found,
-    s > t included; _pair_at swaps such a pair when it is reported.
+    points, 0.0 at a vertex, and keeps i, j, dist, fs, ft for the accepted
+    entries only; min and doubly_min follow the smallest distance kept.
+    arrays() forms the flat columns, with s = (cum[i] + fs * lens[i]) / L
+    and t alike.  Labels are kept as found, s > t included; _pair_at swaps
+    such a pair when it is reported.
     """
 
     def __init__(self, lens: np.ndarray):
-        self._cum = np.concatenate([[0.0], np.cumsum(lens)])
         self._lens = lens
-        self.doubly_min = np.inf
-        z = np.zeros(0)   # typed empty columns, so a scan with no candidates works
-        self._cols = dict(dist=[z], i=[z.astype(int)], j=[z.astype(int)],
-                          kind=[z.astype(np.int8)], s=[z], t=[z],
-                          doubly=[z.astype(bool)])
+        self.min = self.doubly_min = np.inf
+        z = np.zeros(0)   # a typed empty chunk, so a scan with no candidates works
+        self._chunks = [(z.astype(int), z.astype(int), z, z, z, 0, False)]
 
     def add(self, i, j, mask, dist, fs, ft, kind: int, doubly: bool):
         if not np.any(mask):
             return
-        i, j = np.broadcast_to(i, mask.shape)[mask], np.broadcast_to(j, mask.shape)[mask]
-        cum, lens, L = self._cum, self._lens, self._cum[-1]
-        cols = self._cols
-        cols["dist"].append(np.broadcast_to(dist, mask.shape)[mask])
-        cols["i"].append(i)
-        cols["j"].append(j)
-        cols["kind"].append(np.full(i.size, kind, dtype=np.int8))
-        cols["s"].append((cum[i] + np.broadcast_to(fs, mask.shape)[mask] * lens[i]) / L)
-        cols["t"].append((cum[j] + np.broadcast_to(ft, mask.shape)[mask] * lens[j]) / L)
-        cols["doubly"].append(np.full(i.size, doubly, dtype=bool))
+        i, j, dist, fs, ft = (np.broadcast_to(x, mask.shape)[mask]
+                              for x in (i, j, dist, fs, ft))
+        self._chunks.append((i, j, dist, fs, ft, kind, doubly))
+        d = float(dist.min())
+        self.min = min(self.min, d)
         if doubly:
-            self.doubly_min = min(self.doubly_min, float(cols["dist"][-1].min()))
+            self.doubly_min = min(self.doubly_min, d)
 
-    def arrays(self):
-        return {k: np.concatenate(v) for k, v in self._cols.items()}
+    def arrays(self) -> dict:
+        i, j, dist, fs, ft, kind, doubly = zip(*self._chunks)
+        i, j, fs, ft = (np.concatenate(x) for x in (i, j, fs, ft))
+        sizes = [x.size for x in dist]
+        cum, lens = np.concatenate([[0.0], np.cumsum(self._lens)]), self._lens
+        return dict(dist=np.concatenate(dist), i=i, j=j,
+                    kind=np.repeat(np.array(kind, dtype=np.int8), sizes),
+                    s=(cum[i] + fs * lens[i]) / cum[-1],
+                    t=(cum[j] + ft * lens[j]) / cum[-1],
+                    doubly=np.repeat(np.array(doubly, dtype=bool), sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,8 @@ class _Collector:
 # Pairs come as index arrays I, J that broadcast together: a row block
 # against every column, or flat lists of kept pairs.  All of it is
 # elementwise in the pair but the matmul b, formed for a whole row block
-# (_gram; it rounds differently on column subsets) and then gathered.
+# (_gram; it rounds differently on column subsets) and then gathered;
+# _gap_within alone takes b as an elementwise dot of the pairs it finds.
 # Every function here accepts an optional leading batch axis.
 
 
@@ -255,7 +258,9 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
 
 
 def _edge_gap(V: np.ndarray):
-    """Minimum distance between non-adjacent edges of the closed polyline V.
+    """Minimum distance between non-adjacent edges of the closed polyline V
+    over all n^2 pairs, for the annealer's sweep check and as the tests'
+    reference for _gap_within.
 
     V is (n, 3), or a stack (..., n, 3) of polylines sharing n, in which
     case the result has the stack's shape.  +inf when no such pair exists.
@@ -276,6 +281,32 @@ def _edge_gap(V: np.ndarray):
     return np.sqrt(np.maximum(best2, 0.0))
 
 
+def _reach(r: float, h: float) -> float:
+    """Midpoint distance within which edges no longer than h may come
+    within r of each other, padded for the tie window and rounding."""
+    return r + _TIE + h + _PAD * (r + 4.0 * h)
+
+
+def _midpoints(p: Polygon) -> np.ndarray:
+    """Edge midpoints, centred on the vertices' mean: less rounding."""
+    return p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges
+
+
+def _gap_within(p: Polygon, clearance: float) -> float:
+    """The edge gap of p when it is at most clearance, a larger value
+    otherwise, measured on the pairs whose midpoints a tree finds within
+    _reach(clearance, h_max) only.  b is an elementwise dot here, so the
+    gap may differ from _edge_gap's in the last bits."""
+    V, E, h = p.vertices, p.edges, float(p.edge_lengths.max())
+    I, J = cKDTree(_midpoints(p)).query_pairs(_reach(clearance, h),
+                                              output_type="ndarray").T  # i < j
+    Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
+    a, c = _dot(Ei, Ei), _dot(Ej, Ej)
+    w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
+    d2 = _gap2(Ei, Ej, a, c, _pair_ok(I, J, p.n), w0, _dot(Ei, Ej), w2, c1, c2)
+    return math.sqrt(max(float(d2.min(initial=np.inf)), 0.0))
+
+
 # ---------------------------------------------------------------------------
 # the pair scan: one family kernel, two enumerations
 # ---------------------------------------------------------------------------
@@ -289,8 +320,7 @@ def _products(p: Polygon, rows: slice):
     return _gram(E, rows), dirs[(R - 1) % p.n] @ E.T, dirs[R] @ E.T
 
 
-def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E,
-              singly: bool, gap) -> float:
+def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
     """Evaluate every candidate family on the pairs (I, J) into out.
 
     Families:
@@ -311,21 +341,13 @@ def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E,
     Pairs whose two points share an edge are excluded (which also removes
     all arc-distance < edge-length configurations), as are edge-edge pairs
     on cyclically adjacent edges, whose minima collapse into the shared
-    vertex.  Returns the smallest squared edge gap over the pairs that gap
-    selects (an index: ... for all, or a mask); +inf when gap is None.
+    vertex.
     """
     V, E, lens, dirs = p.vertices, p.edges, p.edge_lengths, p.directions()
     n = V.shape[0]
     pair_ok = _pair_ok(I, J, n)
     Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
     w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
-    gap2 = np.inf
-    if gap is not None:
-        # |E|^2 is E . E in the edge gap, as in _edge_gap, and lens * lens in
-        # the critical families; the two round differently
-        lens2 = _dot(E, E)
-        gap2 = float(_gap2(*(x[gap] for x in (Ei, Ej, lens2[I], lens2[J], pair_ok,
-                                              w0, b, w2, c1, c2))).min(initial=np.inf))
     a, c = lens[I] * lens[I], lens[J] * lens[J]
     um_w = _dot(dirs.take((I - 1) % n, axis=0), w0)     # <u-_i, w0>
     up_w = _dot(dirs.take(I, axis=0), w0)               # <u+_i, w0>
@@ -411,23 +433,16 @@ def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E,
                 continue
             tmc = np.clip(tm, 0.0, 1.0)
             out.add(I, J, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
-    return gap2
 
 
-def _scan(p: Polygon, singly: bool, gap: bool = False) -> dict:
+def _scan(p: Polygon, singly: bool) -> _Collector:
     """Every critical-pair candidate of p: _families over all n^2 pairs,
-    one row block against every column at a time.
-
-    The result also holds "gap": with gap=True the edge gap of p (as
-    _edge_gap computes it), taken from the same row blocks, else +inf.
-    """
-    idx = np.arange(p.n)
-    out, gap2 = _Collector(p.edge_lengths), np.inf
+    one row block against every column at a time."""
+    idx, out = np.arange(p.n), _Collector(p.edge_lengths)
     for r0 in range(0, p.n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
-        gap2 = min(gap2, _families(out, p, idx[rows, None], idx[None, :],
-                                   *_products(p, rows), singly, ... if gap else None))
-    return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
+        _families(out, p, idx[rows, None], idx[None, :], *_products(p, rows), singly)
+    return out
 
 
 def _turning_window(p: Polygon, min_turn: float):
@@ -489,7 +504,7 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
     return keep
 
 
-def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
+def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     """The candidates of _scan that can decide its minima, in rounds of
     growing edge-midpoint distance.
 
@@ -498,7 +513,7 @@ def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> d
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  The radius
     r starts at 2 min_rad and doubles until a doubly pair is found within
-    it; scsd <= dcsd, so the singly families need no more.  reach() pads r
+    it; scsd <= dcsd, so the singly families need no more.  _reach pads r
     for the tie window and the quadratic form's cancellation error.  A ring
     round takes, per row block, the pairs of its turning window whose
     midpoint distance lies in the new ring, up to the reach of the best
@@ -506,74 +521,62 @@ def _pruned_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> d
     every pair, so it is the last, and it takes instead the window columns
     that pass _perpendicular (one end within reach of the other's vertex,
     sigma slack, near-parallel pairs kept); pairs an earlier round took
-    come again with the same values.  Every round adds the gap pairs the
-    tree finds at the gap reach.  Products are formed per row block as in
-    _scan, so the minima and the achieving pair are the dense scan's bit
-    for bit.  "gap" is the edge gap when that is at most gap_within, and
-    above gap_within otherwise.
+    come again with the same values.  Products are formed per row block as
+    in _scan, so the minima and the achieving pair are the dense scan's bit
+    for bit.
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
-    M = p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges   # centred: less rounding
+    M = _midpoints(p)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     tree = cKDTree(M)
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
 
-    def reach(r):
-        return r + _TIE + h + _PAD * (r + 4.0 * h)
-
     def block(r0, perpendicular):
         # a function, so the block's products are freed before _families
         rows, products = slice(r0, r0 + _BLOCK), None
-        ring = reach(min(r, out.doubly_min)) if perpendicular is None else -1.0
-        flat, g = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-        if max(ring, gap_reach) >= 0.0:             # the tree takes no negative radius
+        if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
-                tree, max(ring, gap_reach), output_type="ndarray")
+                tree, _reach(min(r, out.doubly_min), h), output_type="ndarray")
             i, j, d = near["i"] + r0, near["j"], near["v"]
-            m, g = (j - i) % n, (d <= gap_reach) & _pair_ok(i, j, n)
-            keep = g | ((d > seen) & (d <= ring) & (m >= lo[i]) & (m <= hi[i]))
-            flat, g = (i[keep] - r0) * n + j[keep], g[keep]
+            m = (j - i) % n
+            keep = (d > seen) & (m >= lo[i]) & (m <= hi[i])
+            flat = (i[keep] - r0) * n + j[keep]
             del near, i, j, d, m, keep              # freed before the products
-        if perpendicular is not None:
-            # columns i + lo .. i + hi of every row, unrolled so that m = U - i;
-            # the ring is empty, so the tree gave the gap pairs only
+        else:
+            # columns i + lo .. i + hi of every row, unrolled so that m = U - i
             R, products = idx[rows], _products(p, rows)
             U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
             J, m = U % n, U - R[:, None]
             ri, k = np.nonzero((m >= lo[rows, None]) & (m <= hi[rows, None])
                                & perpendicular(R, J, products[0][:, J]))
-            gap, flat = flat, np.union1d(ri * n + J[k], flat)
-            g = np.isin(flat, gap)
+            flat = ri * n + J[k]
         if not flat.size:
             return None
         if products is None:
             products = _products(p, rows)
-        return (flat // n + r0, flat % n, *(x.take(flat) for x in products),
-                None if gap_within is None else g)
+        return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
 
-    out, gap2 = _Collector(p.edge_lengths), np.inf
-    seen, gap_reach = -1.0, -1.0 if gap_within is None else reach(gap_within)
+    out, seen = _Collector(p.edge_lengths), -1.0
     r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
     while True:
-        covering = reach(r) >= span                     # beyond span every pair is in
+        covering = _reach(r, h) >= span                 # beyond span every pair is in
         perpendicular = _perpendicular(p, singly, M, span) if covering else None
         for r0 in range(0, n, _BLOCK):
             pairs = block(r0, perpendicular)
             if pairs is not None:
-                i, j, b, um_E, up_E, g = pairs
-                gap2 = min(gap2, _families(out, p, i, j, b, um_E, up_E, singly, g))
+                _families(out, p, *pairs, singly)
         if covering or out.doubly_min <= r:
-            return dict(out.arrays(), gap=math.sqrt(max(gap2, 0.0)))
-        seen, gap_reach, r = reach(r), -1.0, min(2.0 * r, out.doubly_min)
+            return out
+        seen, r = _reach(r, h), min(2.0 * r, out.doubly_min)
 
 
-def _minimum_scan(p: Polygon, singly: bool, gap_within: float | None = None) -> dict:
+def _minimum_scan(p: Polygon, singly: bool) -> _Collector:
     """The scan behind delta_n, dcsd, scsd and the objective: dense below
     _CROSSOVER edges, pruned from there on; the results agree bitwise."""
     if p.n < _CROSSOVER:
-        return _scan(p, singly, gap=gap_within is not None)
-    return _pruned_scan(p, singly, gap_within)
+        return _scan(p, singly)
+    return _pruned_scan(p, singly)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +608,7 @@ def critical_pairs(p: Polygon, mode: str = "doubly") -> list[CriticalPair]:
     """
     if mode not in ("doubly", "singly"):
         raise ValueError(f"mode must be 'doubly' or 'singly', got {mode!r}")
-    arr = _scan(p, singly=(mode == "singly"))
+    arr = _scan(p, singly=(mode == "singly")).arrays()
     order = np.lexsort((arr["kind"], arr["j"], arr["i"], ~arr["doubly"]))
     seen: set[tuple] = set()
     pairs: list[CriticalPair] = []
@@ -618,12 +621,6 @@ def critical_pairs(p: Polygon, mode: str = "doubly") -> list[CriticalPair]:
         pairs.append(q)
     pairs.sort(key=lambda q: (q.distance, q.i, q.j))
     return pairs
-
-
-def _min_distance(arr: dict) -> float:
-    """Smallest candidate distance of a scan; +inf when it found none."""
-    d = arr["dist"]
-    return float(d.min()) if d.size else float("inf")
 
 
 def _min_with_tiebreak(arr: dict, mask: np.ndarray):
@@ -649,7 +646,7 @@ def _min_with_tiebreak(arr: dict, mask: np.ndarray):
 def dcsd(p: Polygon) -> float:
     """Doubly critical self distance; +inf when no doubly critical pair
     exists.  From _CROSSOVER edges on it comes from the pruned scan."""
-    return _min_distance(_minimum_scan(p, singly=False))
+    return _minimum_scan(p, singly=False).min
 
 
 def scsd(p: Polygon) -> float:
@@ -660,13 +657,15 @@ def scsd(p: Polygon) -> float:
     edge end) the infimum may sit on the boundary, so boundary pairs count.
     From _CROSSOVER edges on only pairs within the dcsd radius are scanned.
     """
-    return _min_distance(_minimum_scan(p, singly=True))
+    return _minimum_scan(p, singly=True).min
 
 
 def is_simple(p: Polygon) -> bool:
     """True iff no two non-adjacent edges, and so no two vertices, come
-    within 1e-12 * length of each other: exact-contact detection only."""
-    return bool(_edge_gap(p.vertices) > _CONTACT * p.length)
+    within 1e-12 * length of each other: exact-contact detection only.
+    _gap_within measures the few pairs that could come that close."""
+    clearance = _CONTACT * p.length
+    return bool(_gap_within(p, clearance) > clearance)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +680,9 @@ def delta_n(p: Polygon) -> ThicknessReport:
     otherwise (coincident vertices or crossing edges).  binding says which of
     the two mechanisms attains the minimum, with ties reported as curvature;
     delta_n_alt = min(min_rad, scsd) is carried for cross-checking the
-    alternative representation.  Critical pairs and the edge gap come from
-    one scan, pruned from _CROSSOVER edges on; the simplicity verdict only
-    needs pairs that could come within the 1e-12 * length clearance.
+    alternative representation.  The critical pairs come from one scan,
+    pruned from _CROSSOVER edges on; simple is is_simple's verdict, which
+    measures only the edge pairs that could come within its clearance.
     """
     kappas = p.kappa_d_all()
     mc = float(np.max(kappas))
@@ -692,13 +691,14 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc2 = max_curv2(p)
     mr = min_rad(p)
 
-    arr = _minimum_scan(p, singly=True, gap_within=_CONTACT * p.length)
+    out = _minimum_scan(p, singly=True)
+    arr = out.arrays()
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
-    s_val = _min_distance(arr)
+    s_val = out.min
 
     pair = None if d_idx is None else _pair_at(arr, d_idx)
 
-    simple = arr["gap"] > _CONTACT * p.length
+    simple = is_simple(p)
     binding = "curvature" if mr <= d_val / 2.0 else "distance"
     if simple:
         delta = min(mr, d_val / 2.0)
@@ -719,11 +719,10 @@ def inv_delta_objective(p: Polygon, clearance: float) -> float:
     to 1/delta_n up to floating-point reciprocal rounding, but skips the
     singly families, pair materialisation and the report."""
     mc = float(np.max(p.kappa_d_all()))
-    if math.isinf(mc):
+    if math.isinf(mc) or _gap_within(p, clearance) <= clearance:
         return float("inf")
-    arr = _minimum_scan(p, singly=False, gap_within=clearance)
-    dv = _min_distance(arr)
-    if arr["gap"] <= clearance or dv <= 0.0:
+    dv = _minimum_scan(p, singly=False).min
+    if dv <= 0.0:
         return float("inf")
     return max(mc, 2.0 / dv)
 

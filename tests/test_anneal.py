@@ -125,6 +125,11 @@ class TestMoveAdmissibility:
         assert (frames[-1].tobytes()
                 == crankshaft_move(p, i, j, theta).vertices.tobytes())
 
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_substeps_below_one_rejected(self, substeps):
+        with pytest.raises(ValueError, match="substeps"):
+            move_is_admissible(regular_ngon(8), 0, 4, 0.3, substeps=substeps)
+
     def test_clearance_scales(self):
         p = regular_ngon(8)
         assert move_is_admissible(p, 0, 4, 0.3, clearance=1e-9)

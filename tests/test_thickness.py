@@ -30,7 +30,7 @@ from polythick import thickness
 from polythick.anneal import crankshaft_move
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
-from polythick.thickness import (_edge_gap, _scan, _turning_window,
+from polythick.thickness import (_edge_gap, _gap_within, _scan, _turning_window,
                                  inv_delta_objective)
 
 from _gen import perturbed_regular
@@ -293,9 +293,21 @@ def _sweep_frames(p: Polygon, i: int, j: int, theta: float, frames: int) -> np.n
                      for k in range(frames)])
 
 
+def _check_gap_within(p: Polygon, gap: float) -> None:
+    """_gap_within against the dense edge gap of p: the same verdict at
+    1e-12 L and 1e-6 L, and the same value within 1e-12 L at or below the
+    clearance (its b is an elementwise dot, not a row-block matmul)."""
+    for clearance in (1e-12 * p.length, 1e-6 * p.length):
+        near = _gap_within(p, clearance)
+        assert (near <= clearance) == (gap <= clearance)
+        if gap <= clearance:
+            assert abs(near - gap) <= 1e-12 * p.length
+
+
 class TestEdgeGapKernel:
-    """One kernel serves is_simple, the annealer's batched sweep check and
-    the gap fused into the pair scan; all must agree exactly."""
+    """One kernel serves is_simple and the annealer's batched sweep check;
+    the batched and single gaps agree exactly, the tree-pruned gap in its
+    verdict."""
 
     @staticmethod
     def check(Vb: np.ndarray) -> None:
@@ -306,9 +318,8 @@ class TestEdgeGapKernel:
             assert batched[k].tobytes() == single.tobytes()
             p = Polygon(V)
             assert abs(float(single) - _brute_edge_gap(V)) <= 1e-12 * p.length
-            for singly in (False, True):
-                fused = _scan(p, singly=singly, gap=True)["gap"]
-                assert np.float64(fused).tobytes() == single.tobytes()
+            _check_gap_within(p, float(single))
+            assert is_simple(p) == bool(single > 1e-12 * p.length)
             assert delta_n(p).simple == is_simple(p)
 
     @given(st.integers(min_value=4, max_value=40),
@@ -550,7 +561,7 @@ class TestTurningLemma:
     @settings(max_examples=120, deadline=None)
     def test_dense_candidates(self, kind, n, seed, x):
         p = _subject(kind, n, seed, x)
-        arr = _scan(p, singly=True)
+        arr = _scan(p, singly=True).arrays()
         i, j, doubly = arr["i"], arr["j"], arr["doubly"]
         assert np.all(_in_window(p, i[doubly], j[doubly], math.pi - 1e-6))
         assert np.all(_in_window(p, i, j, 0.5 * math.pi - 1e-6))
@@ -564,7 +575,7 @@ class TestTurningLemma:
 def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
     """The pruned scan's perpendicularity filter over all n^2 pairs, formed
     per row block as the scan forms it."""
-    M = p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges
+    M = thickness._midpoints(p)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     keep, idx = thickness._perpendicular(p, singly, M, span), np.arange(p.n)
     return np.vstack([keep(idx[r0:r0 + thickness._BLOCK], idx,
@@ -584,7 +595,7 @@ class TestPerpendicularityLemma:
     @settings(max_examples=120, deadline=None)
     def test_dense_candidates(self, kind, n, seed, x):
         p = _subject(kind, n, seed, x)
-        arr = _scan(p, singly=True)
+        arr = _scan(p, singly=True).arrays()
         i, j, doubly = arr["i"], arr["j"], arr["doubly"]
         assert np.all(_perpendicular_mask(p, False)[i[doubly], j[doubly]])
         assert np.all(_perpendicular_mask(p, True)[i, j])
@@ -653,3 +664,31 @@ class TestPrunedScan:
             p = random_equilateral_polygon(2048, np.random.default_rng(3))
         assert p.n >= thickness._CROSSOVER
         assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
+
+
+class TestGapWithin:
+    """The tree-pruned edge gap behind is_simple, delta_n and the objective
+    against the dense _edge_gap, and the pairs it measures."""
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 160),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense(self, kind, n, seed, x):
+        p = _subject(kind, n, seed, x)
+        _check_gap_within(p, float(_edge_gap(p.vertices)))
+
+    @pytest.mark.parametrize("name", ["regular", "random"])
+    def test_measures_few_pairs(self, name):
+        p = (regular_ngon(2048) if name == "regular"
+             else random_equilateral_polygon(2048, np.random.default_rng(3)))
+        measured = []
+        gap2 = thickness._gap2
+
+        def counting(Ei, Ej, a, c, mask, *args):
+            measured.append(np.size(mask))
+            return gap2(Ei, Ej, a, c, mask, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_gap2", counting)
+            assert is_simple(p)
+        assert sum(measured) <= 4 * p.n
