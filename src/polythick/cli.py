@@ -52,10 +52,7 @@ def _cmd_inscribe(args) -> int:
     p = inscribe_equilateral(curve, args.n)
     if args.rescale:
         p = rescale_unit(p)
-    if args.out is None:
-        sys.stdout.write(dumps_polygon(p))
-    else:
-        write_polygon(p, args.out)
+    _emit(dumps_polygon(p), args.out)
     return 0
 
 

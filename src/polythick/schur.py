@@ -30,15 +30,15 @@ _PRE_TOL = 1e-12
 
 def circle_chord(K: float, L: float) -> float:
     """Endpoint chord of an arc of length L on the circle of curvature K."""
-    if K <= 0.0 or L <= 0.0:
-        raise ValueError("need K > 0 and L > 0")
+    if not (0.0 < K < math.inf and 0.0 < L < math.inf):
+        raise ValueError(f"need finite K > 0 and L > 0, got K = {K}, L = {L}")
     return (2.0 / K) * math.sin(0.5 * K * L)
 
 
 def _check_curvature(arc: PolyArc, K: float) -> None:
-    """The precondition both checks share: K > 0 and max_curv2(arc) <= K."""
-    if K <= 0.0:
-        raise ValueError("need K > 0")
+    """The precondition both checks share: finite K > 0 and max_curv2(arc) <= K."""
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"need finite K > 0, got K = {K}")
     kc = max_curv2(arc)
     if kc > K + _PRE_TOL:
         raise ValueError(
@@ -178,8 +178,8 @@ def random_bounded_arc(n: int, K: float, L: float, seed: int) -> PolyArc:
     """
     if n < 2:
         raise ValueError("need at least 2 edges")
-    if K < 0.0 or L <= 0.0:
-        raise ValueError("need K >= 0 and L > 0")
+    if not (0.0 <= K < math.inf and 0.0 < L < math.inf):
+        raise ValueError(f"need finite K >= 0 and L > 0, got K = {K}, L = {L}")
     rng = np.random.default_rng(seed)
     ell = L / n
     d = (1.0, 0.0, 0.0)

@@ -17,22 +17,24 @@ parameters.  One kernel, _families, reads every critical-pair family off
 it.  Two enumerations feed it.  The dense scan (_scan) takes all n^2
 pairs, a row block at a time; critical_pairs() uses it, and so do the
 minima below _CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
-annealing objective take the pruned scan: only pairs whose edge midpoints
-lie within a growing radius and whose two arcs can both turn pi (pi/2 for
-the singly families).  In any round whose reach covers the span, as the
-first does for the regular n-gon whose dcsd is its diameter, a
-perpendicularity filter replaces the radius: a candidate critical at one
-end has its other point within reach of that end's vertex, in one of its
-two edge slabs or its normal wedge, up to a slack
-sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
-rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
-always kept.  Both enumerations form the same products and per-pair
-arithmetic, so their minima agree bit for bit.  Simplicity is separate:
-the edge gap (the minimum distance between non-adjacent edges) comes from
-the pairs a midpoint tree finds within reach of a clearance (_gap_within)
-for is_simple and the objective, and densely, over an optional leading
-batch axis (_edge_gap), for the annealer's sweep check.  Python-level pair
-objects are only materialised by critical_pairs() and delta_n().
+annealing objective take the pruned scan: only pairs whose two arcs can
+both turn pi (pi/2 for the singly families), in at most two rounds.  The
+ring round keeps pairs whose edge midpoints lie within 2 min_rad + h_max;
+it is the only round when a doubly pair lies within 2 min_rad.  Otherwise,
+or when that ring already covers the span, as for the regular n-gon whose
+dcsd is its diameter, a covering round keeps the pairs that pass a
+perpendicularity filter: a candidate critical at one end has its other
+point within reach of that end's vertex, in one of its two edge slabs or
+its normal wedge, up to a slack sigma = 1e-6 (span + h_max + |V|_max) for
+the kernel's tolerances and rounding; near-parallel pairs, whose feet the
+quadratic fixes poorly, are always kept.  Both enumerations form the same
+products and per-pair arithmetic, so their minima agree bit for bit.
+Simplicity is separate: the edge gap (the minimum distance between
+non-adjacent edges) comes from the pairs a midpoint tree finds within
+reach of a clearance (_gap_within) for is_simple and the objective, and
+densely, over an optional leading batch axis (_edge_gap), for the
+annealer's sweep check.  Python-level pair objects are only materialised
+by critical_pairs() and delta_n().
 """
 
 from __future__ import annotations
@@ -505,30 +507,25 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
 
 
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
-    """The candidates of _scan that can decide its minima, in rounds of
-    growing edge-midpoint distance.
+    """The candidates of _scan that can decide its minima, in at most two
+    rounds.
 
     A candidate at distance d joins edges whose midpoints are at most
     d + h_max apart, and both arcs between a doubly critical pair turn at
     least pi (pi/2 for a singly critical one: its chord is perpendicular
-    to a tangent or a one-sided vertex direction at one end).  The radius
-    r starts at 2 min_rad and doubles until a doubly pair is found within
-    it; scsd <= dcsd, so the singly families need no more.  _reach pads r
-    for the tie window and the quadratic form's cancellation error.  A ring
-    round takes, per row block, the pairs of its turning window whose
-    midpoint distance lies in the new ring, up to the reach of the best
-    doubly pair so far.  Any round whose reach covers the span would take
-    every pair, so it is the last, and it takes instead the window columns
-    that pass _perpendicular (one end within reach of the other's vertex,
-    sigma slack, near-parallel pairs kept); pairs an earlier round took
-    come again with the same values.  Products are formed per row block as
-    in _scan, so the minima and the achieving pair are the dense scan's bit
-    for bit.
+    to a tangent or a one-sided vertex direction at one end).  The ring
+    round takes, per row block, the turning window's pairs whose midpoint
+    distance is within _reach of r = 2 min_rad (h at a fold-back), or of
+    the best doubly pair so far when that is closer.  A doubly pair within
+    r settles the minima, as scsd <= dcsd.  Otherwise, or when the ring
+    already covers the span, the covering round takes the window columns
+    that pass _perpendicular; pairs the ring round took come again with the
+    same values.  Products are formed per row block as in _scan, so the
+    minima and the achieving pair are the dense scan's bit for bit.
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
     M = _midpoints(p)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
-    tree = cKDTree(M)
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
 
@@ -538,11 +535,11 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
                 tree, _reach(min(r, out.doubly_min), h), output_type="ndarray")
-            i, j, d = near["i"] + r0, near["j"], near["v"]
+            i, j = near["i"] + r0, near["j"]
             m = (j - i) % n
-            keep = (d > seen) & (m >= lo[i]) & (m <= hi[i])
+            keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
-            del near, i, j, d, m, keep              # freed before the products
+            del near, i, j, m, keep                 # freed before the products
         else:
             # columns i + lo .. i + hi of every row, unrolled so that m = U - i
             R, products = idx[rows], _products(p, rows)
@@ -557,18 +554,21 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             products = _products(p, rows)
         return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
 
-    out, seen = _Collector(p.edge_lengths), -1.0
-    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
-    while True:
-        covering = _reach(r, h) >= span                 # beyond span every pair is in
-        perpendicular = _perpendicular(p, singly, M, span) if covering else None
+    def scan_round(perpendicular):
         for r0 in range(0, n, _BLOCK):
             pairs = block(r0, perpendicular)
             if pairs is not None:
                 _families(out, p, *pairs, singly)
-        if covering or out.doubly_min <= r:
+
+    out = _Collector(p.edge_lengths)
+    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
+    if _reach(r, h) < span:                           # beyond span every pair is in
+        tree = cKDTree(M)
+        scan_round(None)
+        if out.doubly_min <= r:
             return out
-        seen, r = _reach(r, h), min(2.0 * r, out.doubly_min)
+    scan_round(_perpendicular(p, singly, M, span))
+    return out
 
 
 def _minimum_scan(p: Polygon, singly: bool) -> _Collector:

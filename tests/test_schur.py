@@ -53,6 +53,9 @@ class TestCircleChord:
             circle_chord(0.0, 1.0)
         with pytest.raises(ValueError):
             circle_chord(1.0, -1.0)
+        for K, L in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                circle_chord(K, L)
 
 
 class TestSchurCheck:
@@ -97,6 +100,10 @@ class TestSchurCheck:
         arc = constant_turn_arc(3, 0.8)
         with pytest.raises(ValueError, match="curvature bound"):
             schur_check(arc, 0.5)
+        # a non-finite K would give a NaN margin or a math domain error
+        for K in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"finite K > 0, got K = {K}"):
+                schur_check(arc, K)
 
     def test_length_precondition_strict(self):
         arc = straight_arc(7, 0.5)  # L = 3.5, K*L > pi
@@ -206,6 +213,9 @@ class TestSphereExclusion:
         arc = constant_turn_arc(3, 0.5, 0.4)
         with pytest.raises(ValueError, match="curvature bound"):
             sphere_exclusion_check(arc, 1.0)
+        for K in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"finite K > 0, got K = {K}"):
+                sphere_exclusion_check(arc, K)
 
     def test_random_arcs_stay_outside(self):
         # boundary-hugging random draws: K*L at 98% of the admissible cap
@@ -294,6 +304,9 @@ class TestRandomBoundedArc:
             random_bounded_arc(4, -1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             random_bounded_arc(4, 1.0, 0.0, seed=0)
+        for K, L in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                random_bounded_arc(4, K, L, seed=0)
 
     def test_feeds_schur_check(self):
         K = 1.0

@@ -604,30 +604,45 @@ class TestPerpendicularityLemma:
     def test_regular_keeps_few_pairs_per_row(self, n):
         assert _pairs_per_row(regular_ngon(n), singly=True).max() <= 8
 
-    @pytest.mark.parametrize("name", ["cranked", "near-regular"])
+    @pytest.mark.parametrize("name", ["cranked", "cranked-0.05", "near-regular"])
     def test_covering_after_rings_keeps_few_pairs_per_row(self, name):
         # the first ring of these falls short of the span, so the filter
         # only serves the round whose reach covers it
         if name == "cranked":
             p, singly = crankshaft_move(regular_ngon(2048), 0, 700, 0.01), True
+        elif name == "cranked-0.05":
+            p, singly = crankshaft_move(regular_ngon(2048), 0, 1024, 0.05), True
         else:
             p, singly = perturbed_regular(2048, 1e-3, np.random.default_rng(1)), False
         assert _pairs_per_row(p, singly).max() <= 8
 
+    def test_crumpled_takes_two_rounds_at_most(self):
+        # 2 min_rad lies far below dcsd here, so the ring round cannot
+        # settle it and the covering round follows; each round calls
+        # _families at most once per row block
+        p = perturbed_regular(512, 0.1, np.random.default_rng(1))
+        assert len(_families_rows(p, singly=True)) <= 2 * math.ceil(p.n / thickness._BLOCK)
 
-def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
-    """How many pairs of each row the pruned scan hands to _families."""
-    evaluated = np.zeros(p.n, dtype=int)
+
+def _families_rows(p: Polygon, singly: bool) -> list:
+    """The row labels of each batch of pairs the pruned scan hands to
+    _families, one array per call."""
+    calls = []
     families = thickness._families
 
     def counting(out, q, I, J, *args):
-        np.add.at(evaluated, I, 1)
+        calls.append(I)
         return families(out, q, I, J, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thickness, "_families", counting)
         thickness._pruned_scan(p, singly)
-    return evaluated
+    return calls
+
+
+def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
+    """How many pairs of each row the pruned scan hands to _families."""
+    return np.bincount(np.concatenate(_families_rows(p, singly)), minlength=p.n)
 
 
 def _results(p: Polygon, crossover: int):
@@ -650,7 +665,7 @@ class TestPrunedScan:
         assert _results(p, 0) == _results(p, 10**9)
 
     @pytest.mark.parametrize("name", ["trefoil", "random", "regular", "near-regular",
-                                      "cranked"])
+                                      "cranked", "crumpled", "cranked-0.05"])
     def test_matches_dense_at_2048(self, name):
         if name == "trefoil":
             p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
@@ -660,6 +675,10 @@ class TestPrunedScan:
             p = perturbed_regular(2048, 1e-3, np.random.default_rng(1))
         elif name == "cranked":
             p = crankshaft_move(regular_ngon(2048), 0, 700, 0.01)
+        elif name == "crumpled":
+            p = perturbed_regular(2048, 0.1, np.random.default_rng(1))
+        elif name == "cranked-0.05":
+            p = crankshaft_move(regular_ngon(2048), 0, 1024, 0.05)
         else:
             p = random_equilateral_polygon(2048, np.random.default_rng(3))
         assert p.n >= thickness._CROSSOVER
