@@ -28,7 +28,11 @@ point within reach of that end's vertex, in one of its two edge slabs or
 its normal wedge, up to a slack sigma = 1e-6 (span + h_max + |V|_max) for
 the kernel's tolerances and rounding; near-parallel pairs, whose feet the
 quadratic fixes poorly, are always kept.  Both enumerations form the same
-products and per-pair arithmetic, so their minima agree bit for bit.
+products, full row-block matmuls, and the same per-pair arithmetic, so
+their minima agree bit for bit.  The covering round computes its products
+into one workspace that lives for the round, as fresh ones would be
+page-faulted in afresh on every block, and gathers its window columns of
+b with take.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) comes from the pairs a midpoint tree finds within
 reach of a clearance (_gap_within) for is_simple and the objective, and
@@ -191,9 +195,11 @@ class _Collector:
 # c1, c2, so no (rows, n, 3) displacement array outlives the row block.
 # Pairs come as index arrays I, J that broadcast together: a row block
 # against every column, or flat lists of kept pairs.  All of it is
-# elementwise in the pair but the matmul b, formed for a whole row block
-# (_gram; it rounds differently on column subsets) and then gathered;
-# _gap_within alone takes b as an elementwise dot of the pairs it finds.
+# elementwise in the pair but the matmul b, formed by _gram for a whole row
+# block against every column and then gathered, because a matmul over a
+# subset of the columns may round differently and the scans' minima must
+# agree bit for bit; _gap_within alone takes b as an elementwise dot of the
+# pairs it finds.
 # Every function here accepts an optional leading batch axis.
 
 
@@ -207,11 +213,11 @@ def _dot(x, y):
     return np.einsum("...k,...k->...", x, y)
 
 
-def _gram(E, rows: slice):
-    """b = E_i . E_j of a row block against every column."""
+def _gram(E, rows: slice, out=None):
+    """b = E_i . E_j of a row block against every column, into out if given."""
     # matmul rounds differently when its operands share a start address, as
     # the first row block of E and E's transpose would; the copy avoids it
-    return E[..., rows, :].copy() @ np.swapaxes(E, -1, -2)
+    return np.matmul(E[..., rows, :].copy(), np.swapaxes(E, -1, -2), out=out)
 
 
 def _quadratic(Vi, Vj, Ei, Ej):
@@ -314,12 +320,16 @@ def _gap_within(p: Polygon, clearance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _products(p: Polygon, rows: slice):
+def _products(p: Polygon, rows: slice, workspace=None):
     """The matmul terms of a row block: b and the rows' one-sided vertex
-    directions u-, u+ against every edge."""
+    directions u-, u+ against every edge, as full row-block matmuls.  They
+    are fresh arrays, or are computed into the leading rows of a
+    (3, _BLOCK, n) workspace, which a partial last block fills in part."""
     E, dirs = p.edges, p.directions()
     R = np.arange(p.n)[rows]
-    return _gram(E, rows), dirs[(R - 1) % p.n] @ E.T, dirs[R] @ E.T
+    b, um_E, up_E = (None,) * 3 if workspace is None else workspace[:, :R.size]
+    return (_gram(E, rows, b), np.matmul(dirs[(R - 1) % p.n], E.T, out=um_E),
+            np.matmul(dirs[R], E.T, out=up_E))
 
 
 def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
@@ -522,6 +532,18 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     that pass _perpendicular; pairs the ring round took come again with the
     same values.  Products are formed per row block as in _scan, so the
     minima and the achieving pair are the dense scan's bit for bit.
+
+    The covering round computes every block's products into one workspace
+    that lives for the round.  Fresh products, three (96, n) arrays per
+    block, are handed back to the OS and page-faulted in again on every
+    block: delta_n of the regular 2048-gon takes 57-74 ms with 45k minor
+    faults that way, and 24-25 ms with 1.3k-1.8k faults from the workspace
+    (best of 3, one BLAS thread, one 2-vCPU host).  Its window columns of b
+    are gathered with np.take: numpy advises huge pages for the workspace,
+    and b[:, J] reads slowly from such memory (378-383 ms against 101-104 ms
+    per delta_n of the regular 4096-gon).  The ring round forms products
+    on a few blocks only and keeps them fresh, freed before _families, so
+    its peak memory does not grow.
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
     M = _midpoints(p)
@@ -529,8 +551,8 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
 
-    def block(r0, perpendicular):
-        # a function, so the block's products are freed before _families
+    def block(r0, perpendicular, workspace):
+        # a function, so fresh products are freed before _families
         rows, products = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
@@ -542,11 +564,11 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             del near, i, j, m, keep                 # freed before the products
         else:
             # columns i + lo .. i + hi of every row, unrolled so that m = U - i
-            R, products = idx[rows], _products(p, rows)
+            R, products = idx[rows], _products(p, rows, workspace)
             U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
             J, m = U % n, U - R[:, None]
             ri, k = np.nonzero((m >= lo[rows, None]) & (m <= hi[rows, None])
-                               & perpendicular(R, J, products[0][:, J]))
+                               & perpendicular(R, J, np.take(products[0], J, axis=1)))
             flat = ri * n + J[k]
         if not flat.size:
             return None
@@ -554,9 +576,9 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             products = _products(p, rows)
         return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
 
-    def scan_round(perpendicular):
+    def scan_round(perpendicular, workspace=None):
         for r0 in range(0, n, _BLOCK):
-            pairs = block(r0, perpendicular)
+            pairs = block(r0, perpendicular, workspace)
             if pairs is not None:
                 _families(out, p, *pairs, singly)
 
@@ -567,7 +589,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         scan_round(None)
         if out.doubly_min <= r:
             return out
-    scan_round(_perpendicular(p, singly, M, span))
+    scan_round(_perpendicular(p, singly, M, span), np.empty((3, _BLOCK, n)))
     return out
 
 

@@ -665,8 +665,11 @@ class TestPrunedScan:
         assert _results(p, 0) == _results(p, 10**9)
 
     @pytest.mark.parametrize("name", ["trefoil", "random", "regular", "near-regular",
-                                      "cranked", "crumpled", "cranked-0.05"])
+                                      "cranked", "crumpled", "cranked-0.05",
+                                      "regular-130", "regular-200"])
     def test_matches_dense_at_2048(self, name):
+        # the covering rounds of regular-130 and regular-200 end in partial
+        # blocks of 34 and 8 rows, which fill the workspace in part
         if name == "trefoil":
             p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
         elif name == "regular":
@@ -679,10 +682,30 @@ class TestPrunedScan:
             p = perturbed_regular(2048, 0.1, np.random.default_rng(1))
         elif name == "cranked-0.05":
             p = crankshaft_move(regular_ngon(2048), 0, 1024, 0.05)
+        elif name.startswith("regular-"):
+            p = regular_ngon(int(name[len("regular-"):]))
         else:
             p = random_equilateral_polygon(2048, np.random.default_rng(3))
         assert p.n >= thickness._CROSSOVER
         assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
+
+    @pytest.mark.parametrize("singly", [False, True])
+    def test_covering_round_reuses_one_workspace(self, singly):
+        # the regular n-gon takes the covering round only; fresh (96, n)
+        # products per block would be page-faulted afresh on every block
+        p, seen = regular_ngon(2048), []
+        products = thickness._products
+
+        def recording(*args):
+            seen.append(products(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_products", recording)
+            thickness._pruned_scan(p, singly)
+        assert len(seen) == math.ceil(p.n / thickness._BLOCK)
+        assert all(np.shares_memory(x, x0)
+                   for block in seen[1:] for x, x0 in zip(block, seen[0]))
 
 
 class TestGapWithin:

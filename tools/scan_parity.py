@@ -1,0 +1,105 @@
+"""Record the pair scan's outputs on a fixed set of polygons, for parity checks.
+
+For every input the JSON file holds delta_n(p).to_json() and the float.hex()
+of dcsd, scsd and inv_delta_objective at clearances 1e-6 L and 1e-12 L.  Run
+it once per checkout and compare the files byte for byte; a change that keeps
+the scan's arithmetic must leave them equal:
+
+    python tools/scan_parity.py change.json
+    python tools/scan_parity.py parent.json --checkout ../parent
+    cmp parent.json change.json
+
+The inputs cover both pruned-scan rounds and the dense scan's range: inscribed
+torus knots at n = 128..512, random equilateral polygons, perturbed regular
+1024-gons from nearly regular to crumpled, cranked and plain regular 2048-gons,
+the 2048-gon trefoil of the benchmark's report-large workload and the 4096-gon
+of its trefoil proxy.
+
+--faults also prints, per input, the best of five delta_n timings and the
+minor page faults of that call, each taken after malloc_trim (glibc only).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+
+def _inputs():
+    """(name, polygon) pairs, built from fixed seeds."""
+    import numpy as np
+    from _gen import perturbed_regular
+    from polythick.anneal import crankshaft_move
+    from polythick.polygon import random_equilateral_polygon, regular_ngon
+    from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
+
+    for spec in ("torus:2,3", "torus:2,5", "torus:3,4"):
+        curve = preset_curve(spec, 4096)
+        for n in (128, 256, 512):
+            yield f"{spec}/{n}", rescale_unit(inscribe_equilateral(curve, n))
+    for n in (512, 768, 1024, 1280):
+        yield f"random/{n}", random_equilateral_polygon(n, np.random.default_rng(n))
+    for sigma in (0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
+        yield (f"perturbed-regular/1024/{sigma}",
+               perturbed_regular(1024, sigma, np.random.default_rng(1)))
+    for theta in (0.002, 0.05, 0.5):
+        yield f"cranked-regular/2048/{theta}", crankshaft_move(regular_ngon(2048), 0, 1024, theta)
+    yield "regular/2048", regular_ngon(2048)
+    trefoil = preset_curve("torus:2,3", 4096)
+    yield "report-large-trefoil/2048", rescale_unit(inscribe_equilateral(trefoil, 2048))
+    yield "trefoil-proxy/4096", inscribe_equilateral(trefoil, 4096)
+
+
+def _outputs(p) -> dict:
+    from polythick.thickness import dcsd, delta_n, inv_delta_objective, scsd
+
+    return {"delta_n": delta_n(p).to_json(), "dcsd": dcsd(p).hex(), "scsd": scsd(p).hex(),
+            "objective_1e-6": inv_delta_objective(p, 1e-6 * p.length).hex(),
+            "objective_1e-12": inv_delta_objective(p, 1e-12 * p.length).hex()}
+
+
+def _best_delta_n(p, trim) -> tuple[float, int]:
+    """Fastest of five delta_n calls, in seconds, with its minor faults."""
+    from polythick.thickness import delta_n
+
+    best = (float("inf"), 0)
+    for _ in range(5):
+        trim(0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        delta_n(p)
+        elapsed = time.perf_counter() - start
+        best = min(best, (elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+    return best
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parents[1]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="JSON file to write")
+    ap.add_argument("--checkout", type=Path, default=here,
+                    help="repository whose src/ and tests/ to import (default: this one)")
+    ap.add_argument("--faults", action="store_true",
+                    help="print best-of-5 delta_n time and minor faults per input")
+    args = ap.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    trim = ctypes.CDLL("libc.so.6").malloc_trim if args.faults else None
+
+    results = {}
+    for name, p in _inputs():
+        results[name] = _outputs(p)
+        if trim is not None:
+            seconds, faults = _best_delta_n(p, trim)
+            print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults", flush=True)
+    args.out.write_text(json.dumps(results, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
