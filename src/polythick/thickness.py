@@ -19,20 +19,23 @@ pairs, a row block at a time; critical_pairs() uses it, and so do the
 minima below _CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
 annealing objective take the pruned scan: only pairs whose two arcs can
 both turn pi (pi/2 for the singly families), in at most two rounds.  The
-ring round keeps pairs whose edge midpoints lie within 2 min_rad + h_max;
-it is the only round when a doubly pair lies within 2 min_rad.  Otherwise,
-or when that ring already covers the span, as for the regular n-gon whose
-dcsd is its diameter, a covering round keeps the pairs that pass a
-perpendicularity filter: a candidate critical at one end has its other
-point within reach of that end's vertex, in one of its two edge slabs or
-its normal wedge, up to a slack sigma = 1e-6 (span + h_max + |V|_max) for
-the kernel's tolerances and rounding; near-parallel pairs, whose feet the
-quadratic fixes poorly, are always kept.  Both enumerations form the same
-products, full row-block matmuls, and the same per-pair arithmetic, so
-their minima agree bit for bit.  The covering round computes its products
-into one workspace that lives for the round, as fresh ones would be
-page-faulted in afresh on every block, and gathers its window columns of
-b with take.
+ring round keeps pairs whose edge midpoints lie within r + h_max, where r
+is 2 min_rad or, when smaller, a bound on dcsd: the doubly pairs next to
+the closest midpoints of the turning window, found on a coarse grid and
+refined around its best pair.  It is the only round when a doubly pair
+lies within r.  Otherwise, or when 2 min_rad already covers the span, as
+for the regular n-gon whose dcsd is its diameter, a covering round keeps
+the pairs that pass a perpendicularity filter: a candidate critical at
+one end has its other point within reach of that end's vertex, in one of
+its two edge slabs or its normal wedge, up to a slack
+sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
+rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
+always kept.  Both enumerations form the same products, full row-block
+matmuls, and the same per-pair arithmetic, so their minima agree bit for
+bit.  The pruned scan computes its products into one workspace that
+lives for the scan, as fresh ones would be page-faulted in afresh on
+every block, and gathers the covering round's window columns of b with
+take.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) comes from the pairs a midpoint tree finds within
 reach of a clearance (_gap_within) for is_simple and the objective, and
@@ -71,7 +74,7 @@ _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
 _TIE = 1e-12              # distances this close to the minimum tie
-_CROSSOVER = 128          # n from which the minima come from the pruned scan
+_CROSSOVER = 96           # n from which the minima come from the pruned scan
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
 _TURN_SLACK = 1e-6        # turning slack of the pruned scan's arc filter
 
@@ -516,6 +519,46 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
     return keep
 
 
+def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, r: float, workspace) -> float:
+    """An upper bound on dcsd read off the pairs near the closest window
+    midpoints, or +inf.
+
+    The midpoint pairs inside the turning window (lo, hi) are searched
+    coarse to fine: a grid of stride isqrt(n), then +-isqrt(n) around its
+    nearest pair.  When the nearest pair found lies within r + 2 h_max, the
+    doubly families of a +-4 patch around it, in both orientations as
+    _families gives edge-edge pairs to the lower row, are evaluated on
+    products formed as _scan forms them, so the bound is the distance of a
+    doubly candidate of the dense scan; +inf when the pair lies farther or
+    the patch holds no doubly candidate.  The products go to workspace, a
+    (3, _BLOCK, n) array."""
+    n, s, h = p.n, math.isqrt(p.n), float(p.edge_lengths.max())
+
+    def nearest(I, J):
+        I, J = I[:, None] % n, J[None, :] % n
+        m, D = (J - I) % n, M[I] - M[J]
+        d2 = np.where((m >= lo[I]) & (m <= hi[I]), _dot(D, D), np.inf)
+        k, l = np.unravel_index(np.argmin(d2), d2.shape)
+        return I[k, 0], J[0, l], d2[k, l]
+
+    grid = np.arange(0, n, s)
+    i, j, _ = nearest(grid, grid)
+    i, j, d2 = nearest(np.arange(i - s, i + s + 1), np.arange(j - s, j + s + 1))
+    if d2 > (r + 2.0 * h) ** 2:
+        return math.inf
+    a, c = (i + np.arange(-4, 5)) % n, (j + np.arange(-4, 5)) % n
+    I = np.concatenate([np.repeat(a, a.size), np.repeat(c, c.size)])
+    J = np.concatenate([np.tile(c, a.size), np.tile(a, c.size)])
+    products, blocks = np.empty((3, I.size)), I // _BLOCK
+    for q in np.unique(blocks):
+        k, r0 = blocks == q, q * _BLOCK
+        products[:, k] = [x[I[k] - r0, J[k]]
+                          for x in _products(p, slice(r0, r0 + _BLOCK), workspace)]
+    out = _Collector(p.edge_lengths)
+    _families(out, p, I, J, *products, False)
+    return out.doubly_min
+
+
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     """The candidates of _scan that can decide its minima, in at most two
     rounds.
@@ -525,34 +568,39 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  The ring
     round takes, per row block, the turning window's pairs whose midpoint
-    distance is within _reach of r = 2 min_rad (h at a fold-back), or of
-    the best doubly pair so far when that is closer.  A doubly pair within
-    r settles the minima, as scsd <= dcsd.  Otherwise, or when the ring
-    already covers the span, the covering round takes the window columns
-    that pass _perpendicular; pairs the ring round took come again with the
+    distance is within _reach of r, or of the best doubly pair so far when
+    that is closer.  r is 2 min_rad (h at a fold-back), lowered to
+    _doubly_seed's bound on dcsd from the pairs near the closest midpoints
+    of the turning window.  A doubly pair within r settles the minima, as
+    scsd <= dcsd.  On the inscribed trefoil 2 min_rad is 0.48 of the span
+    and dcsd 0.28: the seed cuts the pairs handed to _families from 214k
+    to 7.3k on the 4096-gon and from 99k to 3.8k on the 2048-gon, and
+    dcsd of the 4096-gon takes 25-28 ms instead of 54-58 ms, delta_n of
+    the 2048-gon 10-11 ms instead of 24-26 ms (best of 7, one BLAS
+    thread, one 2-vCPU host).  Otherwise, or when 2 min_rad already
+    covers the span, the covering round takes the window columns that
+    pass _perpendicular; pairs the ring round took come again with the
     same values.  Products are formed per row block as in _scan, so the
     minima and the achieving pair are the dense scan's bit for bit.
 
-    The covering round computes every block's products into one workspace
-    that lives for the round.  Fresh products, three (96, n) arrays per
-    block, are handed back to the OS and page-faulted in again on every
-    block: delta_n of the regular 2048-gon takes 57-74 ms with 45k minor
-    faults that way, and 24-25 ms with 1.3k-1.8k faults from the workspace
-    (best of 3, one BLAS thread, one 2-vCPU host).  Its window columns of b
-    are gathered with np.take: numpy advises huge pages for the workspace,
-    and b[:, J] reads slowly from such memory (378-383 ms against 101-104 ms
-    per delta_n of the regular 4096-gon).  The ring round forms products
-    on a few blocks only and keeps them fresh, freed before _families, so
-    its peak memory does not grow.
+    Every round computes its blocks' products into one workspace that
+    lives for the scan.  Fresh products, three (96, n) arrays per block,
+    are handed back to the OS and page-faulted in again on every block:
+    delta_n of the regular 2048-gon takes 57-74 ms with 45k minor faults
+    that way, and 24-25 ms with 1.3k-1.8k faults from the workspace (best
+    of 3, one BLAS thread, one 2-vCPU host).  The covering round's window
+    columns of b are gathered with np.take: numpy advises huge pages for
+    the workspace, and b[:, J] reads slowly from such memory (378-383 ms
+    against 101-104 ms per delta_n of the regular 4096-gon).
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
     M = _midpoints(p)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
+    workspace = np.empty((3, _BLOCK, n))
 
-    def block(r0, perpendicular, workspace):
-        # a function, so fresh products are freed before _families
+    def block(r0, perpendicular):
         rows, products = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
@@ -561,7 +609,6 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             m = (j - i) % n
             keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
-            del near, i, j, m, keep                 # freed before the products
         else:
             # columns i + lo .. i + hi of every row, unrolled so that m = U - i
             R, products = idx[rows], _products(p, rows, workspace)
@@ -573,12 +620,12 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         if not flat.size:
             return None
         if products is None:
-            products = _products(p, rows)
+            products = _products(p, rows, workspace)
         return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
 
-    def scan_round(perpendicular, workspace=None):
+    def scan_round(perpendicular):
         for r0 in range(0, n, _BLOCK):
-            pairs = block(r0, perpendicular, workspace)
+            pairs = block(r0, perpendicular)
             if pairs is not None:
                 _families(out, p, *pairs, singly)
 
@@ -586,10 +633,11 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
     if _reach(r, h) < span:                           # beyond span every pair is in
         tree = cKDTree(M)
+        r = min(r, _doubly_seed(p, M, lo, hi, r, workspace))
         scan_round(None)
         if out.doubly_min <= r:
             return out
-    scan_round(_perpendicular(p, singly, M, span), np.empty((3, _BLOCK, n)))
+    scan_round(_perpendicular(p, singly, M, span))
     return out
 
 

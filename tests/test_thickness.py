@@ -645,6 +645,12 @@ def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
     return np.bincount(np.concatenate(_families_rows(p, singly)), minlength=p.n)
 
 
+@functools.lru_cache(maxsize=None)
+def _report_large_trefoil() -> Polygon:
+    """The 2048-gon trefoil of the benchmark's report-large workload."""
+    return rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
+
+
 def _results(p: Polygon, crossover: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thickness, "_CROSSOVER", crossover)
@@ -706,6 +712,44 @@ class TestPrunedScan:
         assert len(seen) == math.ceil(p.n / thickness._BLOCK)
         assert all(np.shares_memory(x, x0)
                    for block in seen[1:] for x, x0 in zip(block, seen[0]))
+
+    @pytest.mark.parametrize("singly", [False, True])
+    def test_ring_round_reuses_the_workspace(self, singly):
+        # the trefoil settles in the ring round; its products, and the
+        # seed's, go to the one workspace of the scan
+        seen = []
+        products = thickness._products
+
+        def recording(*args):
+            seen.append(products(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_products", recording)
+            thickness._pruned_scan(_report_large_trefoil(), singly)
+        assert len(seen) > 1
+        assert all(np.shares_memory(x, x0)
+                   for block in seen[1:] for x, x0 in zip(block, seen[0]))
+
+    @pytest.mark.parametrize("singly", [False, True])
+    def test_seeded_ring_hands_few_pairs_to_families(self, singly):
+        # a ring of radius 2 min_rad, 0.48 of the span, hands 95k-99k
+        # pairs to _families; one seeded at dcsd, 0.28 of it, 3.8k
+        calls = _families_rows(_report_large_trefoil(), singly)
+        assert sum(I.size for I in calls) <= 8000
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 160),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_is_a_dense_candidate(self, kind, n, seed, x):
+        # with no radius to beat, the seed always evaluates its patch; its
+        # bound is then the distance of a doubly candidate of _scan
+        p = _subject(kind, n, seed, x)
+        lo, hi = _turning_window(p, math.pi - thickness._TURN_SLACK)
+        bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi, math.inf,
+                                       np.empty((3, thickness._BLOCK, p.n)))
+        arr = _scan(p, singly=False).arrays()
+        assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)
 
 
 class TestGapWithin:

@@ -16,7 +16,9 @@ the 2048-gon trefoil of the benchmark's report-large workload and the 4096-gon
 of its trefoil proxy.
 
 --faults also prints, per input, the best of five delta_n timings and the
-minor page faults of that call, each taken after malloc_trim (glibc only).
+minor page faults of that call, each taken after malloc_trim (glibc only),
+and the number of pairs delta_n's pruned scan hands to _families, counted
+by the tests' wrapper.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ def _best_delta_n(p, trim) -> tuple[float, int]:
     return best
 
 
+def _families_pairs(p) -> int:
+    """Pairs the pruned scan of delta_n (singly mode) hands to _families."""
+    from test_thickness import _families_rows
+
+    return sum(I.size for I in _families_rows(p, singly=True))
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -85,7 +94,7 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=here,
                     help="repository whose src/ and tests/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
-                    help="print best-of-5 delta_n time and minor faults per input")
+                    help="print best-of-5 delta_n time, minor faults and scanned pairs per input")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
@@ -96,7 +105,8 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
-            print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults", flush=True)
+            print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
+                  f"\t{_families_pairs(p)} pairs", flush=True)
     args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
 
