@@ -50,6 +50,9 @@ __all__ = [
 
 DEFAULT_EDGE_TOL = 1e-9  # relative spread allowed among edge lengths
 _FOLD_BACK = np.pi - 1e-15  # turning angles this large give kappa_d = +inf
+# mean edge lengths a Polygon accepts: the pair scan's quadratics hold fourth
+# powers of lengths, which leave the normal floats outside about 1e-80..1e80
+_EDGE_RANGE = (1e-50, 1e50)
 
 
 def _vertex_array(points) -> np.ndarray:
@@ -148,18 +151,21 @@ class Polygon(_Polyline):
     Polygon(points, tolerance) validates the equilateral constraint: the
     implicit edge back to points[0] is included, and a ValueError names the
     first edge whose length leaves the mean by more than the relative
-    tolerance.
+    tolerance.  The mean edge length must lie in 1e-50..1e50; a ValueError
+    names it otherwise.
     """
 
     def __init__(self, vertices: np.ndarray, tolerance: float = DEFAULT_EDGE_TOL):
         v = _vertex_array(vertices)
         if v.shape[0] < 3:
             raise ValueError("a closed polygon needs at least 3 vertices")
-        super().__init__(v, np.roll(v, -1, axis=0) - v)
+        with np.errstate(over="ignore"):    # an overflow fails the range check
+            super().__init__(v, np.roll(v, -1, axis=0) - v)
         lens = self._lens
         mean = float(lens.mean())
-        if mean <= 0.0:
-            raise ValueError("polygon has zero total length")
+        if not _EDGE_RANGE[0] <= mean <= _EDGE_RANGE[1]:
+            raise ValueError(f"mean edge length {mean:.17g} is outside the supported "
+                             f"range {_EDGE_RANGE[0]:g} to {_EDGE_RANGE[1]:g}")
         bad = np.nonzero(np.abs(lens - mean) > tolerance * mean)[0]
         if bad.size:
             i = int(bad[0])

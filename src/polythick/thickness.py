@@ -18,13 +18,12 @@ it.  Two enumerations feed it.  The dense scan (_scan) takes all n^2
 pairs, a row block at a time; critical_pairs() uses it, and so do the
 minima below _CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
 annealing objective take the pruned scan: only pairs whose two arcs can
-both turn pi (pi/2 for the singly families), in at most two rounds.  The
-ring round keeps pairs whose edge midpoints lie within r + h_max, where r
-is 2 min_rad or, when smaller, a bound on dcsd: the doubly pairs next to
-the closest midpoints of the turning window, found on a coarse grid and
-refined around its best pair.  It is the only round when a doubly pair
-lies within r.  Otherwise, or when 2 min_rad already covers the span, as
-for the regular n-gon whose dcsd is its diameter, a covering round keeps
+both turn pi (pi/2 for the singly families), in one round.  It starts
+from a bound r on dcsd: the doubly pairs next to the closest midpoints of
+the turning window, found on a coarse grid and refined around its best
+pair.  When the reach of r falls short of the span, a ring round keeps
+the pairs whose edge midpoints lie within r + h_max.  Otherwise, as for
+the regular n-gon whose dcsd is its diameter, a covering round keeps
 the pairs that pass a perpendicularity filter: a candidate critical at
 one end has its other point within reach of that end's vertex, in one of
 its two edge slabs or its normal wedge, up to a slack
@@ -32,10 +31,9 @@ sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
 rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
 always kept.  Both enumerations form the same products, full row-block
 matmuls, and the same per-pair arithmetic, so their minima agree bit for
-bit.  The pruned scan computes its products into one workspace that
-lives for the scan, as fresh ones would be page-faulted in afresh on
-every block, and gathers the covering round's window columns of b with
-take.
+bit.  Every scan computes its products into one workspace that lives
+for the scan, as fresh ones would be page-faulted in afresh on every
+block, and the covering round gathers its window columns of b with take.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) comes from the pairs a midpoint tree finds within
 reach of a clearance (_gap_within) for is_simple and the objective, and
@@ -244,7 +242,7 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
              (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
     denom = a * c - b * b
     ok = denom > 1e-14 * a * c
-    safe_den = np.where(ok, denom, 1.0)
+    safe_den = np.where(ok, denom, a * c)     # s_in, t_in unused there; no overflow
     s_in = (b * c2 - c * c1) / safe_den
     t_in = (a * c2 - b * c1) / safe_den
     inside = ok & (s_in >= 0.0) & (s_in <= 1.0) & (t_in >= 0.0) & (t_in <= 1.0)
@@ -323,14 +321,14 @@ def _gap_within(p: Polygon, clearance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _products(p: Polygon, rows: slice, workspace=None):
+def _products(p: Polygon, rows: slice, workspace):
     """The matmul terms of a row block: b and the rows' one-sided vertex
-    directions u-, u+ against every edge, as full row-block matmuls.  They
-    are fresh arrays, or are computed into the leading rows of a
-    (3, _BLOCK, n) workspace, which a partial last block fills in part."""
+    directions u-, u+ against every edge, as full row-block matmuls,
+    computed into the leading rows of a (3, _BLOCK, n) workspace, which a
+    partial last block fills in part."""
     E, dirs = p.edges, p.directions()
     R = np.arange(p.n)[rows]
-    b, um_E, up_E = (None,) * 3 if workspace is None else workspace[:, :R.size]
+    b, um_E, up_E = workspace[:, :R.size]
     return (_gram(E, rows, b), np.matmul(dirs[(R - 1) % p.n], E.T, out=um_E),
             np.matmul(dirs[R], E.T, out=up_E))
 
@@ -454,9 +452,11 @@ def _scan(p: Polygon, singly: bool) -> _Collector:
     """Every critical-pair candidate of p: _families over all n^2 pairs,
     one row block against every column at a time."""
     idx, out = np.arange(p.n), _Collector(p.edge_lengths)
+    workspace = np.empty((3, _BLOCK, p.n))
     for r0 in range(0, p.n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
-        _families(out, p, idx[rows, None], idx[None, :], *_products(p, rows), singly)
+        _families(out, p, idx[rows, None], idx[None, :],
+                  *_products(p, rows, workspace), singly)
     return out
 
 
@@ -519,33 +519,30 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
     return keep
 
 
-def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, r: float, workspace) -> float:
+def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
     """An upper bound on dcsd read off the pairs near the closest window
     midpoints, or +inf.
 
     The midpoint pairs inside the turning window (lo, hi) are searched
     coarse to fine: a grid of stride isqrt(n), then +-isqrt(n) around its
-    nearest pair.  When the nearest pair found lies within r + 2 h_max, the
-    doubly families of a +-4 patch around it, in both orientations as
-    _families gives edge-edge pairs to the lower row, are evaluated on
-    products formed as _scan forms them, so the bound is the distance of a
-    doubly candidate of the dense scan; +inf when the pair lies farther or
-    the patch holds no doubly candidate.  The products go to workspace, a
-    (3, _BLOCK, n) array."""
-    n, s, h = p.n, math.isqrt(p.n), float(p.edge_lengths.max())
+    nearest pair.  The doubly families of a +-4 patch around that pair, in
+    both orientations as _families gives edge-edge pairs to the lower row,
+    are evaluated on products formed as _scan forms them, so the bound is
+    the distance of a doubly candidate of the dense scan; +inf when the
+    patch holds none.  The products go to workspace, a (3, _BLOCK, n)
+    array."""
+    n, s = p.n, math.isqrt(p.n)
 
     def nearest(I, J):
         I, J = I[:, None] % n, J[None, :] % n
         m, D = (J - I) % n, M[I] - M[J]
         d2 = np.where((m >= lo[I]) & (m <= hi[I]), _dot(D, D), np.inf)
         k, l = np.unravel_index(np.argmin(d2), d2.shape)
-        return I[k, 0], J[0, l], d2[k, l]
+        return I[k, 0], J[0, l]
 
     grid = np.arange(0, n, s)
-    i, j, _ = nearest(grid, grid)
-    i, j, d2 = nearest(np.arange(i - s, i + s + 1), np.arange(j - s, j + s + 1))
-    if d2 > (r + 2.0 * h) ** 2:
-        return math.inf
+    i, j = nearest(grid, grid)
+    i, j = nearest(np.arange(i - s, i + s + 1), np.arange(j - s, j + s + 1))
     a, c = (i + np.arange(-4, 5)) % n, (j + np.arange(-4, 5)) % n
     I = np.concatenate([np.repeat(a, a.size), np.repeat(c, c.size)])
     J = np.concatenate([np.tile(c, a.size), np.tile(a, c.size)])
@@ -560,32 +557,28 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, r: float, workspace) -> floa
 
 
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
-    """The candidates of _scan that can decide its minima, in at most two
-    rounds.
+    """The candidates of _scan that can decide its minima, in one round.
 
     A candidate at distance d joins edges whose midpoints are at most
     d + h_max apart, and both arcs between a doubly critical pair turn at
     least pi (pi/2 for a singly critical one: its chord is perpendicular
-    to a tangent or a one-sided vertex direction at one end).  The ring
-    round takes, per row block, the turning window's pairs whose midpoint
-    distance is within _reach of r, or of the best doubly pair so far when
-    that is closer.  r is 2 min_rad (h at a fold-back), lowered to
-    _doubly_seed's bound on dcsd from the pairs near the closest midpoints
-    of the turning window.  A doubly pair within r settles the minima, as
-    scsd <= dcsd.  On the inscribed trefoil 2 min_rad is 0.48 of the span
-    and dcsd 0.28: the seed cuts the pairs handed to _families from 214k
-    to 7.3k on the 4096-gon and from 99k to 3.8k on the 2048-gon, and
-    dcsd of the 4096-gon takes 25-28 ms instead of 54-58 ms, delta_n of
-    the 2048-gon 10-11 ms instead of 24-26 ms (best of 7, one BLAS
-    thread, one 2-vCPU host).  Otherwise, or when 2 min_rad already
-    covers the span, the covering round takes the window columns that
-    pass _perpendicular; pairs the ring round took come again with the
-    same values.  Products are formed per row block as in _scan, so the
-    minima and the achieving pair are the dense scan's bit for bit.
+    to a tangent or a one-sided vertex direction at one end).  r is
+    _doubly_seed's bound on dcsd.  When its _reach falls short of the
+    span, the ring round takes, per row block, the turning window's pairs
+    whose midpoint distance is within _reach of r, or of the best doubly
+    pair so far when that is closer.  The seed's own pair is in the window
+    and within reach, so the round finds it again and ends with a doubly
+    pair within r, which settles the minima, as scsd <= dcsd.  On the
+    inscribed trefoil 2 min_rad is 0.48 of the span and dcsd 0.28: a ring
+    at 2 min_rad hands 214k pairs to _families on the 4096-gon, the seeded
+    one 7.3k.  Otherwise, r being +inf included, the covering round takes
+    the window columns that pass _perpendicular.  Products are formed per
+    row block as in _scan, so the minima and the achieving pair are the
+    dense scan's bit for bit.
 
-    Every round computes its blocks' products into one workspace that
-    lives for the scan.  Fresh products, three (96, n) arrays per block,
-    are handed back to the OS and page-faulted in again on every block:
+    The round computes its blocks' products into one workspace that lives
+    for the scan.  Fresh products, three (96, n) arrays per block, are
+    handed back to the OS and page-faulted in again on every block:
     delta_n of the regular 2048-gon takes 57-74 ms with 45k minor faults
     that way, and 24-25 ms with 1.3k-1.8k faults from the workspace (best
     of 3, one BLAS thread, one 2-vCPU host).  The covering round's window
@@ -600,7 +593,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
     workspace = np.empty((3, _BLOCK, n))
 
-    def block(r0, perpendicular):
+    def block(r0):
         rows, products = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
@@ -623,21 +616,16 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             products = _products(p, rows, workspace)
         return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
 
-    def scan_round(perpendicular):
-        for r0 in range(0, n, _BLOCK):
-            pairs = block(r0, perpendicular)
-            if pairs is not None:
-                _families(out, p, *pairs, singly)
-
     out = _Collector(p.edge_lengths)
-    r = 2.0 * min_rad(p) or h                         # min_rad is 0 at a fold-back
+    r = _doubly_seed(p, M, lo, hi, workspace)
     if _reach(r, h) < span:                           # beyond span every pair is in
-        tree = cKDTree(M)
-        r = min(r, _doubly_seed(p, M, lo, hi, r, workspace))
-        scan_round(None)
-        if out.doubly_min <= r:
-            return out
-    scan_round(_perpendicular(p, singly, M, span))
+        tree, perpendicular = cKDTree(M), None
+    else:
+        perpendicular = _perpendicular(p, singly, M, span)
+    for r0 in range(0, n, _BLOCK):
+        pairs = block(r0)
+        if pairs is not None:
+            _families(out, p, *pairs, singly)
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ class TestThicknessCommand:
         bad.write_text("0 0\n1 0\n")
         assert main(["thickness", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_polygon_outside_scale_range(self, tmp_path, capsys):
+        # coordinates of 1e160 used to reach the tree as "The value of p too
+        # large for this dataset"; now one error line names the edge length
+        src = tmp_path / "huge.txt"
+        src.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n"
+                               for x, y, z in regular_ngon(7).vertices * 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["thickness", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mean edge length")
+        assert captured.err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestConstruction:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             Polygon([(0, 0, 0), (1, 0, 0)])
+
+    @pytest.mark.parametrize("scale", [0.0, 3e-200, 1e-80, 1e80, 1e160, 1e300])
+    def test_mean_edge_outside_range_rejected(self, scale):
+        # zero, underflowing and overflowing lengths included, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mean edge length .* outside the supported"):
+                Polygon(regular_ngon(7).vertices * scale)
 
     def test_vertices_read_only(self):
         p = regular_ngon(5)

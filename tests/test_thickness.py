@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ class TestInvariance:
         if r0.simple:
             assert r1.delta_n == pytest.approx(c * r0.delta_n, rel=1e-12)
             assert r1.dcsd == pytest.approx(c * r0.dcsd, rel=1e-12)
+
+    @given(st.sampled_from(["regular", "perturbed"]), st.integers(min_value=5, max_value=16),
+           st.integers(min_value=0, max_value=10**6), st.sampled_from([-50, 50]))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_covariance_at_range_ends(self, kind, n, seed, exponent):
+        # mean edge lengths just inside 1e-50 and 1e50, the ends Polygon
+        # accepts; at 1e-80 and 1e80 the quadratic's fourth powers leave
+        # the normal floats and both values drift silently
+        p = (regular_ngon(n) if kind == "regular"
+             else perturbed_regular(n, 0.1, np.random.default_rng(seed)))
+        s = 10.0 ** exponent * (1.0 - 1e-6 * math.copysign(1.0, exponent)) / p.edge_length
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r0, r1 = delta_n(p), delta_n(Polygon(s * p.vertices))
+        assert r1.inv_delta_n * s == pytest.approx(r0.inv_delta_n, rel=1e-12)
+        assert r1.dcsd / s == pytest.approx(r0.dcsd, rel=1e-12)
 
 
 class TestSimplicity:
@@ -604,38 +621,48 @@ class TestPerpendicularityLemma:
     def test_regular_keeps_few_pairs_per_row(self, n):
         assert _pairs_per_row(regular_ngon(n), singly=True).max() <= 8
 
-    @pytest.mark.parametrize("name", ["cranked", "cranked-0.05", "near-regular"])
-    def test_covering_after_rings_keeps_few_pairs_per_row(self, name):
-        # the first ring of these falls short of the span, so the filter
-        # only serves the round whose reach covers it
+    @pytest.mark.parametrize("name", ["cranked", "cranked-0.05", "cranked-0.002",
+                                      "near-regular"])
+    def test_near_regular_few_pairs_per_row(self, name):
+        # these take the covering round, whose filter must keep few pairs
+        # per row; a ring at 2 min_rad, which falls short of the span here,
+        # handed 574k pairs to _families on cranked-0.002
         if name == "cranked":
             p, singly = crankshaft_move(regular_ngon(2048), 0, 700, 0.01), True
         elif name == "cranked-0.05":
             p, singly = crankshaft_move(regular_ngon(2048), 0, 1024, 0.05), True
+        elif name == "cranked-0.002":
+            p, singly = crankshaft_move(regular_ngon(2048), 0, 1024, 0.002), True
         else:
             p, singly = perturbed_regular(2048, 1e-3, np.random.default_rng(1)), False
         assert _pairs_per_row(p, singly).max() <= 8
 
-    def test_crumpled_takes_two_rounds_at_most(self):
-        # 2 min_rad lies far below dcsd here, so the ring round cannot
-        # settle it and the covering round follows; each round calls
-        # _families at most once per row block
+    def test_crumpled_takes_one_round(self):
+        # 2 min_rad lies far below dcsd here; the seeded scan runs one
+        # round, which calls _families at most once per row block
         p = perturbed_regular(512, 0.1, np.random.default_rng(1))
-        assert len(_families_rows(p, singly=True)) <= 2 * math.ceil(p.n / thickness._BLOCK)
+        assert len(_families_rows(p, singly=True)) <= math.ceil(p.n / thickness._BLOCK)
 
 
 def _families_rows(p: Polygon, singly: bool) -> list:
-    """The row labels of each batch of pairs the pruned scan hands to
-    _families, one array per call."""
+    """The row labels of each batch of pairs the pruned scan's round hands
+    to _families, one array per call; the seed's patch, which _doubly_seed
+    evaluates into a collector of its own, is left out."""
     calls = []
-    families = thickness._families
+    families, seed = thickness._families, thickness._doubly_seed
 
     def counting(out, q, I, J, *args):
         calls.append(I)
         return families(out, q, I, J, *args)
 
+    def seeding(*args):
+        bound = seed(*args)
+        calls.clear()
+        return bound
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(thickness, "_families", counting)
+        mp.setattr(thickness, "_doubly_seed", seeding)
         thickness._pruned_scan(p, singly)
     return calls
 
@@ -697,19 +724,26 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("singly", [False, True])
     def test_covering_round_reuses_one_workspace(self, singly):
-        # the regular n-gon takes the covering round only; fresh (96, n)
-        # products per block would be page-faulted afresh on every block
-        p, seen = regular_ngon(2048), []
-        products = thickness._products
+        # the regular n-gon takes the covering round after the seed; fresh
+        # (96, n) products per block would be page-faulted afresh on every
+        # block
+        p, seen, seeded = regular_ngon(2048), [], []
+        products, seed = thickness._products, thickness._doubly_seed
 
         def recording(*args):
             seen.append(products(*args))
             return seen[-1]
 
+        def seeding(*args):
+            bound = seed(*args)
+            seeded.append(len(seen))
+            return bound
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(thickness, "_products", recording)
+            mp.setattr(thickness, "_doubly_seed", seeding)
             thickness._pruned_scan(p, singly)
-        assert len(seen) == math.ceil(p.n / thickness._BLOCK)
+        assert len(seen) - seeded[0] == math.ceil(p.n / thickness._BLOCK)
         assert all(np.shares_memory(x, x0)
                    for block in seen[1:] for x, x0 in zip(block, seen[0]))
 
@@ -742,11 +776,10 @@ class TestPrunedScan:
            seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_seed_is_a_dense_candidate(self, kind, n, seed, x):
-        # with no radius to beat, the seed always evaluates its patch; its
-        # bound is then the distance of a doubly candidate of _scan
+        # the seed's bound is the distance of a doubly candidate of _scan
         p = _subject(kind, n, seed, x)
         lo, hi = _turning_window(p, math.pi - thickness._TURN_SLACK)
-        bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi, math.inf,
+        bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi,
                                        np.empty((3, thickness._BLOCK, p.n)))
         arr = _scan(p, singly=False).arrays()
         assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)

@@ -10,15 +10,17 @@ the scan's arithmetic must leave them equal:
     cmp parent.json change.json
 
 The inputs cover both pruned-scan rounds and the dense scan's range: inscribed
-torus knots at n = 128..512, random equilateral polygons, perturbed regular
+torus knots at n = 128..512, random equilateral polygons (one of them a
+384-gon whose ring at 2 min_rad fell short of dcsd), perturbed regular
 1024-gons from nearly regular to crumpled, cranked and plain regular 2048-gons,
 the 2048-gon trefoil of the benchmark's report-large workload and the 4096-gon
 of its trefoil proxy.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
-and the number of pairs delta_n's pruned scan hands to _families, counted
-by the tests' wrapper.
+the number of pairs delta_n's pruned scan hands to _families, counted by
+the tests' wrapper, and the round it ran: "covering" when it called
+_perpendicular, which only the covering round does, "ring" otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def _inputs():
             yield f"{spec}/{n}", rescale_unit(inscribe_equilateral(curve, n))
     for n in (512, 768, 1024, 1280):
         yield f"random/{n}", random_equilateral_polygon(n, np.random.default_rng(n))
+    yield "random/384/384001", random_equilateral_polygon(384, np.random.default_rng(384001))
     for sigma in (0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
         yield (f"perturbed-regular/1024/{sigma}",
                perturbed_regular(1024, sigma, np.random.default_rng(1)))
@@ -80,11 +83,23 @@ def _best_delta_n(p, trim) -> tuple[float, int]:
     return best
 
 
-def _families_pairs(p) -> int:
-    """Pairs the pruned scan of delta_n (singly mode) hands to _families."""
+def _families_pairs(p) -> tuple[int, str]:
+    """Pairs the pruned scan of delta_n (singly mode) hands to _families,
+    and the round that took them."""
+    import pytest
+    from polythick import thickness
     from test_thickness import _families_rows
 
-    return sum(I.size for I in _families_rows(p, singly=True))
+    covering, perpendicular = [], thickness._perpendicular
+
+    def recording(*args):
+        covering.append(True)
+        return perpendicular(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_perpendicular", recording)
+        pairs = sum(I.size for I in _families_rows(p, singly=True))
+    return pairs, "covering" if covering else "ring"
 
 
 def main(argv=None) -> int:
@@ -94,7 +109,8 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=here,
                     help="repository whose src/ and tests/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
-                    help="print best-of-5 delta_n time, minor faults and scanned pairs per input")
+                    help="print best-of-5 delta_n time, minor faults, scanned pairs "
+                         "and the round per input")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
@@ -105,8 +121,9 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
+            pairs, round_ = _families_pairs(p)
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{_families_pairs(p)} pairs", flush=True)
+                  f"\t{pairs} pairs\t{round_}", flush=True)
     args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
 
