@@ -6,9 +6,11 @@ length exactly.  A move counts only if the rotation sweep, sampled at a
 fixed number of angles, keeps every pair of non-adjacent edges apart by a
 clearance.  The move and its sweep check turn the sub-chain with the same
 formula (_swept), so the last frame checked is the polygon the chain
-commits.  Crossings between sampled angles go undetected: accepted paths
-are discrete isotopies at the sampled resolution, which is not a proof
-that the knot type is preserved.
+commits.  It measures every pair of the start frame, and on the turned
+frames the pairs with one edge on each side of the move, the only ones
+the move can bring closer.  Crossings between sampled angles go
+undetected: accepted paths are discrete isotopies at the sampled
+resolution, which is not a proof that the knot type is preserved.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polygon import Polygon
-from .thickness import _edge_gap, inv_delta_objective
+from .thickness import _BLOCK, _gathered_gap, inv_delta_objective
 
 __all__ = [
     "AnnealConfig",
@@ -151,7 +153,19 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
         frames = _swept(p, i, j, angles)
     except ValueError:
         return False
-    return bool(np.all(_edge_gap(frames) > clearance))
+    # frame 0, p itself, takes every pair i < j (_gathered_gap drops the
+    # adjacent ones).  The turned frames keep p's pairs of fixed edges bit for
+    # bit and turn its pairs of turning edges rigidly, so they take the pairs
+    # of turning edges i .. j-1 and fixed edges j-1 .. i, bridges on both sides
+    n, m = p.n, (j - i) % p.n
+    T, X = (i + np.arange(m)) % n, (j - 1 + np.arange(n - m + 2)) % n
+    I0, J0 = np.triu_indices(n, 2)
+    A, B = np.minimum.outer(T, X).ravel(), np.maximum.outer(T, X).ravel()
+    F = np.repeat(np.arange(substeps + 1), [I0.size] + [A.size] * substeps)
+    I, J = np.concatenate([I0, np.tile(A, substeps)]), np.concatenate([J0, np.tile(B, substeps)])
+    chunk = _BLOCK * n       # the pairs of one frame's dense row block at a time
+    return all(_gathered_gap(frames, F[k:k + chunk], I[k:k + chunk], J[k:k + chunk])
+               > clearance for k in range(0, F.size, chunk))
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:

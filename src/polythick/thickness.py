@@ -35,10 +35,11 @@ bit.  Every scan computes its products into one workspace that lives
 for the scan, as fresh ones would be page-faulted in afresh on every
 block, and the covering round gathers its window columns of b with take.
 Simplicity is separate: the edge gap (the minimum distance between
-non-adjacent edges) comes from the pairs a midpoint tree finds within
-reach of a clearance (_gap_within) for is_simple and the objective, and
-densely, over an optional leading batch axis (_edge_gap), for the
-annealer's sweep check.  Python-level pair objects are only materialised
+non-adjacent edges) is measured one way, on gathered pairs of edges of a
+stack of vertex frames (_gathered_gap).  is_simple and the objective
+gather the pairs a midpoint tree finds within reach of a clearance
+(_gap_within); the annealer's sweep check gathers the pairs a crankshaft
+move can bring closer.  Python-level pair objects are only materialised
 by critical_pairs() and delta_n().
 """
 
@@ -71,7 +72,7 @@ PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
-_TIE = 1e-12              # distances this close to the minimum tie
+_TIE = 1e-12              # distances this close to the minimum tie, relative to length
 _CROSSOVER = 96           # n from which the minima come from the pruned scan
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
 _TURN_SLACK = 1e-6        # turning slack of the pruned scan's arc filter
@@ -199,9 +200,8 @@ class _Collector:
 # elementwise in the pair but the matmul b, formed by _gram for a whole row
 # block against every column and then gathered, because a matmul over a
 # subset of the columns may round differently and the scans' minima must
-# agree bit for bit; _gap_within alone takes b as an elementwise dot of the
-# pairs it finds.
-# Every function here accepts an optional leading batch axis.
+# agree bit for bit; the edge gap alone (_gathered_gap) takes b as an
+# elementwise dot of the pairs it gathers.
 
 
 def _pair_ok(I, J, n: int):
@@ -218,13 +218,22 @@ def _gram(E, rows: slice, out=None):
     """b = E_i . E_j of a row block against every column, into out if given."""
     # matmul rounds differently when its operands share a start address, as
     # the first row block of E and E's transpose would; the copy avoids it
-    return np.matmul(E[..., rows, :].copy(), np.swapaxes(E, -1, -2), out=out)
+    return np.matmul(E[rows].copy(), E.T, out=out)
 
 
 def _quadratic(Vi, Vj, Ei, Ej):
     """(w0, w2, c1, c2) from the vertices and edges of rows and columns."""
     w0 = Vi - Vj
     return w0, _dot(w0, w0), _dot(Ei, w0), _dot(Ej, w0)
+
+
+def _stationary(a, b, c, c1, c2, rel: float):
+    """(s, t, ok): the quadratic's stationary point where ok, a c - b^2 >
+    rel a c, and finite but meaningless values elsewhere."""
+    denom = a * c - b * b
+    ok = denom > rel * a * c
+    safe_den = np.where(ok, denom, a * c)     # no overflow in the unused lanes
+    return (b * c2 - c * c1) / safe_den, (a * c2 - b * c1) / safe_den, ok
 
 
 def _square_min(d2_at, sides, inside, interior):
@@ -237,14 +246,11 @@ def _square_min(d2_at, sides, inside, interior):
 
 def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
     """Squared distance between the edges of each pair in mask, +inf
-    elsewhere; Ei, Ej are the pairs' edge vectors and a, c their E . E."""
+    elsewhere; Ei, Ej are the pairs' edge vectors, shaped as w0, and a, c
+    their E . E."""
     sides = [(0.0, np.clip(c2 / c, 0.0, 1.0)), (1.0, np.clip((c2 + b) / c, 0.0, 1.0)),
              (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
-    denom = a * c - b * b
-    ok = denom > 1e-14 * a * c
-    safe_den = np.where(ok, denom, a * c)     # s_in, t_in unused there; no overflow
-    s_in = (b * c2 - c * c1) / safe_den
-    t_in = (a * c2 - b * c1) / safe_den
+    s_in, t_in, ok = _stationary(a, b, c, c1, c2, 1e-14)
     inside = ok & (s_in >= 0.0) & (s_in <= 1.0) & (t_in >= 0.0) & (t_in <= 1.0)
     d2 = _square_min(
         lambda s, t: w2 + a * s * s + c * t * t + 2.0 * (c1 * s - c2 * t - b * s * t),
@@ -254,8 +260,7 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
     # pair nearly touches; measure those pairs from displacement vectors
     near = np.nonzero(d2 <= 1e-4 * (w2 + a + c))
     if near[0].size:
-        W = w0[near]
-        Ei, Ej = (np.broadcast_to(x, w0.shape)[near] for x in (Ei, Ej))
+        W, Ei, Ej = w0[near], Ei[near], Ej[near]
 
         def exact(s, t):
             D = (W + np.broadcast_to(s, d2.shape)[near][:, None] * Ei
@@ -266,34 +271,10 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
     return d2
 
 
-def _edge_gap(V: np.ndarray):
-    """Minimum distance between non-adjacent edges of the closed polyline V
-    over all n^2 pairs, for the annealer's sweep check and as the tests'
-    reference for _gap_within.
-
-    V is (n, 3), or a stack (..., n, 3) of polylines sharing n, in which
-    case the result has the stack's shape.  +inf when no such pair exists.
-    """
-    n = V.shape[-2]
-    E = np.roll(V, -1, axis=-2) - V
-    lens2 = _dot(E, E)
-    idx = np.arange(n)
-    best2 = np.full(V.shape[:-2], np.inf)
-    for r0 in range(0, n, _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        Ei, Ej = E[..., rows, None, :], E[..., None, :, :]
-        w0, w2, c1, c2 = _quadratic(V[..., rows, None, :], V[..., None, :, :], Ei, Ej)
-        d2 = _gap2(Ei, Ej, lens2[..., rows, None], lens2[..., None, :],
-                   _pair_ok(idx[rows, None], idx[None, :], n), w0, _gram(E, rows),
-                   w2, c1, c2)
-        best2 = np.minimum(best2, d2.min(axis=(-2, -1)))
-    return np.sqrt(np.maximum(best2, 0.0))
-
-
-def _reach(r: float, h: float) -> float:
-    """Midpoint distance within which edges no longer than h may come
-    within r of each other, padded for the tie window and rounding."""
-    return r + _TIE + h + _PAD * (r + 4.0 * h)
+def _reach(r: float, h: float, length: float) -> float:
+    """Midpoint distance within which edges no longer than h may come within
+    r of each other, padded for the tie window at that length and rounding."""
+    return r + _TIE * length + h + _PAD * (r + 4.0 * h)
 
 
 def _midpoints(p: Polygon) -> np.ndarray:
@@ -301,19 +282,26 @@ def _midpoints(p: Polygon) -> np.ndarray:
     return p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges
 
 
+def _gathered_gap(V: np.ndarray, F, I, J) -> float:
+    """The smallest distance between edges I and J of frames F of the vertex
+    stack V, (frames, n, 3), over the pairs i < j that are not adjacent, or
+    +inf.  Edge k runs from vertex k to k+1, as in Polygon.edges."""
+    n = V.shape[1]
+    Vi, Vj = V[F, I], V[F, J]
+    Ei, Ej = V[F, (I + 1) % n] - Vi, V[F, (J + 1) % n] - Vj
+    w0, w2, c1, c2 = _quadratic(Vi, Vj, Ei, Ej)
+    d2 = _gap2(Ei, Ej, _dot(Ei, Ei), _dot(Ej, Ej), _pair_ok(I, J, n), w0,
+               _dot(Ei, Ej), w2, c1, c2)
+    return math.sqrt(max(float(d2.min(initial=np.inf)), 0.0))
+
+
 def _gap_within(p: Polygon, clearance: float) -> float:
     """The edge gap of p when it is at most clearance, a larger value
     otherwise, measured on the pairs whose midpoints a tree finds within
-    _reach(clearance, h_max) only.  b is an elementwise dot here, so the
-    gap may differ from _edge_gap's in the last bits."""
-    V, E, h = p.vertices, p.edges, float(p.edge_lengths.max())
-    I, J = cKDTree(_midpoints(p)).query_pairs(_reach(clearance, h),
-                                              output_type="ndarray").T  # i < j
-    Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
-    a, c = _dot(Ei, Ei), _dot(Ej, Ej)
-    w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
-    d2 = _gap2(Ei, Ej, a, c, _pair_ok(I, J, p.n), w0, _dot(Ei, Ej), w2, c1, c2)
-    return math.sqrt(max(float(d2.min(initial=np.inf)), 0.0))
+    _reach(clearance, h_max) only."""
+    reach = _reach(clearance, float(p.edge_lengths.max()), p.length)
+    I, J = cKDTree(_midpoints(p)).query_pairs(reach, output_type="ndarray").T  # i < j
+    return _gathered_gap(p.vertices[None], 0, I, J)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +363,8 @@ def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
         return np.sqrt(np.maximum(w2 - 2.0 * f * c2 + f * f * c, 0.0))
 
     # ---- edge-edge -----------------------------------------------------
-    denom = a * c - b * b
-    parallel = denom <= 1e-12 * a * c
-    safe_den = np.where(parallel, 1.0, denom)
-    s_star = np.where(parallel, -1.0, (b * c2 - c * c1) / safe_den)
-    t_star = np.where(parallel, -1.0, (a * c2 - b * c1) / safe_den)
-    inr = (pair_ok & ~parallel
+    s_star, t_star, skew = _stationary(a, b, c, c1, c2, 1e-12)
+    inr = (pair_ok & skew
            & (s_star >= -PARAM_TOL) & (s_star <= 1.0 + PARAM_TOL)
            & (t_star >= -PARAM_TOL) & (t_star <= 1.0 + PARAM_TOL))
     sc = np.clip(s_star, 0.0, 1.0)
@@ -393,7 +377,7 @@ def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
     tau1 = (b - c1) / a
     lo = np.maximum(np.minimum(tau0, tau1), 0.0)
     hi = np.minimum(np.maximum(tau0, tau1), 1.0)
-    has = pair_ok & parallel & (hi >= lo - PARAM_TOL)
+    has = pair_ok & ~skew & (hi >= lo - PARAM_TOL)
     if np.any(has):
         smid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
         tmid = np.clip((c2 + smid * b) / c, 0.0, 1.0)
@@ -597,7 +581,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         rows, products = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
-                tree, _reach(min(r, out.doubly_min), h), output_type="ndarray")
+                tree, _reach(min(r, out.doubly_min), h, p.length), output_type="ndarray")
             i, j = near["i"] + r0, near["j"]
             m = (j - i) % n
             keep = (m >= lo[i]) & (m <= hi[i])
@@ -618,7 +602,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
 
     out = _Collector(p.edge_lengths)
     r = _doubly_seed(p, M, lo, hi, workspace)
-    if _reach(r, h) < span:                           # beyond span every pair is in
+    if _reach(r, h, p.length) < span:                 # beyond span every pair is in
         tree, perpendicular = cKDTree(M), None
     else:
         perpendicular = _perpendicular(p, singly, M, span)
@@ -681,14 +665,15 @@ def critical_pairs(p: Polygon, mode: str = "doubly") -> list[CriticalPair]:
     return pairs
 
 
-def _min_with_tiebreak(arr: dict, mask: np.ndarray):
-    """(min distance, winning index) with lexicographic (i, j) tie-break."""
+def _min_with_tiebreak(arr: dict, mask: np.ndarray, tie: float):
+    """(min distance, winning index) with lexicographic (i, j) tie-break
+    among the distances within tie of the minimum."""
     if not np.any(mask):
         return float("inf"), None
     cand = np.nonzero(mask)[0]
     d = arr["dist"][cand]
     dmin = float(d.min())
-    near = cand[d <= dmin + _TIE]
+    near = cand[d <= dmin + tie]
     ii, jj = arr["i"][near], arr["j"][near]
     ss, tt = arr["s"][near], arr["t"][near]
     # normalise labels the way critical_pairs() reports them
@@ -744,14 +729,14 @@ def delta_n(p: Polygon) -> ThicknessReport:
     """
     kappas = p.kappa_d_all()
     mc = float(np.max(kappas))
-    winners = np.nonzero(kappas >= mc - 1e-12 * max(mc, 1.0))[0]
+    winners = np.nonzero(kappas >= mc - 1e-12 * mc)[0]
     achieving_vertex = int(winners[0]) if winners.size else 0
     mc2 = max_curv2(p)
     mr = min_rad(p)
 
     out = _minimum_scan(p, singly=True)
     arr = out.arrays()
-    d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"])
+    d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"], _TIE * p.length)
     s_val = out.min
 
     pair = None if d_idx is None else _pair_at(arr, d_idx)

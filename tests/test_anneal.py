@@ -19,11 +19,15 @@ from polythick import (
     read_polygon,
     regular_ngon,
 )
-from polythick.anneal import _SUBSTEPS, _THETA_MAX
+from polythick.anneal import _SUBSTEPS, _THETA_MAX, _swept
 from polythick.polygon import Polygon
-from polythick.thickness import inv_delta_objective
+from polythick.thickness import _BLOCK, inv_delta_objective
 
+from _dense import _edge_gap
 from _gen import perturbed_regular
+
+# the package exports the function anneal under the module's name
+anneal_module = importlib.import_module("polythick.anneal")
 
 
 class TestCrankshaftMove:
@@ -111,19 +115,69 @@ class TestMoveAdmissibility:
         j = (i + 2 + gap % (n - 3)) % n     # forward gap 2..n-2
         seen = []
 
-        def capture(V):
+        def capture(V, F, I, J):
             seen.append(V.copy())
-            return np.full(V.shape[:-2], np.inf)
+            return math.inf
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(importlib.import_module("polythick.anneal"),
-                       "_edge_gap", capture)
+            mp.setattr(anneal_module, "_gathered_gap", capture)
             assert move_is_admissible(p, i, j, theta)
         frames = seen[0]
         assert frames.shape == (_SUBSTEPS + 1, n, 3)
         assert frames[0].tobytes() == p.vertices.tobytes()
         assert (frames[-1].tobytes()
                 == crankshaft_move(p, i, j, theta).vertices.tobytes())
+
+    @given(n=st.integers(3, 40), seed=st.integers(0, 2**31 - 1),
+           perturbed=st.booleans(), i=st.integers(0, 39), gap=st.integers(0, 38),
+           theta=st.floats(-math.pi, math.pi), substeps=st.integers(1, 32),
+           clearance=st.one_of(st.none(), st.floats(0.0, 0.5)))
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_dense(self, n, seed, perturbed, i, gap, theta,
+                                   substeps, clearance):
+        # the check measures every pair of frame 0 and the pairs with one
+        # edge on each side of the move on the others; the dense reference
+        # measures every pair of every frame
+        rng = np.random.default_rng(seed)
+        p = (perturbed_regular(n, 0.15, rng) if perturbed
+             else random_equilateral_polygon(n, rng))
+        i = i % n
+        j = (i + 1 + gap % (n - 1)) % n     # forward gap 1..n-1
+        if clearance is not None:
+            clearance /= n                   # up to half an edge
+        angles = np.arange(substeps + 1) / substeps * theta
+        dense = _edge_gap(_swept(p, i, j, angles))
+        expected = bool(np.all(dense > (1e-6 * p.length if clearance is None else clearance)))
+        assert move_is_admissible(p, i, j, theta, substeps, clearance) == expected
+
+    def test_figure_eight_start_refused(self):
+        # two unit squares sharing vertex 0 = vertex 4: p itself touches,
+        # between edges that both stay fixed, so frame 0 must measure every
+        # pair and not only those with one edge on each side of the move
+        p = Polygon(np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0),
+                              (-1, 0, 0), (-1, -1, 0), (0, -1, 0)], dtype=float))
+        assert not move_is_admissible(p, 1, 3, 0.3)
+
+    def test_pair_list_spans_chunks(self):
+        # flipping half the regular 256-gon by pi lands it on the other half
+        # in the last frame only; its 298,625 pairs run in chunks of one
+        # frame's dense row block, 96 * 256 pairs, and the check stops at
+        # the first chunk that holds a contact
+        p, clearance = regular_ngon(256), 1e-6
+        gaps, gathered = [], anneal_module._gathered_gap
+
+        def recording(V, F, I, J):
+            assert F.size <= _BLOCK * p.n
+            gaps.append(gathered(V, F, I, J))
+            return gaps[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anneal_module, "_gathered_gap", recording)
+            assert not move_is_admissible(p, 0, 128, math.pi, clearance=clearance)
+        assert len(gaps) == 12
+        assert min(gaps[:-1]) > clearance >= gaps[-1]
+        dense = _edge_gap(_swept(p, 0, 128, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * math.pi))
+        assert np.all(dense[:-1] > clearance) and dense[-1] <= clearance
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_below_one_rejected(self, substeps):

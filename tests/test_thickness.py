@@ -31,9 +31,9 @@ from polythick import thickness
 from polythick.anneal import crankshaft_move
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
-from polythick.thickness import (_edge_gap, _gap_within, _scan, _turning_window,
-                                 inv_delta_objective)
+from polythick.thickness import _gap_within, _scan, _turning_window, inv_delta_objective
 
+from _dense import _edge_gap
 from _gen import perturbed_regular
 from _oracle import double_grid_scan
 
@@ -273,6 +273,19 @@ class TestInvariance:
         assert r1.inv_delta_n * s == pytest.approx(r0.inv_delta_n, rel=1e-12)
         assert r1.dcsd / s == pytest.approx(r0.dcsd, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-40, 1e-11, 1e6, 1e13, 1e20])
+    def test_achieving_pair_and_vertex_scale_free(self, scale):
+        # an absolute tie window of 1e-12 picks the 40-gon's pair (0, 3), at
+        # 150 times its dcsd, from a scale of 1e-11 down, and ties every
+        # vertex of the 12-gon from a scale of 1e13 up
+        for p in (random_equilateral_polygon(40, np.random.default_rng(3)),
+                  perturbed_regular(12, 0.1, np.random.default_rng(4))):
+            r0, r1 = delta_n(p), delta_n(Polygon(scale * p.vertices))
+            q0, q1 = r0.achieving_pair, r1.achieving_pair
+            assert (q1.i, q1.j) == (q0.i, q0.j)
+            assert q1.distance / scale == pytest.approx(q0.distance, rel=1e-12)
+            assert r1.achieving_vertex == r0.achieving_vertex
+
 
 class TestSimplicity:
     def test_pentagram_not_simple(self):
@@ -322,9 +335,9 @@ def _check_gap_within(p: Polygon, gap: float) -> None:
 
 
 class TestEdgeGapKernel:
-    """One kernel serves is_simple and the annealer's batched sweep check;
-    the batched and single gaps agree exactly, the tree-pruned gap in its
-    verdict."""
+    """The dense reference edge gap on the frames of crankshaft sweeps:
+    batched and single gaps agree exactly, the brute-force gap within
+    rounding, the tree-pruned gap in its verdict."""
 
     @staticmethod
     def check(Vb: np.ndarray) -> None:

@@ -1,9 +1,12 @@
 """Record the pair scan's outputs on a fixed set of polygons, for parity checks.
 
 For every input the JSON file holds delta_n(p).to_json() and the float.hex()
-of dcsd, scsd and inv_delta_objective at clearances 1e-6 L and 1e-12 L.  Run
-it once per checkout and compare the files byte for byte; a change that keeps
-the scan's arithmetic must leave them equal:
+of dcsd, scsd and inv_delta_objective at clearances 1e-6 L and 1e-12 L.  For
+the inputs with n <= 512 it also holds the move_is_admissible verdicts of a
+fixed list of crankshaft moves, as a string of 0s and 1s, at the default
+clearance and at a quarter edge, which refuses some of them.  Run it once per
+checkout and compare the files byte for byte; a change that keeps the scan's
+arithmetic and the sweep check's verdicts must leave them equal:
 
     python tools/scan_parity.py change.json
     python tools/scan_parity.py parent.json --checkout ../parent
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import resource
 import sys
 import time
@@ -61,11 +65,21 @@ def _inputs():
 
 
 def _outputs(p) -> dict:
+    from polythick.anneal import move_is_admissible
     from polythick.thickness import dcsd, delta_n, inv_delta_objective, scsd
 
-    return {"delta_n": delta_n(p).to_json(), "dcsd": dcsd(p).hex(), "scsd": scsd(p).hex(),
-            "objective_1e-6": inv_delta_objective(p, 1e-6 * p.length).hex(),
-            "objective_1e-12": inv_delta_objective(p, 1e-12 * p.length).hex()}
+    out = {"delta_n": delta_n(p).to_json(), "dcsd": dcsd(p).hex(), "scsd": scsd(p).hex(),
+           "objective_1e-6": inv_delta_objective(p, 1e-6 * p.length).hex(),
+           "objective_1e-12": inv_delta_objective(p, 1e-12 * p.length).hex()}
+    n = p.n
+    if n <= 512:
+        moves = [(0, n // 2, 0.3), (n // 4, 3 * n // 4, -1.0), (n // 8, n // 8 + 5, 2.5),
+                 (n - 7, n // 3, -0.05), (3, n // 2 + 3, math.pi)]
+        for key, clearance in (("admissible", None),
+                               ("admissible_quarter_edge", 0.25 * p.length / n)):
+            out[key] = "".join(str(int(move_is_admissible(p, i, j, theta, clearance=clearance)))
+                               for i, j, theta in moves)
+    return out
 
 
 def _best_delta_n(p, trim) -> tuple[float, int]:
