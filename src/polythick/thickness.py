@@ -29,11 +29,11 @@ one end has its other point within reach of that end's vertex, in one of
 its two edge slabs or its normal wedge, up to a slack
 sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
 rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
-always kept.  Both enumerations form the same products, full row-block
-matmuls, and the same per-pair arithmetic, so their minima agree bit for
-bit.  Every scan computes its products into one workspace that lives
-for the scan, as fresh ones would be page-faulted in afresh on every
-block, and the covering round gathers its window columns of b with take.
+always kept.  Both enumerations take b = E_i . E_j from one matmul per
+row block and form every other term per pair, so their minima agree bit
+for bit.  Every scan writes b into one workspace that lives for the scan,
+and the covering round's filter works in the workspace's other two rows,
+so no block allocates a float array of its size.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) is measured one way, on gathered pairs of edges of a
 stack of vertex frames (_gathered_gap).  is_simple and the objective
@@ -153,7 +153,8 @@ class _Collector:
     points, 0.0 at a vertex, and keeps i, j, dist, fs, ft for the accepted
     entries only; min and doubly_min follow the smallest distance kept.
     arrays() forms the flat columns, with s = (cum[i] + fs * lens[i]) / L
-    and t alike.  Labels are kept as found, s > t included; _pair_at swaps
+    and t alike, wrapped into [0, 1): a foot at the end of edge n - 1 is
+    vertex 0.  Labels are kept as found, s > t included; _pair_at swaps
     such a pair when it is reported.
     """
 
@@ -181,8 +182,8 @@ class _Collector:
         cum, lens = np.concatenate([[0.0], np.cumsum(self._lens)]), self._lens
         return dict(dist=np.concatenate(dist), i=i, j=j,
                     kind=np.repeat(np.array(kind, dtype=np.int8), sizes),
-                    s=(cum[i] + fs * lens[i]) / cum[-1],
-                    t=(cum[j] + ft * lens[j]) / cum[-1],
+                    s=(cum[i] + fs * lens[i]) / cum[-1] % 1.0,
+                    t=(cum[j] + ft * lens[j]) / cum[-1] % 1.0,
                     doubly=np.repeat(np.array(doubly, dtype=bool), sizes))
 
 
@@ -200,8 +201,9 @@ class _Collector:
 # elementwise in the pair but the matmul b, formed by _gram for a whole row
 # block against every column and then gathered, because a matmul over a
 # subset of the columns may round differently and the scans' minima must
-# agree bit for bit; the edge gap alone (_gathered_gap) takes b as an
-# elementwise dot of the pairs it gathers.
+# agree bit for bit.  (An elementwise b would serve both scans alike, but
+# near contact the quadratic form carries b's rounding into dcsd.)  The
+# edge gap alone (_gathered_gap) takes b as an elementwise dot.
 
 
 def _pair_ok(I, J, n: int):
@@ -214,11 +216,20 @@ def _dot(x, y):
     return np.einsum("...k,...k->...", x, y)
 
 
-def _gram(E, rows: slice, out=None):
-    """b = E_i . E_j of a row block against every column, into out if given."""
+def _workspace(n: int) -> np.ndarray:
+    """A scan's scratch: three rows, each room for _BLOCK rows of up to
+    n + _BLOCK - 1 columns, a covering-round window's width.  Arrays are
+    carved from the start of a row, contiguous, as np.matmul and np.take
+    write into a strided out through a temporary."""
+    return np.empty((3, _BLOCK * (n + _BLOCK)))
+
+
+def _gram(E, rows: slice, workspace):
+    """b = E_i . E_j of a row block against every column, into workspace."""
     # matmul rounds differently when its operands share a start address, as
     # the first row block of E and E's transpose would; the copy avoids it
-    return np.matmul(E[rows].copy(), E.T, out=out)
+    Ei, n = E[rows].copy(), E.shape[0]
+    return np.matmul(Ei, E.T, out=workspace[0, :len(Ei) * n].reshape(len(Ei), n))
 
 
 def _quadratic(Vi, Vj, Ei, Ej):
@@ -309,19 +320,7 @@ def _gap_within(p: Polygon, clearance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _products(p: Polygon, rows: slice, workspace):
-    """The matmul terms of a row block: b and the rows' one-sided vertex
-    directions u-, u+ against every edge, as full row-block matmuls,
-    computed into the leading rows of a (3, _BLOCK, n) workspace, which a
-    partial last block fills in part."""
-    E, dirs = p.edges, p.directions()
-    R = np.arange(p.n)[rows]
-    b, um_E, up_E = workspace[:, :R.size]
-    return (_gram(E, rows, b), np.matmul(dirs[(R - 1) % p.n], E.T, out=um_E),
-            np.matmul(dirs[R], E.T, out=up_E))
-
-
-def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
+def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
     """Evaluate every candidate family on the pairs (I, J) into out.
 
     Families:
@@ -350,8 +349,8 @@ def _families(out: _Collector, p: Polygon, I, J, b, um_E, up_E, singly: bool):
     Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
     w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
     a, c = lens[I] * lens[I], lens[J] * lens[J]
-    um_w = _dot(dirs.take((I - 1) % n, axis=0), w0)     # <u-_i, w0>
-    up_w = _dot(dirs.take(I, axis=0), w0)               # <u+_i, w0>
+    um, up = dirs.take((I - 1) % n, axis=0), dirs.take(I, axis=0)     # u-_i, u+_i
+    um_w, up_w, um_E, up_E = _dot(um, w0), _dot(up, w0), _dot(um, Ej), _dot(up, Ej)
     vm_w = -_dot(dirs.take((J - 1) % n, axis=0), w0)    # <u-_j, -w0>
     vp_w = -_dot(dirs.take(J, axis=0), w0)              # <u+_j, -w0>
     del w0
@@ -436,11 +435,11 @@ def _scan(p: Polygon, singly: bool) -> _Collector:
     """Every critical-pair candidate of p: _families over all n^2 pairs,
     one row block against every column at a time."""
     idx, out = np.arange(p.n), _Collector(p.edge_lengths)
-    workspace = np.empty((3, _BLOCK, p.n))
+    workspace = _workspace(p.n)
     for r0 in range(0, p.n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
         _families(out, p, idx[rows, None], idx[None, :],
-                  *_products(p, rows, workspace), singly)
+                  _gram(p.edges, rows, workspace), singly)
     return out
 
 
@@ -457,11 +456,14 @@ def _turning_window(p: Polygon, min_turn: float):
     return lo, hi
 
 
-def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
+def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
+                   workspace):
     """The perpendicularity filter of the pruned scan: keep(R, J, b) is the
-    mask of pairs to keep among rows R and columns J with Gram block b.
-    M holds the edge midpoints, centred on the vertices' mean, and span is
-    twice the largest of their norms.
+    mask of pairs to keep among rows R and columns J, with b the rows' Gram
+    block against every column.  M holds the edge midpoints, centred on
+    the vertices' mean, and span is twice the largest of their norms.
+    keep forms its midpoint projections and its columns of b in rows 1
+    and 2 of workspace, and allocates boolean masks only.
 
     A point y is out of reach of vertex k when, with F = (y - V_k) . u-_k
     and G = (y - V_k) . u+_k, either F > 0 and G > h_k (past the far end of
@@ -495,10 +497,16 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float):
         return ((F > fa[k]) & (G > ga[k])) | ((G < gb[k]) & (F < fb[k]))
 
     def keep(R, J, b):
-        out_row = out_of_reach(um[R] @ M[J].T, dirs[R] @ M[J].T, (R, None))
-        out_col = out_of_reach(M[R] @ um[J].T, M[R] @ dirs[J].T, J)
+        F, G = (workspace[k, :R.size * J.size].reshape(R.size, J.size) for k in (1, 2))
+        out_row = out_of_reach(np.matmul(um[R], M[J].T, out=F),
+                               np.matmul(dirs[R], M[J].T, out=G), (R, None))
+        out_col = out_of_reach(np.matmul(M[R], um[J].T, out=F),
+                               np.matmul(M[R], dirs[J].T, out=G), J)
         out = (out_row & out_col) if singly else (out_row | out_col)
-        return ~out | (b * b >= parallel[R, None])
+        # b[:, J] reads slowly from the huge pages numpy advises here; mode
+        # "clip" (J = U % n is in range) writes into F, "raise" buffers
+        bj = np.take(b, J, axis=1, out=F, mode="clip")
+        return ~out | (np.multiply(bj, bj, out=bj) >= parallel[R, None])
 
     return keep
 
@@ -511,10 +519,9 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
     coarse to fine: a grid of stride isqrt(n), then +-isqrt(n) around its
     nearest pair.  The doubly families of a +-4 patch around that pair, in
     both orientations as _families gives edge-edge pairs to the lower row,
-    are evaluated on products formed as _scan forms them, so the bound is
-    the distance of a doubly candidate of the dense scan; +inf when the
-    patch holds none.  The products go to workspace, a (3, _BLOCK, n)
-    array."""
+    are evaluated on b formed as _scan forms it, into workspace, so the
+    bound is the distance of a doubly candidate of the dense scan; +inf
+    when the patch holds none."""
     n, s = p.n, math.isqrt(p.n)
 
     def nearest(I, J):
@@ -530,13 +537,12 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
     a, c = (i + np.arange(-4, 5)) % n, (j + np.arange(-4, 5)) % n
     I = np.concatenate([np.repeat(a, a.size), np.repeat(c, c.size)])
     J = np.concatenate([np.tile(c, a.size), np.tile(a, c.size)])
-    products, blocks = np.empty((3, I.size)), I // _BLOCK
+    b, blocks = np.empty(I.size), I // _BLOCK
     for q in np.unique(blocks):
         k, r0 = blocks == q, q * _BLOCK
-        products[:, k] = [x[I[k] - r0, J[k]]
-                          for x in _products(p, slice(r0, r0 + _BLOCK), workspace)]
+        b[k] = _gram(p.edges, slice(r0, r0 + _BLOCK), workspace)[I[k] - r0, J[k]]
     out = _Collector(p.edge_lengths)
-    _families(out, p, I, J, *products, False)
+    _families(out, p, I, J, b, False)
     return out.doubly_min
 
 
@@ -552,33 +558,26 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     whose midpoint distance is within _reach of r, or of the best doubly
     pair so far when that is closer.  The seed's own pair is in the window
     and within reach, so the round finds it again and ends with a doubly
-    pair within r, which settles the minima, as scsd <= dcsd.  On the
-    inscribed trefoil 2 min_rad is 0.48 of the span and dcsd 0.28: a ring
-    at 2 min_rad hands 214k pairs to _families on the 4096-gon, the seeded
-    one 7.3k.  Otherwise, r being +inf included, the covering round takes
-    the window columns that pass _perpendicular.  Products are formed per
-    row block as in _scan, so the minima and the achieving pair are the
-    dense scan's bit for bit.
+    pair within r, which settles the minima, as scsd <= dcsd.  Otherwise,
+    r being +inf included, the covering round takes the window columns
+    that pass _perpendicular.  b is formed per row block as in _scan, so
+    the minima and the achieving pair are the dense scan's bit for bit.
 
-    The round computes its blocks' products into one workspace that lives
-    for the scan.  Fresh products, three (96, n) arrays per block, are
-    handed back to the OS and page-faulted in again on every block:
-    delta_n of the regular 2048-gon takes 57-74 ms with 45k minor faults
-    that way, and 24-25 ms with 1.3k-1.8k faults from the workspace (best
-    of 3, one BLAS thread, one 2-vCPU host).  The covering round's window
-    columns of b are gathered with np.take: numpy advises huge pages for
-    the workspace, and b[:, J] reads slowly from such memory (378-383 ms
-    against 101-104 ms per delta_n of the regular 4096-gon).
+    Each block's b goes to one workspace that lives for the scan, and the
+    covering round's filter works in its other two rows: glibc hands a
+    float array of that size back to the OS, to be faulted in afresh on
+    every block, unless a larger freed block has raised its trim threshold
+    (README has the measurements).
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
     M = _midpoints(p)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
-    workspace = np.empty((3, _BLOCK, n))
+    workspace = _workspace(n)
 
     def block(r0):
-        rows, products = slice(r0, r0 + _BLOCK), None
+        rows, b = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
             near = cKDTree(M[rows]).sparse_distance_matrix(
                 tree, _reach(min(r, out.doubly_min), h, p.length), output_type="ndarray")
@@ -587,25 +586,24 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
         else:
-            # columns i + lo .. i + hi of every row, unrolled so that m = U - i
-            R, products = idx[rows], _products(p, rows, workspace)
-            U = np.arange((R + lo[rows]).min(), (R + hi[rows]).max() + 1)
-            J, m = U % n, U - R[:, None]
-            ri, k = np.nonzero((m >= lo[rows, None]) & (m <= hi[rows, None])
-                               & perpendicular(R, J, np.take(products[0], J, axis=1)))
-            flat = ri * n + J[k]
+            # columns i + lo .. i + hi of every row i, unrolled into U
+            R, b = idx[rows], _gram(p.edges, rows, workspace)
+            first, last = (R + lo[rows])[:, None], (R + hi[rows])[:, None]
+            U = np.arange(first.min(), last.max() + 1)
+            ri, k = np.nonzero((U >= first) & (U <= last) & perpendicular(R, U % n, b))
+            flat = ri * n + U[k] % n
         if not flat.size:
             return None
-        if products is None:
-            products = _products(p, rows, workspace)
-        return (flat // n + r0, flat % n, *(x.take(flat) for x in products))
+        if b is None:
+            b = _gram(p.edges, rows, workspace)
+        return flat // n + r0, flat % n, b.take(flat)
 
     out = _Collector(p.edge_lengths)
     r = _doubly_seed(p, M, lo, hi, workspace)
     if _reach(r, h, p.length) < span:                 # beyond span every pair is in
         tree, perpendicular = cKDTree(M), None
     else:
-        perpendicular = _perpendicular(p, singly, M, span)
+        perpendicular = _perpendicular(p, singly, M, span, workspace)
     for r0 in range(0, n, _BLOCK):
         pairs = block(r0)
         if pairs is not None:
@@ -729,8 +727,9 @@ def delta_n(p: Polygon) -> ThicknessReport:
     """
     kappas = p.kappa_d_all()
     mc = float(np.max(kappas))
-    winners = np.nonzero(kappas >= mc - 1e-12 * mc)[0]
-    achieving_vertex = int(winners[0]) if winners.size else 0
+    # the window of an infinite mc (a fold-back) would be nan
+    window = mc - 1e-12 * mc if math.isfinite(mc) else mc
+    achieving_vertex = int(np.flatnonzero(kappas >= window)[0])
     mc2 = max_curv2(p)
     mr = min_rad(p)
 

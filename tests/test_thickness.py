@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -149,11 +150,15 @@ class TestCriticalPairGeometry:
                 )
 
     def test_pair_params_ordered_and_wrapped(self):
-        p = perturbed_regular(10, 0.15, np.random.default_rng(3))
-        for q in critical_pairs(p, "singly"):
-            assert 0.0 <= q.s < 1.0
-            assert 0.0 <= q.t < 1.0
-            assert q.s <= q.t
+        # a foot at the end of edge n - 1 is vertex 0, at t = 0.0, not 1.0
+        for p in [perturbed_regular(10, 0.15, np.random.default_rng(3))] + [
+                regular_ngon(n) for n in range(4, 13)]:
+            for q in critical_pairs(p, "singly"):
+                assert 0.0 <= q.s < 1.0
+                assert 0.0 <= q.t < 1.0
+                assert q.s <= q.t
+        # (1/3, 1.0) would repeat (0, 1/3)
+        assert len(critical_pairs(regular_ngon(6), "singly")) == 12
 
     def test_doubly_subset_of_singly(self):
         p = perturbed_regular(9, 0.1, np.random.default_rng(11))
@@ -285,6 +290,16 @@ class TestInvariance:
             assert (q1.i, q1.j) == (q0.i, q0.j)
             assert q1.distance / scale == pytest.approx(q0.distance, rel=1e-12)
             assert r1.achieving_vertex == r0.achieving_vertex
+
+
+class TestFoldBack:
+    def test_achieving_vertex_at_infinite_curvature(self):
+        # kappa_d = [2, inf, 2, inf]: a window of mc - 1e-12 mc is nan there
+        p = Polygon(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        r = delta_n(p)
+        assert math.isinf(r.max_curv)
+        assert r.achieving_vertex == 1
 
 
 class TestSimplicity:
@@ -605,11 +620,12 @@ class TestTurningLemma:
 def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
     """The pruned scan's perpendicularity filter over all n^2 pairs, formed
     per row block as the scan forms it."""
-    M = thickness._midpoints(p)
+    M, workspace = thickness._midpoints(p), thickness._workspace(p.n)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
-    keep, idx = thickness._perpendicular(p, singly, M, span), np.arange(p.n)
+    keep, idx = thickness._perpendicular(p, singly, M, span, workspace), np.arange(p.n)
     return np.vstack([keep(idx[r0:r0 + thickness._BLOCK], idx,
-                           thickness._gram(p.edges, slice(r0, r0 + thickness._BLOCK)))
+                           thickness._gram(p.edges, slice(r0, r0 + thickness._BLOCK),
+                                           workspace))
                       for r0 in range(0, p.n, thickness._BLOCK)])
 
 
@@ -737,14 +753,14 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("singly", [False, True])
     def test_covering_round_reuses_one_workspace(self, singly):
-        # the regular n-gon takes the covering round after the seed; fresh
-        # (96, n) products per block would be page-faulted afresh on every
+        # the regular n-gon takes the covering round after the seed; a
+        # fresh (96, n) b per block would be page-faulted afresh on every
         # block
         p, seen, seeded = regular_ngon(2048), [], []
-        products, seed = thickness._products, thickness._doubly_seed
+        gram, seed = thickness._gram, thickness._doubly_seed
 
         def recording(*args):
-            seen.append(products(*args))
+            seen.append(gram(*args))
             return seen[-1]
 
         def seeding(*args):
@@ -753,30 +769,55 @@ class TestPrunedScan:
             return bound
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness, "_products", recording)
+            mp.setattr(thickness, "_gram", recording)
             mp.setattr(thickness, "_doubly_seed", seeding)
             thickness._pruned_scan(p, singly)
         assert len(seen) - seeded[0] == math.ceil(p.n / thickness._BLOCK)
-        assert all(np.shares_memory(x, x0)
-                   for block in seen[1:] for x, x0 in zip(block, seen[0]))
+        assert all(np.shares_memory(b, seen[0]) for b in seen[1:])
 
     @pytest.mark.parametrize("singly", [False, True])
     def test_ring_round_reuses_the_workspace(self, singly):
-        # the trefoil settles in the ring round; its products, and the
-        # seed's, go to the one workspace of the scan
+        # the trefoil settles in the ring round; its b, and the seed's, go
+        # to the one workspace of the scan
         seen = []
-        products = thickness._products
+        gram = thickness._gram
 
         def recording(*args):
-            seen.append(products(*args))
+            seen.append(gram(*args))
             return seen[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness, "_products", recording)
+            mp.setattr(thickness, "_gram", recording)
             thickness._pruned_scan(_report_large_trefoil(), singly)
         assert len(seen) > 1
-        assert all(np.shares_memory(x, x0)
-                   for block in seen[1:] for x, x0 in zip(block, seen[0]))
+        assert all(np.shares_memory(b, seen[0]) for b in seen[1:])
+
+    @pytest.mark.parametrize("r0", [0, 960])
+    def test_filter_allocates_no_window_array(self, r0):
+        # the filter forms its four midpoint projections and its window
+        # gather of b in the workspace's rows 1 and 2, so a call allocates
+        # only boolean masks, 1/8 of a (rows, window) float64 array each.
+        # The peak reads 0.75 such arrays, against 2.63 with the projections
+        # as fresh arrays and 1.38 with np.take's buffering mode="raise";
+        # the bound of one array fails on any float temporary of that size,
+        # which glibc may hand back to the OS and fault in on every block.
+        p, idx = regular_ngon(2048), np.arange(2048)
+        M, workspace = thickness._midpoints(p), thickness._workspace(p.n)
+        span = 2.0 * float(np.linalg.norm(M, axis=1).max())
+        lo, hi = _turning_window(p, 0.5 * math.pi - thickness._TURN_SLACK)
+        R = idx[r0:r0 + thickness._BLOCK]
+        J = np.arange((R + np.maximum(lo[R], 0)).min(),
+                      (R + np.minimum(hi[R], p.n - 1)).max() + 1) % p.n
+        keep = thickness._perpendicular(p, True, M, span, workspace)
+        b = thickness._gram(p.edges, slice(r0, r0 + thickness._BLOCK), workspace)
+        keep(R, J, b)
+        tracemalloc.start()
+        try:
+            keep(R, J, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.size * J.size * 8
 
     @pytest.mark.parametrize("singly", [False, True])
     def test_seeded_ring_hands_few_pairs_to_families(self, singly):
@@ -793,7 +834,7 @@ class TestPrunedScan:
         p = _subject(kind, n, seed, x)
         lo, hi = _turning_window(p, math.pi - thickness._TURN_SLACK)
         bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi,
-                                       np.empty((3, thickness._BLOCK, p.n)))
+                                       thickness._workspace(p.n))
         arr = _scan(p, singly=False).arrays()
         assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)
 

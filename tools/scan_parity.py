@@ -2,11 +2,13 @@
 
 For every input the JSON file holds delta_n(p).to_json() and the float.hex()
 of dcsd, scsd and inv_delta_objective at clearances 1e-6 L and 1e-12 L.  For
-the inputs with n <= 512 it also holds the move_is_admissible verdicts of a
-fixed list of crankshaft moves, as a string of 0s and 1s, at the default
-clearance and at a quarter edge, which refuses some of them.  Run it once per
-checkout and compare the files byte for byte; a change that keeps the scan's
-arithmetic and the sweep check's verdicts must leave them equal:
+the inputs with n <= 512 it also holds critical_pairs(p, mode) in both modes,
+one line per pair with s, t and the distance as float.hex(), and the
+move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
+of 0s and 1s, at the default clearance and at a quarter edge, which refuses
+some of them.  Run it once per checkout and compare the files byte for byte;
+a change that keeps the scan's arithmetic and the sweep check's verdicts must
+leave them equal:
 
     python tools/scan_parity.py change.json
     python tools/scan_parity.py parent.json --checkout ../parent
@@ -23,7 +25,14 @@ of its trefoil proxy.
 minor page faults of that call, each taken after malloc_trim (glibc only),
 the number of pairs delta_n's pruned scan hands to _families, counted by
 the tests' wrapper, and the round it ran: "covering" when it called
-_perpendicular, which only the covering round does, "ring" otherwise.
+_perpendicular, which only the covering round does, "ring" otherwise.  It
+then runs the op sequence of the benchmark's report-large workload, delta_n
+of the trefoil, the regular and a random 2048-gon in turn, each after
+malloc_trim, for 24 rounds, and prints each case's median time and minor
+faults.  Per-block arrays that glibc hands back to the OS are faulted in
+afresh on every block, and the order of the ops decides which ones it keeps,
+so a regression of the allocator shows there first; run it also with
+MALLOC_TRIM_THRESHOLD_=131072, which keeps fewer.
 """
 
 from __future__ import annotations
@@ -66,13 +75,17 @@ def _inputs():
 
 def _outputs(p) -> dict:
     from polythick.anneal import move_is_admissible
-    from polythick.thickness import dcsd, delta_n, inv_delta_objective, scsd
+    from polythick.thickness import critical_pairs, dcsd, delta_n, inv_delta_objective, scsd
 
     out = {"delta_n": delta_n(p).to_json(), "dcsd": dcsd(p).hex(), "scsd": scsd(p).hex(),
            "objective_1e-6": inv_delta_objective(p, 1e-6 * p.length).hex(),
            "objective_1e-12": inv_delta_objective(p, 1e-12 * p.length).hex()}
     n = p.n
     if n <= 512:
+        for mode in ("doubly", "singly"):
+            out[f"critical_pairs_{mode}"] = [
+                f"{q.s.hex()} {q.t.hex()} {q.distance.hex()} {q.kind} {q.criticality} "
+                f"{q.i} {q.j}" for q in critical_pairs(p, mode)]
         moves = [(0, n // 2, 0.3), (n // 4, 3 * n // 4, -1.0), (n // 8, n // 8 + 5, 2.5),
                  (n - 7, n // 3, -0.05), (3, n // 2 + 3, math.pi)]
         for key, clearance in (("admissible", None),
@@ -95,6 +108,31 @@ def _best_delta_n(p, trim) -> tuple[float, int]:
         elapsed = time.perf_counter() - start
         best = min(best, (elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
     return best
+
+
+def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
+    """Print the median delta_n time and minor faults of each case of the
+    report-large op sequence, over rounds of trefoil, regular and random."""
+    import numpy as np
+    from polythick.polygon import random_equilateral_polygon
+    from polythick.thickness import delta_n
+
+    cases = {"trefoil": inputs["report-large-trefoil/2048"],
+             "regular": inputs["regular/2048"],
+             "random-00": random_equilateral_polygon(2048, np.random.default_rng(0))}
+    samples = {name: [] for name in cases}
+    for _ in range(rounds):
+        for name, p in cases.items():
+            trim(0)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            delta_n(p)
+            elapsed = time.perf_counter() - start
+            samples[name].append(
+                (elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+    for name, runs in samples.items():
+        seconds, faults = np.median(runs, axis=0)
+        print(f"sequence {name}\t{seconds * 1e3:.1f} ms\t{faults:.0f} faults", flush=True)
 
 
 def _families_pairs(p) -> tuple[int, str]:
@@ -124,20 +162,22 @@ def main(argv=None) -> int:
                     help="repository whose src/ and tests/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
                     help="print best-of-5 delta_n time, minor faults, scanned pairs "
-                         "and the round per input")
+                         "and the round per input, then the report-large sequence")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     trim = ctypes.CDLL("libc.so.6").malloc_trim if args.faults else None
 
-    results = {}
-    for name, p in _inputs():
+    results, inputs = {}, dict(_inputs())
+    for name, p in inputs.items():
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
             pairs, round_ = _families_pairs(p)
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
                   f"\t{pairs} pairs\t{round_}", flush=True)
+    if trim is not None:
+        _report_sequence(trim, inputs)
     args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
 
