@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polygon import Polygon
+from .polygon import Polygon, _format_table
 from .thickness import _BLOCK, _gathered_gap, inv_delta_objective
 
 __all__ = [
@@ -82,14 +82,9 @@ class AnnealTrace:
         return len(self.step)
 
     def to_csv(self, path) -> None:
+        cols = ("step", "temperature", "objective", "accepted", "i", "j", "theta")
         with open(path, "w") as fh:
-            fh.write("step,temperature,objective,accepted,i,j,theta\n")
-            for k in range(len(self.step)):
-                fh.write(
-                    f"{self.step[k]},{self.temperature[k]:.17g},"
-                    f"{self.objective[k]:.17g},{self.accepted[k]},"
-                    f"{self.i[k]},{self.j[k]},{self.theta[k]:.17g}\n"
-                )
+            fh.write(_format_table(cols, zip(*(getattr(self, c) for c in cols))))
 
 
 def _swept(p: Polygon, i: int, j: int, angles: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .anneal import AnnealConfig, anneal
 from .experiments import (gamma_csv, gamma_series, ngon_csv, ngon_table,
                           schur_campaign)
-from .polygon import dumps_polygon, read_polygon, write_polygon
+from .polygon import _format_table, dumps_polygon, read_polygon, write_polygon
 from .smooth import inscribe_equilateral, preset_curve, read_curve, rescale_unit
 from .thickness import delta_n
 
@@ -78,10 +78,7 @@ def _cmd_schur(args) -> int:
     result = schur_campaign(args.cases, seed=args.seed, mode=args.mode)
     print(result.summary())
     if args.out is not None:
-        lines = ["case,margin"]
-        lines += [f"{k},{m:.17g}" for k, m in enumerate(result.margins)]
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(_format_table(("case", "margin"), enumerate(result.margins)), args.out)
     if result.violations:
         raise RuntimeError(f"{result.violations} sign violations")
     return 0

@@ -1,8 +1,9 @@
 """Experiment drivers: convergence sweeps, closed-form tables, campaigns.
 
 Each driver returns plain data (dataclasses or tuples) and leaves printing
-and file output to the CLI.  Everything runs serially in the calling
-thread; sweep rows come back in ascending n.
+and file output to the CLI; gamma_csv and ngon_csv lay rows out with
+polygon._format_table.  Everything runs serially in the calling thread;
+sweep rows come back in ascending n.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .polygon import regular_ngon
+from .polygon import _format_table, regular_ngon
 from .schur import random_bounded_arc, schur_check, sphere_exclusion_check
 from .smooth import (ArcLengthCurve, inscribe_equilateral, rescale_unit,
                      smooth_thickness_proxy, w1inf_distance)
@@ -32,12 +33,6 @@ __all__ = [
 # margins this small are recorded as degenerate rather than sign-tested;
 # near K*L = pi both chords approach the diameter and the difference drowns
 _DEGENERATE_MARGIN = 1e-10
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return "" if x is None else str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +99,7 @@ def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[Gam
 
 
 def gamma_csv(rows: list[GammaRow]) -> str:
-    lines = [",".join(f.name for f in fields(GammaRow))]
-    lines += [",".join(map(_fmt, astuple(r))) for r in rows]
-    return "\n".join(lines) + "\n"
+    return _format_table([f.name for f in fields(GammaRow)], map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +124,7 @@ def ngon_table(n_min: int, n_max: int) -> list[tuple[int, float, float, float]]:
 
 
 def ngon_csv(rows) -> str:
-    lines = ["n,measured,closed_form,abs_diff"]
-    lines += [",".join(map(_fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _format_table(("n", "measured", "closed_form", "abs_diff"), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,14 @@ def segment_min_distance(a0, a1, b0, b1) -> tuple[float, float, float]:
         return min(1.0, max(0.0, (b * t - d) / a))
 
     candidates: list[tuple[float, float]] = []
-    denom = a * c - b * b
-    if denom > 1e-14 * max(a * c, 1e-300):
-        s_int = (b * e - c * d) / denom
-        t_int = (a * e - b * d) / denom
-        if 0.0 <= s_int <= 1.0 and 0.0 <= t_int <= 1.0:
-            candidates.append((s_int, t_int))
+    # the interior foot on [a0,a1] from cross products, which lose eps/sin of
+    # the angle between the segments where the normal equations lose eps/sin^2,
+    # and its foot on [b0,b1]: segments that cross at any angle read 0
+    n = np.cross(u, v)
+    n2 = float(np.dot(n, n))
+    if n2 > 0.0:
+        s_int = min(1.0, max(0.0, -float(np.dot(np.cross(w, v), n)) / n2))
+        candidates.append((s_int, _closest_t(s_int)))
     # boundary edges of the (s, t) square
     for s_fix in (0.0, 1.0):
         candidates.append((s_fix, _closest_t(s_fix)))

@@ -20,6 +20,8 @@ the thickness radius uses kappa_d and the comparison checks use kappa_d2.
 
 One text format, one 'x y z' row per vertex, serves polygons here and
 curve tables in smooth.py: _format_rows writes it and _parse_rows reads it.
+The CSV tables of the experiments, the campaigns and the anneal trace come
+from _format_table, whose cells follow the same float rule (_fmt).
 """
 
 from __future__ import annotations
@@ -357,6 +359,20 @@ def total_curvature(p: Polygon | PolyArc) -> float:
 # digits.  '#' starts a comment and blank lines are skipped.  Polygons and
 # curve tables share the format; a polygon's closing edge is implicit (the
 # first vertex is not repeated).
+
+
+def _fmt(x) -> str:
+    """A table cell: a float at 17 significant digits, None as empty."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _format_table(header, rows) -> str:
+    """CSV text: the header's names, then one line of _fmt cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _format_rows(V: np.ndarray, comment: str | None = None) -> str:

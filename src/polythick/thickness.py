@@ -258,7 +258,8 @@ def _square_min(d2_at, sides, inside, interior):
 def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
     """Squared distance between the edges of each pair in mask, +inf
     elsewhere; Ei, Ej are the pairs' edge vectors, shaped as w0, and a, c
-    their E . E."""
+    their E . E.  Edges that cross read a gap at rounding level at any
+    angle between them."""
     sides = [(0.0, np.clip(c2 / c, 0.0, 1.0)), (1.0, np.clip((c2 + b) / c, 0.0, 1.0)),
              (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
     s_in, t_in, ok = _stationary(a, b, c, c1, c2, 1e-14)
@@ -268,17 +269,26 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
         sides, inside, (s_in, t_in))
     d2 = np.where(mask, d2, np.inf)
     # the quadratic form loses sqrt(eps) of accuracy by cancellation where a
-    # pair nearly touches; measure those pairs from displacement vectors
+    # pair nearly touches; measure those pairs from displacement vectors, at
+    # an interior foot on edge i from cross products, which lose eps/sin of
+    # the edges' angle where the normal equations lose eps/sin^2 and drop
+    # crossings below about 1e-7 rad as parallel, and that point's foot on j
     near = np.nonzero(d2 <= 1e-4 * (w2 + a + c))
     if near[0].size:
         W, Ei, Ej = w0[near], Ei[near], Ej[near]
 
+        def at(x):
+            return np.broadcast_to(x, d2.shape)[near]
+
         def exact(s, t):
-            D = (W + np.broadcast_to(s, d2.shape)[near][:, None] * Ei
-                 - np.broadcast_to(t, d2.shape)[near][:, None] * Ej)
+            D = W + s[:, None] * Ei - t[:, None] * Ej
             return np.einsum("ik,ik->i", D, D)
 
-        d2[near] = _square_min(exact, sides, inside[near], (s_in, t_in))
+        N = np.cross(Ei, Ej)
+        N2 = _dot(N, N)
+        s = np.clip(-_dot(np.cross(W, Ej), N) / np.where(N2 > 0.0, N2, 1.0), 0.0, 1.0)
+        t = np.clip(_dot(W + s[:, None] * Ei, Ej) / at(c), 0.0, 1.0)
+        d2[near] = _square_min(exact, [(at(x), at(y)) for x, y in sides], N2 > 0.0, (s, t))
     return d2
 
 
@@ -704,7 +714,9 @@ def scsd(p: Polygon) -> float:
 def is_simple(p: Polygon) -> bool:
     """True iff no two non-adjacent edges, and so no two vertices, come
     within 1e-12 * length of each other: exact-contact detection only.
-    _gap_within measures the few pairs that could come that close."""
+    _gap_within measures the few pairs that could come that close.  Edges
+    that cross are found at any angle between them, as _gap2 takes the feet
+    of near-contact pairs from cross products."""
     clearance = _CONTACT * p.length
     return bool(_gap_within(p, clearance) > clearance)
 

@@ -158,6 +158,15 @@ class TestMoveAdmissibility:
                               (-1, 0, 0), (-1, -1, 0), (0, -1, 0)], dtype=float))
         assert not move_is_admissible(p, 1, 3, 0.3)
 
+    def test_coincident_pivots_refused(self):
+        # the same two squares, turned about vertices 0 and 4, which are the
+        # same point: the rotation axis is undefined
+        p = Polygon(np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0),
+                              (-1, 0, 0), (-1, -1, 0), (0, -1, 0)], dtype=float))
+        with pytest.raises(ValueError, match="pivot vertices coincide"):
+            crankshaft_move(p, 0, 4, 0.3)
+        assert not move_is_admissible(p, 0, 4, 0.3)
+
     def test_pair_list_spans_chunks(self):
         # flipping half the regular 256-gon by pi lands it on the other half
         # in the last frame only; its 298,625 pairs run in chunks of one

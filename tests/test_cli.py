@@ -10,6 +10,7 @@ import pytest
 
 from polythick import ThicknessReport, read_polygon, regular_ngon, write_polygon
 from polythick.cli import main
+from polythick.polygon import loads_polygon
 from polythick.experiments import SchurCampaignResult
 
 from _gen import perturbed_regular
@@ -217,6 +218,15 @@ class TestAnnealCommand:
         assert trace.read_text().startswith(
             "step,temperature,objective,accepted,i,j,theta")
         assert "annealed" in best.read_text().splitlines()[0]
+
+    def test_polygon_to_stdout_without_out(self, tmp_path, capsys):
+        start = tmp_path / "start.txt"
+        write_polygon(perturbed_regular(6, 0.1, np.random.default_rng(1)), start)
+        assert main(["anneal", "--input", str(start), "--seed", "0", "--t0", "1.0",
+                     "--steps", "10", "--cool", "0.5", "--t-min", "0.05"]) == 0
+        out = capsys.readouterr()
+        assert loads_polygon(out.out).n == 6
+        assert "proposals:" in out.err
 
     def test_nonsimple_start(self, capsys):
         assert main(["anneal", "--input", "tests/data/pentagram10.txt",

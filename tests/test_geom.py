@@ -130,6 +130,14 @@ class TestSphereDistance:
             )
 
 
+class TestVectorInput:
+    def test_shape_named(self):
+        with pytest.raises(ValueError, match=r"expected a 3-vector, got shape \(2,\)"):
+            circumradius([0.0, 0.0], _vec(1, 0, 0), _vec(0, 1, 0))
+        with pytest.raises(ValueError, match=r"expected a 3-vector, got shape \(2, 3\)"):
+            segment_min_distance(np.zeros((2, 3)), _vec(1, 0, 0), _vec(0, 1, 0), _vec(0, 0, 1))
+
+
 class TestSegmentMinDistance:
     def test_parallel_unit_segments(self):
         d, s, t = segment_min_distance(

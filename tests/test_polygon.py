@@ -16,6 +16,7 @@ from polythick.polygon import (
     max_curv,
     max_curv2,
     min_rad,
+    random_equilateral_polygon,
     read_polygon,
     regular_ngon,
     total_curvature,
@@ -50,6 +51,18 @@ class TestConstruction:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             Polygon([(0, 0, 0), (1, 0, 0)])
+
+    def test_vertex_array_shape_and_finiteness_named(self):
+        with pytest.raises(ValueError, match=r"\(n, 3\) vertex array, got shape \(4, 2\)"):
+            Polygon(np.zeros((4, 2)))
+        V = regular_ngon(5).vertices.copy()
+        V[2, 1] = np.inf
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            Polygon(V)
+
+    def test_random_polygon_needs_three_edges(self):
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            random_equilateral_polygon(2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("scale", [0.0, 3e-200, 1e-80, 1e80, 1e160, 1e300])
     def test_mean_edge_outside_range_rejected(self, scale):
@@ -126,6 +139,10 @@ class TestArcParametrization:
             np.linalg.norm(np.cross(left, right)), float(np.dot(left, right))
         )
         assert angle == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_arc_dir_side_named(self):
+        with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'up'"):
+            regular_ngon(4).arc_dir(0.25, side="up")
 
     def test_arc_dir_unit_and_matches_edge(self):
         p = regular_ngon(6)
@@ -297,6 +314,10 @@ class TestPolyArc:
         with pytest.raises(ValueError):
             PolyArc([(0, 0, 0), (0, 0, 0), (1, 0, 0)])
 
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            PolyArc([(0, 0, 0)])
+
 
 class TestTextFormat:
     def test_round_trip_exact(self):
@@ -319,6 +340,10 @@ class TestTextFormat:
         for bad in ("1 nope 0", "inf 0 0"):
             with pytest.raises(ValueError, match="line 3"):
                 loads_polygon(f"0 0 0\n1 0 0\n{bad}\n")
+
+    def test_comments_only_rejected(self):
+        with pytest.raises(ValueError, match="no vertices found"):
+            loads_polygon("# a header\n\n   # and nothing else\n")
 
     def test_file_round_trip(self, tmp_path):
         p = regular_ngon(7)

@@ -24,6 +24,27 @@ from polythick import (
 from polythick.smooth import ArcLengthCurve, circle_samples, torus_knot_samples
 
 
+def _limacon(j2: int) -> np.ndarray:
+    """(3 j2, 3) table of the limacon r = 1/2 + cos(theta), whose double
+    point, the origin, is sample 0 and sample j2: the inner loop takes the
+    j2 samples in between."""
+    th_in = 2.0 * np.pi / 3.0 * (1.0 + np.arange(j2) / j2)
+    th_out = 4.0 * np.pi / 3.0 * (1.0 + np.arange(2 * j2) / (2 * j2))
+    th = np.concatenate([th_in, th_out])
+    r = 0.5 + np.cos(th)
+    P = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(3 * j2)])
+    P[0] = P[j2] = 0.0
+    return P
+
+
+def _stalling_ellipse(n: int, m: int) -> np.ndarray:
+    """(m, 3) table of the ellipse (cos phi, 0.3 sin phi) at phi(k/m), where
+    phi(u) = 2 pi u - sin(2 pi n u) / n stalls at every u = k/n."""
+    u = np.arange(m) / m
+    phi = 2.0 * np.pi * u - np.sin(2.0 * np.pi * n * u) / n
+    return np.column_stack([np.cos(phi), 0.3 * np.sin(phi), np.zeros(m)])
+
+
 @pytest.fixture(scope="module")
 def circle():
     return preset_curve("circle", m=2048)
@@ -98,6 +119,35 @@ class TestArcLengthReparam:
         for bad in (pts[:, :2], pts.ravel(), pts[None]):
             with pytest.raises(ValueError, match=r"\(N, 3\) array of curve samples"):
                 arc_length_reparam(bad, m=64)
+
+    def test_rejects_few_or_repeated_samples(self):
+        with pytest.raises(ValueError, match="at least 16 raw samples"):
+            arc_length_reparam(circle_samples(15), m=64)
+        pts = circle_samples(64)
+        pts[6] = pts[5]
+        with pytest.raises(ValueError, match="coincident consecutive samples at index 5"):
+            arc_length_reparam(pts, m=64)
+
+    def test_repeated_start_sample_dropped(self):
+        # the last sample may repeat the first; the curve is the same, bit
+        # for bit, as the one built without the repeat
+        pts = circle_samples(64)
+        c1 = arc_length_reparam(pts, m=64)
+        c2 = arc_length_reparam(np.vstack([pts, pts[:1]]), m=64)
+        assert c1.positions.tobytes() == c2.positions.tobytes()
+        assert c1.tangents.tobytes() == c2.tangents.tobytes()
+
+    def test_rejects_table_of_wrong_shape(self):
+        for bad in (np.zeros((16, 2)), np.zeros(48)):
+            with pytest.raises(ValueError, match=rf"\(m, 3\) position table, got shape "
+                                                 rf"\({bad.shape[0]},"):
+                ArcLengthCurve(bad)
+
+    def test_rejects_table_that_does_not_wrap(self):
+        # three quarters of a circle: the closing step is 24 times a sample step
+        P = preset_curve("circle", m=64).positions[:48]
+        with pytest.raises(ValueError, match="does not wrap around cyclically"):
+            ArcLengthCurve(P)
 
     def test_rejects_tiny_tables(self):
         with pytest.raises(ValueError, match="need at least 8 curve samples, got 4"):
@@ -189,6 +239,21 @@ class TestInscription:
         # parameters even the damped Newton iteration does not settle
         with pytest.raises(ValueError, match="n=5: .*did not converge"):
             inscribe_equilateral(preset_curve("torus:4,1", m=2048), 5)
+
+    def test_zero_chord_makes_the_step_not_finite(self):
+        # a limacon whose double point is sample 0 and sample m/3: the
+        # uniform start puts vertices 0 and 1 on it, and the chord between
+        # them has no direction
+        with pytest.raises(ValueError, match="n=3: inscription Newton step is not finite"):
+            inscribe_equilateral(ArcLengthCurve(_limacon(32)), 3)
+
+    def test_stalled_parameter_exhausts_the_halvings(self):
+        # an ellipse whose parametrisation stalls at every u = k/3: the
+        # Jacobian there is nearly singular, and even a step halved ten
+        # times puts the parameters out of order
+        with pytest.raises(ValueError, match="n=3: .* not strictly increasing after 10 "
+                                             "step halvings"):
+            inscribe_equilateral(ArcLengthCurve(_stalling_ellipse(3, 256)), 3)
 
     @pytest.mark.parametrize("spec, m, n", [
         ("torus:2,3", 2048, 4), ("torus:3,1", 512, 8), ("torus:3,1", 4096, 10),
@@ -301,6 +366,17 @@ class TestGammaSeries:
         assert rows[0].n == 5 and rows[0].failed
         assert math.isnan(rows[0].inv_delta)
         assert rows[1].n == 8 and not rows[1].failed
+
+    def test_no_resolutions_no_rows(self, circle):
+        assert gamma_series(circle, []) == []
+
+    def test_crossing_row_reads_not_embedded(self):
+        # the (3, 4) torus knot's vertices at u = k/8 all lie at z = 0, on a
+        # self-crossing planar octagon
+        r = gamma_series(preset_curve("torus:3,4", m=512), [8], m_proxy=512)[0]
+        assert r.failed == "inscribed polygon is not embedded"
+        assert math.isnan(r.inv_delta) and r.binding == ""
+        assert r.dcsd == 0.0 and r.length_tilde > 0.0
 
     def test_trefoil_row_sane(self, trefoil):
         rows = gamma_series(trefoil, [64], m_proxy=512)

@@ -32,10 +32,11 @@ from polythick import thickness
 from polythick.anneal import crankshaft_move
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
-from polythick.thickness import _gap_within, _scan, _turning_window, inv_delta_objective
+from polythick.thickness import (_gap_within, _gathered_gap, _scan, _turning_window,
+                                 inv_delta_objective)
 
 from _dense import _edge_gap
-from _gen import perturbed_regular
+from _gen import crossing_hexagon, perturbed_regular
 from _oracle import double_grid_scan
 
 
@@ -135,6 +136,31 @@ class TestRegularPolygons:
             r = delta_n(regular_ngon(n))
             assert r.delta_n == pytest.approx(r.delta_n_alt, abs=1e-15)
             assert r.delta_n == pytest.approx(r.min_rad, abs=1e-15)
+
+
+class TestRegularNgonUniqueness:
+    """The regular n-gon is the unique minimizer of L / delta_n, tested next
+    to it: a crankshaft move by eps raises the value by at least 1.9 eps^2.
+
+    A scan of 60 random pivot pairs per n, eps in {1e-4, 1e-3, 1e-2, 0.1}
+    and both signs read a smallest excess / eps^2 of 2.000 at n = 4, 2.245
+    at n = 5, 2.339 at n = 8 and 2.350 from n = 16 on, every perturbed
+    polygon curvature-bound; 1.9 leaves 5% of room at n = 4.  At eps = 1e-4
+    the bound, 1.9e-8, stands five orders above the regular n-gon's own
+    rounding.
+    """
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_crankshaft_moves_cost_eps_squared(self, data):
+        n = data.draw(st.integers(4, 64), label="n")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        j = (i + data.draw(st.integers(2, n - 2), label="gap")) % n
+        eps = data.draw(st.floats(1e-4, 0.1), label="eps") * data.draw(
+            st.sampled_from([1.0, -1.0]), label="sign")
+        q = crankshaft_move(regular_ngon(n), i, j, eps)
+        excess = q.length * delta_n(q).inv_delta_n - closed_form_inv(n)
+        assert excess >= 1.9 * eps * eps
 
 
 class TestCriticalPairGeometry:
@@ -319,6 +345,37 @@ class TestSimplicity:
     def test_regular_ngons_simple(self):
         for n in (3, 4, 7, 50):
             assert is_simple(regular_ngon(n))
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-7, 1e-8])
+    def test_small_angle_crossing_not_simple(self, theta):
+        # edges 0 and 3 cross at the origin at angle theta; the normal
+        # equations of the edge gap's quadratic lose eps/sin^2 theta in their
+        # feet and read a gap of 1.1e-10, 1e-7 and 1e-8 here, against a
+        # clearance of 1.2e-11, and delta_n read 1.49e-8 at 1e-7
+        p = crossing_hexagon(theta)
+        assert not is_simple(p)
+        assert _gap_within(p, 1e-12 * p.length) <= 1e-15 * p.length
+        r = delta_n(p)
+        assert not r.simple and r.delta_n == 0.0
+
+
+class TestSmallAngleCrossings:
+    """Two edges of length 2 that cross at a small angle, turned and moved
+    off the origin: the library's edge gap and the tests' oracle both read
+    the crossing, within rounding of the edges' length."""
+
+    @pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_gap_reads_the_crossing(self, theta):
+        rng = np.random.default_rng(int(-math.log10(theta)))
+        Ei = np.array([2.0, 0.0, 0.0])
+        Ej = 2.0 * np.array([math.cos(theta), math.sin(theta), 0.0])
+        for _ in range(40):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            offset = rng.uniform(-1.0, 1.0, size=3)
+            s, t = rng.uniform(0.05, 0.95, size=2)   # the crossing's feet
+            V = np.array([-s * Ei, (1.0 - s) * Ei, -t * Ej, (1.0 - t) * Ej]) @ Q.T + offset
+            assert _gathered_gap(V[None], 0, np.array([0]), np.array([2])) <= 2e-15
+            assert segment_min_distance(*V)[0] <= 2e-15
 
 
 def _brute_edge_gap(V: np.ndarray) -> float:

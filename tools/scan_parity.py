@@ -19,7 +19,10 @@ torus knots at n = 128..512, random equilateral polygons (one of them a
 384-gon whose ring at 2 min_rad fell short of dcsd), perturbed regular
 1024-gons from nearly regular to crumpled, cranked and plain regular 2048-gons,
 the 2048-gon trefoil of the benchmark's report-large workload and the 4096-gon
-of its trefoil proxy.
+of its trefoil proxy, and three planar hexagons whose edges 0 and 3 cross at
+1e-6, 1e-7 and 1e-8 rad, which the edge gap must see as crossings.  The
+inputs and the pair counter of --faults come from this repository's tests/,
+so only the library under test differs between checkouts.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
@@ -50,7 +53,7 @@ from pathlib import Path
 def _inputs():
     """(name, polygon) pairs, built from fixed seeds."""
     import numpy as np
-    from _gen import perturbed_regular
+    from _gen import crossing_hexagon, perturbed_regular
     from polythick.anneal import crankshaft_move
     from polythick.polygon import random_equilateral_polygon, regular_ngon
     from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
@@ -71,6 +74,8 @@ def _inputs():
     trefoil = preset_curve("torus:2,3", 4096)
     yield "report-large-trefoil/2048", rescale_unit(inscribe_equilateral(trefoil, 2048))
     yield "trefoil-proxy/4096", inscribe_equilateral(trefoil, 4096)
+    for theta in (1e-6, 1e-7, 1e-8):
+        yield f"crossing-hexagon/{theta}", crossing_hexagon(theta)
 
 
 def _outputs(p) -> dict:
@@ -159,13 +164,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="JSON file to write")
     ap.add_argument("--checkout", type=Path, default=here,
-                    help="repository whose src/ and tests/ to import (default: this one)")
+                    help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
                     help="print best-of-5 delta_n time, minor faults, scanned pairs "
                          "and the round per input, then the report-large sequence")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    sys.path[:0] = [str(root / "src"), str(here / "tests")]
     trim = ctypes.CDLL("libc.so.6").malloc_trim if args.faults else None
 
     results, inputs = {}, dict(_inputs())
