@@ -13,8 +13,10 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .polygon import _format_table, regular_ngon
-from .schur import random_bounded_arc, schur_check, sphere_exclusion_check
+from .polygon import PolyArc, _format_table, regular_ngon
+from .schur import _bounded_arcs, _chord_check, sphere_exclusion_check
+# not called here; kept as module attributes that perfbench/spans.py rebinds
+from .schur import random_bounded_arc, schur_check  # noqa: F401
 from .smooth import (ArcLengthCurve, inscribe_equilateral, rescale_unit,
                      smooth_thickness_proxy, w1inf_distance)
 from .thickness import delta_n
@@ -33,6 +35,8 @@ __all__ = [
 # margins this small are recorded as degenerate rather than sign-tested;
 # near K*L = pi both chords approach the diameter and the difference drowns
 _DEGENERATE_MARGIN = 1e-10
+# campaign cases drawn and measured as one stack; bounds a campaign's memory
+_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +141,30 @@ class SchurCampaignResult:
     cases: int
     mode: str
     min_margin: float
+    min_case: int              # index k of min_margin; the case's seed is seed + k
     violations: int            # margin <= 0 among non-degenerate cases
     degenerate: int            # 0 < |margin| < 1e-10: sign not asserted
     margins: np.ndarray
 
     def summary(self) -> str:
         return (f"{self.mode}: {self.cases} cases, min margin "
-                f"{self.min_margin:.6g}, {self.violations} violations, "
-                f"{self.degenerate} degenerate")
+                f"{self.min_margin:.6g} (case {self.min_case}), "
+                f"{self.violations} violations, {self.degenerate} degenerate")
 
 
 def _campaign_case(mode: str, seed: int):
-    """Draw one admissible (arc, K) pair; deterministic per seed.
+    """Draw one admissible (n, K, L) and the uniforms of its arc.
 
-    The budget on K*L is pi in strict mode and pi/2 for the sphere check.
-    For an equilateral n-edge arc the relaxed budget K*L <= pi + K*L/n
-    rearranges to K*L <= pi*n/(n-1).  The draw stays 2% below the budget
-    so feasibility never rides on rounding.
+    Deterministic per seed.  The budget on K*L is pi in strict mode and
+    pi/2 for the sphere check.  For an equilateral n-edge arc the relaxed
+    budget K*L <= pi + K*L/n rearranges to K*L <= pi*n/(n-1).  The draw
+    stays 2% below the budget so feasibility never rides on rounding.  The
+    uniforms restart the stream, as random_bounded_arc(n, K, L, seed) does
+    with a generator of its own.
     """
-    rng = np.random.default_rng(seed)
+    bits = np.random.PCG64(seed)       # default_rng(seed)'s bit generator
+    start = bits.state
+    rng = np.random.Generator(bits)
     n = int(rng.integers(2, 25))
     K = float(rng.uniform(0.2, 5.0))
     if mode == "strict":
@@ -165,24 +174,30 @@ def _campaign_case(mode: str, seed: int):
     else:
         budget = 0.5 * math.pi
     L = float(rng.uniform(0.1, 0.98 * budget)) / K
-    arc = random_bounded_arc(n, K, L, seed=seed)
-    return arc, K
+    bits.state = start
+    return n, K, L, rng.random(2 * n - 2)
 
 
-def _campaign(cases: int, seed: int, mode: str, margin) -> SchurCampaignResult:
-    """Margins margin(arc, K, k) of cases k = 0..cases-1, case k drawn with
-    seed + k, and their tally."""
+def _campaign(cases: int, seed: int, mode: str, measure) -> SchurCampaignResult:
+    """Margins of cases k = 0..cases-1, case k drawn with seed + k, and their
+    tally.  Up to _CHUNK cases at a time are drawn as one stack of arcs, each
+    random_bounded_arc(n, K, L, seed + k) bit for bit, and measure(V, n, K, k)
+    returns their margins; V, n and K are laid out as for
+    schur._check_curvature, and k holds the cases' indices."""
     if cases < 1:
         raise ValueError("cases must be at least 1")
     margins = np.empty(cases)
-    for k in range(cases):
-        arc, K = _campaign_case(mode, seed + k)
-        margins[k] = margin(arc, K, k)
+    for start in range(0, cases, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, cases))
+        n, K, L, U = zip(*(_campaign_case(mode, seed + i) for i in k.tolist()))
+        n, K = np.array(n), np.array(K)
+        margins[k] = measure(_bounded_arcs(n, K, np.array(L), U), n, K, k)
     tiny = np.abs(margins) < _DEGENERATE_MARGIN
     violations = int(np.count_nonzero((margins <= 0.0) & ~tiny))
+    min_case = int(np.argmin(margins))
     return SchurCampaignResult(cases=cases, mode=mode,
-                               min_margin=float(margins.min()),
-                               violations=violations,
+                               min_margin=float(margins[min_case]),
+                               min_case=min_case, violations=violations,
                                degenerate=int(np.count_nonzero(tiny)),
                                margins=margins)
 
@@ -190,14 +205,19 @@ def _campaign(cases: int, seed: int, mode: str, margin) -> SchurCampaignResult:
 def schur_campaign(cases: int, seed: int, mode: str = "strict") -> SchurCampaignResult:
     """Run chord comparisons on random admissible arcs and count violations.
 
-    Case k uses seed + k, so campaigns are reproducible and shardable.  In
-    relaxed mode the length budget exceeds pi only within the end-edge
-    allowance checked by schur_check itself.
+    Case k uses seed + k, so campaigns are reproducible and shardable, and
+    schur_campaign(1, seed + k, mode) replays case k alone.  In relaxed mode
+    the length budget exceeds pi only within the end-edge allowance checked
+    as in schur_check.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    return _campaign(cases, seed, mode,
-                     lambda arc, K, k: schur_check(arc, K, mode=mode).margin)
+
+    def measure(V, n, K, k):
+        _, circle, poly = _chord_check(V, n, K, mode, cases=k)
+        return poly - circle
+
+    return _campaign(cases, seed, mode, measure)
 
 
 def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
@@ -217,4 +237,8 @@ def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
             )
         return report.min_distance
 
-    return _campaign(cases, seed, "sphere", margin)
+    def measure(V, n, K, k):
+        return [margin(PolyArc(V[b, :m + 1]), K[b], k[b])
+                for b, m in enumerate(n.tolist())]
+
+    return _campaign(cases, seed, "sphere", measure)

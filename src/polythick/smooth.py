@@ -252,8 +252,9 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
     with max|F| <= 1e-15 (times the largest position coordinate if above 1),
     which leaves the chords equal to the rounding of the positions.  A
     ValueError naming n and the reason is raised if that takes more than
-    _NEWTON_STEPS steps, if a step is not finite (singular Jacobian), or if
-    the last halving still leaves u out of order.
+    _NEWTON_STEPS steps, if a step is not finite (two vertices coincide, or
+    the Jacobian is singular), or if the last halving still leaves u out of
+    order.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -279,6 +280,11 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
             step = spsolve(csc_matrix((data, indices, indptr), shape=(n, n)),
                            L - c)
         if not np.all(np.isfinite(step)):
+            zero = np.flatnonzero(L == 0.0)
+            if zero.size:
+                k = int(zero[0])
+                raise ValueError(f"n={n}: inscription vertices {k} and {(k + 1) % n} "
+                                 "coincide (a zero chord has no direction)")
             raise ValueError(f"n={n}: inscription Newton step is not finite "
                              "(singular closure Jacobian)")
         for _ in range(_NEWTON_HALVINGS + 1):

@@ -192,7 +192,7 @@ class TestSchurCommand:
         # a sign violation would disprove the inequality; fabricate one to
         # pin the exit-code contract without waiting for a miracle
         fake = SchurCampaignResult(cases=1, mode="strict", min_margin=-0.1,
-                                   violations=1, degenerate=0,
+                                   min_case=0, violations=1, degenerate=0,
                                    margins=np.array([-0.1]))
         monkeypatch.setattr("polythick.cli.schur_campaign",
                             lambda *a, **k: fake)

@@ -247,8 +247,8 @@ class TestRandomBoundedArc:
             assert np.max(np.abs(lens - 0.15)) < 1e-15
 
     def test_bitwise_equal_to_numpy_walk(self):
-        # the walk is written on float tuples for speed; it must draw the
-        # same arcs as the plain numpy formulation, to the last bit
+        # the walk steps a stack of arcs at once for speed; it must draw the
+        # same arcs as the plain numpy formulation of one arc, to the last bit
         def numpy_walk(n, K, L, seed):
             rng = np.random.default_rng(seed)
             ell = L / n

@@ -244,7 +244,7 @@ class TestInscription:
         # a limacon whose double point is sample 0 and sample m/3: the
         # uniform start puts vertices 0 and 1 on it, and the chord between
         # them has no direction
-        with pytest.raises(ValueError, match="n=3: inscription Newton step is not finite"):
+        with pytest.raises(ValueError, match="n=3: inscription vertices 0 and 1 coincide"):
             inscribe_equilateral(ArcLengthCurve(_limacon(32)), 3)
 
     def test_stalled_parameter_exhausts_the_halvings(self):

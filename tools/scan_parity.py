@@ -6,9 +6,11 @@ the inputs with n <= 512 it also holds critical_pairs(p, mode) in both modes,
 one line per pair with s, t and the distance as float.hex(), and the
 move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
 of 0s and 1s, at the default clearance and at a quarter edge, which refuses
-some of them.  Run it once per checkout and compare the files byte for byte;
-a change that keeps the scan's arithmetic and the sweep check's verdicts must
-leave them equal:
+some of them.  Under "campaigns" it holds the margins, as float.hex(), of a
+250-case strict and a relaxed Schur campaign and a sphere campaign.  Run it
+once per checkout and compare the files byte for byte; a change that keeps
+the scan's arithmetic, the sweep check's verdicts and the campaigns' draws
+must leave them equal:
 
     python tools/scan_parity.py change.json
     python tools/scan_parity.py parent.json --checkout ../parent
@@ -100,6 +102,15 @@ def _outputs(p) -> dict:
     return out
 
 
+def _campaigns() -> dict:
+    from polythick.experiments import schur_campaign, sphere_campaign
+
+    runs = {"strict/0": schur_campaign(250, 0, "strict"),
+            "relaxed/250": schur_campaign(250, 250, "relaxed"),
+            "sphere/500": sphere_campaign(250, 500)}
+    return {name: [m.hex() for m in res.margins.tolist()] for name, res in runs.items()}
+
+
 def _best_delta_n(p, trim) -> tuple[float, int]:
     """Fastest of five delta_n calls, in seconds, with its minor faults."""
     from polythick.thickness import delta_n
@@ -181,6 +192,7 @@ def main(argv=None) -> int:
             pairs, round_ = _families_pairs(p)
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
                   f"\t{pairs} pairs\t{round_}", flush=True)
+    results["campaigns"] = _campaigns()
     if trim is not None:
         _report_sequence(trim, inputs)
     args.out.write_text(json.dumps(results, indent=1) + "\n")
