@@ -45,6 +45,10 @@ __all__ = [
 # Raw polyline closure heuristic: the wrap-around chord may not exceed this
 # multiple of the median sample spacing, else the input is not a closed loop.
 _CLOSURE_FACTOR = 10.0
+# read_curve's bound on a table's closed chord sum against 1 and on its chord
+# spread against the mean chord; presets read at most 2e-4 of either from
+# m = 512 on, and within it from m = 128 on (64 for all but torus:4,1)
+_UNIT_TOL = 1e-2
 
 
 class ArcLengthCurve:
@@ -361,6 +365,18 @@ def write_curve(curve: ArcLengthCurve, path) -> None:
 
 
 def read_curve(path) -> ArcLengthCurve:
-    """A curve written by write_curve (or any uniform arc-length table)."""
+    """A curve written by write_curve, or any closed table sampled uniformly
+    in arc length at total length 1.  ValueError, naming the measured
+    length, when the closed chord sum differs from 1, or a chord from the
+    mean chord, by more than _UNIT_TOL relative."""
     with open(path) as fh:
-        return ArcLengthCurve(_parse_rows(fh))
+        curve = ArcLengthCurve(_parse_rows(fh))
+    P = curve.positions
+    chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+    length = float(chords.sum())
+    spread = float(np.ptp(chords)) * curve.m / length
+    if not (abs(length - 1.0) <= _UNIT_TOL and spread <= _UNIT_TOL):
+        raise ValueError(
+            f"curve table has length {length:.6g} and chord spread {spread:.3g}; "
+            f"need length 1 and uniform chords, within {_UNIT_TOL:g}")
+    return curve

@@ -22,7 +22,14 @@ both turn pi (pi/2 for the singly families), in one round.  It starts
 from a bound r on dcsd: the doubly pairs next to the closest midpoints of
 the turning window, found on a coarse grid and refined around its best
 pair.  When the reach of r falls short of the span, a ring round keeps
-the pairs whose edge midpoints lie within r + h_max.  Otherwise, as for
+the pairs whose edge midpoints lie within r + h_max.  It asks k-d trees
+only for pairs the turning window may keep: a row block's window columns
+form one cyclic range, and the block queries the trees of the chunks of
+isqrt(n) consecutive midpoints that meet it, less those whose bounding
+sphere lies beyond reach of the block's.  A block whose range meets every
+chunk or leaves out at most two blocks of columns, as on crumpled
+polygons whose windows leave out only a few arc neighbours, queries one
+tree over all midpoints instead.  Otherwise, as for
 the regular n-gon whose dcsd is its diameter, a covering round keeps
 the pairs that pass a perpendicularity filter: a candidate critical at
 one end has its other point within reach of that end's vertex, in one of
@@ -556,6 +563,70 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
     return out.doubly_min
 
 
+class _MidpointChunks:
+    """The ring round's midpoint queries, one per row block: the trees of
+    chunks of isqrt(n) consecutive midpoints, each with its bounding
+    sphere, and one tree over all midpoints, each built on first use and
+    kept for one scan only."""
+
+    def __init__(self, M: np.ndarray, lo, hi, span: float):
+        n = len(M)
+        self._M, self._s = M, math.isqrt(n)
+        self._count = -(-n // self._s)
+        self._slack = 1e-9 * span              # for the spheres' rounding
+        # the window columns i + lo .. i + hi of a block's rows i lie in
+        # first .. last, taken mod n
+        idx, starts = np.arange(n), np.arange(0, n, _BLOCK)
+        self._first = np.minimum.reduceat(idx + lo, starts).tolist()
+        self._last = np.maximum.reduceat(idx + hi, starts).tolist()
+        self._trees, self._spheres = {}, None
+
+    def _tree(self, k):
+        """The tree over chunk k, or over every midpoint when k is None."""
+        if k not in self._trees:
+            rows = slice(None) if k is None else slice(k * self._s, (k + 1) * self._s)
+            self._trees[k] = cKDTree(self._M[rows])
+        return self._trees[k]
+
+    def near(self, r0: int, reach: float):
+        """(i, j) of midpoint pairs within reach, i in the row block from
+        r0, among them every pair whose j lies in the block's range: from
+        the trees of the chunks the range meets, less those whose bounding
+        sphere lies beyond reach of the rows' sphere, or from the one tree
+        over all midpoints when the range meets every chunk or leaves out
+        no more than two blocks of columns.  Such a range holds most of the
+        rows' arc neighbours, and the one query costs less than many."""
+        M, s, n = self._M, self._s, len(self._M)
+        rows, first = slice(r0, r0 + _BLOCK), self._first[r0 // _BLOCK]
+        f = first % n
+        l = f + self._last[r0 // _BLOCK] - first    # columns f .. l, taken mod n
+        met = None
+        if l - f + 1 < n - 2 * _BLOCK:
+            met = {*range(f // s, min(l, n - 1) // s + 1), *range((l - n) // s + 1)}
+        block = cKDTree(M[rows])
+        if met is None or len(met) == self._count:
+            near = block.sparse_distance_matrix(self._tree(None), reach, output_type="ndarray")
+            return near["i"] + r0, near["j"]
+        if self._spheres is None:
+            starts = np.arange(0, n, s)
+            sizes = np.diff(starts, append=n)
+            centres = np.add.reduceat(M, starts) / sizes[:, None]
+            D = M - np.repeat(centres, sizes, axis=0)
+            self._spheres = centres, np.sqrt(np.maximum.reduceat(_dot(D, D), starts))
+        centres, radii = self._spheres
+        centre = M[rows].mean(axis=0)
+        D = M[rows] - centre
+        chunks = np.array(sorted(met))
+        gap = (np.linalg.norm(centres[chunks] - centre, axis=1) - radii[chunks]
+               - math.sqrt(float(_dot(D, D).max())))
+        I, J = [np.zeros(0, int)], [np.zeros(0, int)]
+        for k in chunks[gap <= reach + self._slack].tolist():
+            near = block.sparse_distance_matrix(self._tree(k), reach, output_type="ndarray")
+            I.append(near["i"] + r0)
+            J.append(near["j"] + k * s)
+        return np.concatenate(I), np.concatenate(J)
+
+
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     """The candidates of _scan that can decide its minima, in one round.
 
@@ -566,12 +637,17 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     _doubly_seed's bound on dcsd.  When its _reach falls short of the
     span, the ring round takes, per row block, the turning window's pairs
     whose midpoint distance is within _reach of r, or of the best doubly
-    pair so far when that is closer.  The seed's own pair is in the window
-    and within reach, so the round finds it again and ends with a doubly
-    pair within r, which settles the minima, as scsd <= dcsd.  Otherwise,
-    r being +inf included, the covering round takes the window columns
-    that pass _perpendicular.  b is formed per row block as in _scan, so
-    the minima and the achieving pair are the dense scan's bit for bit.
+    pair so far when that is closer.  The block's window columns lie in
+    one cyclic range first .. last; _MidpointChunks.near returns every
+    pair within reach there, from the trees of the chunks that range
+    meets or from the one tree over all midpoints, and the window drops
+    the rest, so _families sees the same pairs either way.  The seed's
+    own pair is in the window and within reach, so the round finds it
+    again and ends with a doubly pair within r, which settles the minima,
+    as scsd <= dcsd.  Otherwise, r being +inf included, the covering round
+    takes the window columns that pass _perpendicular.  b is formed per
+    row block as in _scan, so the minima and the achieving pair are the
+    dense scan's bit for bit.
 
     Each block's b goes to one workspace that lives for the scan, and the
     covering round's filter works in its other two rows: glibc hands a
@@ -589,9 +665,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     def block(r0):
         rows, b = slice(r0, r0 + _BLOCK), None
         if perpendicular is None:
-            near = cKDTree(M[rows]).sparse_distance_matrix(
-                tree, _reach(min(r, out.doubly_min), h, p.length), output_type="ndarray")
-            i, j = near["i"] + r0, near["j"]
+            i, j = chunks.near(r0, _reach(min(r, out.doubly_min), h, p.length))
             m = (j - i) % n
             keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
@@ -611,7 +685,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     out = _Collector(p.edge_lengths)
     r = _doubly_seed(p, M, lo, hi, workspace)
     if _reach(r, h, p.length) < span:                 # beyond span every pair is in
-        tree, perpendicular = cKDTree(M), None
+        chunks, perpendicular = _MidpointChunks(M, lo, hi, span), None
     else:
         perpendicular = _perpendicular(p, singly, M, span, workspace)
     for r0 in range(0, n, _BLOCK):

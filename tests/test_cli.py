@@ -1,6 +1,7 @@
 """Tests for the command-line surface and its exit-code contract."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -145,6 +146,13 @@ class TestGammaCommand:
 
     def test_empty_ns(self, capsys):
         assert main(["gamma", "--curve", "circle", "--ns", ","]) == 1
+
+    def test_curve_file_of_other_length(self, tmp_path, capsys):
+        from polythick import ArcLengthCurve, preset_curve, write_curve
+        cpath = tmp_path / "circle3.curve"
+        write_curve(ArcLengthCurve(6.0 * math.pi * preset_curve("circle", m=256).positions), cpath)
+        assert main(["gamma", "--curve", str(cpath), "--ns", "16", "--m-proxy", "256"]) == 1
+        assert capsys.readouterr().err.startswith("error: curve table has length 18.8")
 
     def test_bad_proxy_resolution(self, capsys):
         assert main(["gamma", "--curve", "torus:2,3", "--ns", "8", "--m-proxy", "0"]) == 1

@@ -399,6 +399,22 @@ class TestCurveIO:
         assert back.m == circle.m
         assert np.max(np.abs(back.positions - circle.positions)) < 1e-15
 
+    def test_rejects_table_of_other_length(self, tmp_path, circle):
+        # a circle of radius 3 reads length 1.0 as an ArcLengthCurve
+        path = tmp_path / "circle3.curve"
+        write_curve(ArcLengthCurve(6.0 * math.pi * circle.positions), path)
+        with pytest.raises(ValueError, match="length 18.8"):
+            read_curve(path)
+
+    def test_rejects_nonuniform_table(self, tmp_path):
+        u = np.arange(512) / 512
+        t = u + 0.02 * np.sin(2.0 * np.pi * u)
+        P = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t), 0 * t], axis=1)
+        path = tmp_path / "skewed.curve"
+        write_curve(ArcLengthCurve(P / (2.0 * np.pi)), path)
+        with pytest.raises(ValueError, match="chord spread"):
+            read_curve(path)
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "bad.curve"
         path.write_text("0 0\n")

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -753,6 +754,25 @@ def _families_rows(p: Polygon, singly: bool) -> list:
     return calls
 
 
+def _tree_queries(p: Polygon, singly: bool) -> list:
+    """(tree size, pairs returned) of each sparse_distance_matrix call the
+    pruned scan makes, its ring round's midpoint queries.  The calls are
+    counted by a cKDTree subclass put into thickness, as the type's own
+    methods cannot be patched."""
+    calls = []
+
+    class Counting(cKDTree):
+        def sparse_distance_matrix(self, other, *args, **kwargs):
+            near = super().sparse_distance_matrix(other, *args, **kwargs)
+            calls.append((other.n, near.size))
+            return near
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "cKDTree", Counting)
+        thickness._pruned_scan(p, singly)
+    return calls
+
+
 def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
     """How many pairs of each row the pruned scan hands to _families."""
     return np.bincount(np.concatenate(_families_rows(p, singly)), minlength=p.n)
@@ -762,6 +782,12 @@ def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
 def _report_large_trefoil() -> Polygon:
     """The 2048-gon trefoil of the benchmark's report-large workload."""
     return rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
+
+
+@functools.lru_cache(maxsize=None)
+def _trefoil_proxy() -> Polygon:
+    """The 4096-gon whose dcsd is the benchmark's sweep-trefoil proxy."""
+    return inscribe_equilateral(preset_curve("torus:2,3", m=4096), 4096)
 
 
 def _results(p: Polygon, crossover: int):
@@ -882,6 +908,65 @@ class TestPrunedScan:
         # pairs to _families; one seeded at dcsd, 0.28 of it, 3.8k
         calls = _families_rows(_report_large_trefoil(), singly)
         assert sum(I.size for I in calls) <= 8000
+
+    def test_proxy_ring_tree_returns_few_pairs(self):
+        # the window drops arc neighbours; a query over every midpoint
+        # returned 1.83M pairs for the 7.1k that pass it
+        p = _trefoil_proxy()
+        returned = sum(size for _, size in _tree_queries(p, False))
+        kept = sum(I.size for I in _families_rows(p, False))
+        assert returned <= 2 * kept
+
+    def test_report_large_ring_tree_returns_few_pairs(self):
+        # a query over every midpoint returned 462k pairs
+        assert sum(size for _, size in _tree_queries(_report_large_trefoil(), True)) <= 100_000
+
+    @pytest.mark.parametrize("singly", [False, True])
+    def test_random_queries_one_tree_per_block(self, singly):
+        # a random polygon's window leaves out only a few arc neighbours,
+        # so every block meets every chunk and queries the one full tree
+        p = random_equilateral_polygon(2048, np.random.default_rng(3))
+        calls = _tree_queries(p, singly)
+        assert len(calls) == math.ceil(p.n / thickness._BLOCK)
+        assert all(size == p.n for size, _ in calls)
+
+    @pytest.mark.parametrize("name", ["proxy", "report-large"])
+    def test_chunks_cover_the_block_range(self, name):
+        # the queried chunks return every pair within reach whose column
+        # lies in the block's range first..last, as the full tree does
+        if name == "proxy":
+            p, singly = _trefoil_proxy(), False
+        else:
+            p, singly = _report_large_trefoil(), True
+        near, full = thickness._MidpointChunks.near, cKDTree(thickness._midpoints(p))
+        calls = []
+
+        def checking(chunks, r0, reach):
+            i, j = near(chunks, r0, reach)
+            rows = slice(r0, min(r0 + thickness._BLOCK, p.n))
+            first, last = (x[r0 // thickness._BLOCK] for x in (chunks._first, chunks._last))
+            every = full.query_ball_point(full.data[rows], reach)
+            in_range = {(r, k) for r, ks in zip(range(rows.start, rows.stop), every)
+                        for k in ks if (k - first) % p.n <= last - first}
+            assert in_range <= set(zip(i.tolist(), j.tolist()))
+            calls.append(len(in_range))
+            return i, j
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness._MidpointChunks, "near", checking)
+            thickness._pruned_scan(p, singly)
+        assert len(calls) == math.ceil(p.n / thickness._BLOCK) and sum(calls) > 0
+
+    @pytest.mark.parametrize("spec", ["torus:2,3", "torus:2,5", "torus:3,4"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_chunked_ring_matches_dense(self, spec, n):
+        # the doubly rings of two knots at n = 1024 query chunks of 32; the
+        # other rings' block ranges leave out at most two blocks of columns
+        # and query the full tree
+        p = rescale_unit(inscribe_equilateral(preset_curve(spec, m=4096), n))
+        sizes = [size for singly in (False, True) for size, _ in _tree_queries(p, singly)]
+        assert (min(sizes) < n) == ((spec, n) in {("torus:2,3", 1024), ("torus:3,4", 1024)})
+        assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
 
     @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 160),
            seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
