@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -386,8 +387,32 @@ def _format_rows(V: np.ndarray, comment: str | None = None) -> str:
     return buf.getvalue()
 
 
-def _parse_rows(lines: Iterable[str]) -> np.ndarray:
-    """The (k, 3) array of rows in lines, k possibly 0; errors name the line."""
+# the bytes of text that np.loadtxt reads as _parse_lines does
+_PLAIN = bytes(range(0x20, 0x7f)) + b"\t\n"
+
+
+def _parse_rows(text: str) -> np.ndarray:
+    """The (k, 3) array of the rows of text, k possibly 0; errors name the
+    line.  Text of tabs, newlines and printable ASCII only, which np.loadtxt
+    splits into lines and fields as _parse_lines does, is parsed by
+    np.loadtxt; its result stands when every row holds three finite
+    coordinates.  Any other text, and every error, goes through
+    _parse_lines."""
+    if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # loadtxt warns on no data
+                V = np.loadtxt(io.StringIO(text), ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if V.shape[1] == 3 and np.isfinite(V).all():
+                return V
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines: Iterable[str]) -> np.ndarray:
+    """_parse_rows, one line at a time."""
     rows = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,7 +436,7 @@ def dumps_polygon(p: Polygon, comment: str | None = None) -> str:
 
 
 def loads_polygon(text: str) -> Polygon:
-    V = _parse_rows(text.splitlines())
+    V = _parse_rows(text)
     if not V.shape[0]:
         raise ValueError("no vertices found")
     return Polygon(V)

@@ -370,7 +370,7 @@ def read_curve(path) -> ArcLengthCurve:
     length, when the closed chord sum differs from 1, or a chord from the
     mean chord, by more than _UNIT_TOL relative."""
     with open(path) as fh:
-        curve = ArcLengthCurve(_parse_rows(fh))
+        curve = ArcLengthCurve(_parse_rows(fh.read()))
     P = curve.positions
     chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     length = float(chords.sum())

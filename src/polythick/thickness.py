@@ -36,10 +36,16 @@ one end has its other point within reach of that end's vertex, in one of
 its two edge slabs or its normal wedge, up to a slack
 sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
 rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
-always kept.  Both enumerations take b = E_i . E_j from one matmul per
-row block and form every other term per pair, so their minima agree bit
-for bit.  Every scan writes b into one workspace that lives for the scan,
-and the covering round's filter works in the workspace's other two rows,
+always kept.  Before any pair is formed, a chunk cull drops the columns
+of the chunks of isqrt(n) midpoints that the filter would reject for every
+row of a block whose window range is wider than two blocks, judged on
+bounding spheres: the chunk lies wholly out of reach of the row's
+vertex, or each of its vertices finds the row's chunk out of reach, as
+the filter's mode asks, and it holds no edge parallel to the row's.
+Both enumerations take b = E_i . E_j from one matmul per row block and
+form every other term per pair, so their minima agree bit for bit.
+Every scan writes b into one workspace that lives for the scan, and the
+covering round's filter works in the workspace's other two rows,
 so no block allocates a float array of its size.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) is measured one way, on gathered pairs of edges of a
@@ -55,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -83,6 +89,7 @@ _TIE = 1e-12              # distances this close to the minimum tie, relative to
 _CROSSOVER = 96           # n from which the minima come from the pruned scan
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
 _TURN_SLACK = 1e-6        # turning slack of the pruned scan's arc filter
+_PARALLEL = 1e-4          # pairs with b^2 >= (1 - _PARALLEL) a h_min^2 count as parallel
 
 
 @dataclass(frozen=True)
@@ -473,6 +480,30 @@ def _turning_window(p: Polygon, min_turn: float):
     return lo, hi
 
 
+def _spheres(X: np.ndarray, s: int, slack: float):
+    """(centres, radii) of the bounding spheres of the chunks of s
+    consecutive rows of X, the last one possibly shorter, each radius
+    padded by slack for the spheres' rounding."""
+    starts = np.arange(0, len(X), s)
+    sizes = np.diff(starts, append=len(X))
+    centres = np.add.reduceat(X, starts) / sizes[:, None]
+    D = X - np.repeat(centres, sizes, axis=0)
+    return centres, np.sqrt(np.maximum.reduceat(_dot(D, D), starts)) + slack
+
+
+def _reach_bounds(p: Polygon, M: np.ndarray, span: float):
+    """(u-, u+, fa, ga, gb, fb) of _perpendicular: a midpoint y is out of
+    reach of vertex k when y . u-_k > fa_k and y . u+_k > ga_k, or
+    y . u+_k < gb_k and y . u-_k < fb_k."""
+    h, dirs = p.edge_lengths, p.directions()
+    sigma = 1e-6 * (span + float(h.max()) + float(np.abs(p.vertices).max()))
+    e = 0.5 * float(h.max()) + sigma
+    um = np.roll(dirs, 1, axis=0)                      # u-_k = u+_(k-1)
+    Vc = M - 0.5 * p.edges
+    um_V, up_V = _dot(um, Vc), _dot(dirs, Vc)
+    return um, dirs, um_V + e, up_V + h + e, up_V - e, um_V - np.roll(h, 1) - e
+
+
 def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
                    workspace):
     """The perpendicularity filter of the pruned scan: keep(R, J, b) is the
@@ -496,19 +527,13 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
     both computations, which grows with the vertices' size.  Near-parallel
     pairs are always kept: there the quadratic's feet lose about
     eps d / (h sin^2 theta), so the kernel's verdict need not match the
-    geometry.
+    geometry.  The covering round calls keep only on the columns that
+    _chunk_cull leaves to the row block, which hold every pair keep keeps;
+    _reach_bounds forms the region bounds for both.
     """
-    h, dirs = p.edge_lengths, p.directions()
-    sigma = 1e-6 * (span + float(h.max()) + float(np.abs(p.vertices).max()))
-    e = 0.5 * float(h.max()) + sigma
-    um = np.roll(dirs, 1, axis=0)                      # u-_k = u+_(k-1)
-    Vc = M - 0.5 * p.edges
-    um_V, up_V = _dot(um, Vc), _dot(dirs, Vc)
-    # out of reach of k at a midpoint y when y . u-_k > fa_k and
-    # y . u+_k > ga_k, or y . u+_k < gb_k and y . u-_k < fb_k
-    fa, ga = um_V + e, up_V + h + e
-    gb, fb = up_V - e, um_V - np.roll(h, 1) - e
-    parallel = (1.0 - 1e-4) * h * h * float(h.min()) ** 2
+    h = p.edge_lengths
+    um, dirs, fa, ga, gb, fb = _reach_bounds(p, M, span)
+    parallel = (1.0 - _PARALLEL) * h * h * float(h.min()) ** 2
 
     def out_of_reach(F, G, k):
         return ((F > fa[k]) & (G > ga[k])) | ((G < gb[k]) & (F < fb[k]))
@@ -526,6 +551,59 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
         return ~out | (np.multiply(bj, bj, out=bj) >= parallel[R, None])
 
     return keep
+
+
+def _chunks_out_of_reach(p: Polygon, M: np.ndarray, span: float, s: int) -> np.ndarray:
+    """A[k, C], over vertices k and chunks C of s consecutive midpoints:
+    _perpendicular's row side rejects every pair (k, j) with j in C.
+
+    It holds when C's bounding sphere, of centre c and radius rho, lies
+    wholly in one of vertex k's out-of-reach regions, that is c . u -+ rho
+    clears both bounds of the region, and no edge of C can be parallel to
+    edge k.  With e and q the centre and radius of the sphere of C's edge
+    vectors, |E_k x E_j| >= |E_k x e| - h_k q and |E_k x e|^2 >= h_min^2
+    |e|^2 - (E_k . e)^2; a cross product above t, with t^2 = h_max^2
+    (h_max^2 - (1 - _PARALLEL) h_min^2), puts b^2 below the parallel
+    threshold of either edge.  The radii are padded by 1e-9 of the span
+    and of 2 h_max, far above the rounding of either test."""
+    n, h = p.n, p.edge_lengths
+    hmax, hmin = float(h.max()), float(h.min())
+    um, up, fa, ga, gb, fb = _reach_bounds(p, M, span)
+    c, rho = _spheres(M, s, 1e-9 * span)
+    sphere, Y = np.column_stack([c, np.ones(len(c)), rho]), np.empty((n, len(c)))
+
+    def beyond(u, bound, sign):        # u_k . c_C - bound_k + sign rho_C, into Y
+        return np.matmul(np.column_stack([u, -bound, np.full(n, sign)]), sphere.T, out=Y)
+
+    A = (beyond(um, fa, -1.0) > 0.0) & (beyond(up, ga, -1.0) > 0.0)
+    A |= (beyond(up, gb, 1.0) < 0.0) & (beyond(um, fb, 1.0) < 0.0)
+    e, q = _spheres(p.edges, s, 2e-9 * hmax)
+    t = math.sqrt(hmax * hmax * (hmax * hmax - (1.0 - _PARALLEL) * hmin * hmin))
+    Ee = np.matmul(p.edges, e.T, out=Y)
+    A &= np.multiply(Ee, Ee, out=Ee) < hmin * hmin * _dot(e, e) - (t + hmax * q) ** 2
+    return A
+
+
+def _chunk_cull(p: Polygon, singly: bool, M: np.ndarray, span: float):
+    """The covering round's chunk cull: columns(R, J) is the mask of the
+    columns J whose chunk some row of R may keep under _perpendicular, the
+    chunks being the isqrt(n) consecutive midpoints of _MidpointChunks.
+
+    Row i's side of chunk Q is A[i, Q] of _chunks_out_of_reach.  Its
+    column side is A[j, P] for every vertex j of Q, P being the chunk
+    that holds midpoint i: one logical_and.reduceat of A over Q's rows.
+    Row i drops Q when both sides hold (singly) or either does (doubly),
+    as _perpendicular drops a pair; the rows of a block need the chunks
+    that not all of them drop."""
+    s = math.isqrt(p.n)
+    A = _chunks_out_of_reach(p, M, span, s)
+    B = np.logical_and.reduceat(A, np.arange(0, p.n, s), axis=0)     # B[Q, P]
+    both = np.logical_and if singly else np.logical_or
+
+    def columns(R, J):
+        return ~both(A[R], B[:, R // s].T).all(axis=0)[J // s]
+
+    return columns
 
 
 def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
@@ -608,11 +686,7 @@ class _MidpointChunks:
             near = block.sparse_distance_matrix(self._tree(None), reach, output_type="ndarray")
             return near["i"] + r0, near["j"]
         if self._spheres is None:
-            starts = np.arange(0, n, s)
-            sizes = np.diff(starts, append=n)
-            centres = np.add.reduceat(M, starts) / sizes[:, None]
-            D = M - np.repeat(centres, sizes, axis=0)
-            self._spheres = centres, np.sqrt(np.maximum.reduceat(_dot(D, D), starts))
+            self._spheres = _spheres(M, s, self._slack)
         centres, radii = self._spheres
         centre = M[rows].mean(axis=0)
         D = M[rows] - centre
@@ -620,7 +694,7 @@ class _MidpointChunks:
         gap = (np.linalg.norm(centres[chunks] - centre, axis=1) - radii[chunks]
                - math.sqrt(float(_dot(D, D).max())))
         I, J = [np.zeros(0, int)], [np.zeros(0, int)]
-        for k in chunks[gap <= reach + self._slack].tolist():
+        for k in chunks[gap <= reach].tolist():
             near = block.sparse_distance_matrix(self._tree(k), reach, output_type="ndarray")
             I.append(near["i"] + r0)
             J.append(near["j"] + k * s)
@@ -645,7 +719,13 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     own pair is in the window and within reach, so the round finds it
     again and ends with a doubly pair within r, which settles the minima,
     as scsd <= dcsd.  Otherwise, r being +inf included, the covering round
-    takes the window columns that pass _perpendicular.  b is formed per
+    takes the window columns that pass _perpendicular, and forms that
+    filter only on the columns of the chunks _chunk_cull leaves to the
+    block: the chunks out of reach of every row, which the filter would
+    reject pair by pair, are dropped whole.  A block whose window range
+    spans at most two blocks of columns, as every block of the regular
+    n-gon's doubly round does, skips the cull, whose cost there exceeds
+    what it could drop; the cull is built on first use.  b is formed per
     row block as in _scan, so the minima and the achieving pair are the
     dense scan's bit for bit.
 
@@ -674,6 +754,8 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             R, b = idx[rows], _gram(p.edges, rows, workspace)
             first, last = (R + lo[rows])[:, None], (R + hi[rows])[:, None]
             U = np.arange(first.min(), last.max() + 1)
+            if U.size > 2 * _BLOCK:     # a narrower range leaves the cull little to drop
+                U = U[cull()(R, U % n)]
             ri, k = np.nonzero((U >= first) & (U <= last) & perpendicular(R, U % n, b))
             flat = ri * n + U[k] % n
         if not flat.size:
@@ -688,6 +770,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         chunks, perpendicular = _MidpointChunks(M, lo, hi, span), None
     else:
         perpendicular = _perpendicular(p, singly, M, span, workspace)
+        cull = cache(lambda: _chunk_cull(p, singly, M, span))
     for r0 in range(0, n, _BLOCK):
         pairs = block(r0)
         if pairs is not None:

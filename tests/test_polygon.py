@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polythick import polygon
 from polythick.geom import circumradius
 from polythick.polygon import (
     PolyArc,
@@ -351,3 +352,61 @@ class TestTextFormat:
         write_polygon(p, path)
         q = read_polygon(path)
         assert np.array_equal(p.vertices, q.vertices)
+
+
+def _parsed(parse, text):
+    """The array parse makes of text, or the text of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestParseRows:
+    """_parse_rows reads plain text with np.loadtxt and falls back to the
+    per-line loop for everything else: both give the same array, bit for
+    bit, or the same error naming the same line."""
+
+    @pytest.mark.parametrize("text", [
+        "1 2 3\n4 5 6\n",
+        "# header\n\n1 2 3   # trailing comment\n\n 4 5 6\t \n",
+        "0.1000000000000000055511151231257827 4.9e-324 -1.7976931348623157e308\n",
+        "1 2 3",
+        "1\t2\t3\n+.5e-3 -0 5.\n",
+        "",
+        "# only a comment\n   # and another\n",
+        "\n  \n\t\n",
+        "1 2 3\nnan 0 0\n",
+        "1 2 3\n0 inf 0\n",
+        "1 2 3\n0 0 -Infinity\n",
+        "1e400 0 0\n",
+        "1_0 2 3\n",
+        "1 2 3\n0x1p3 0 0\n",
+        "1 2\n",
+        "1 2 3\n4 5 6 7\n",
+        "1 2\n3 4\n5 6\n",
+        "1 2 3 4\n5 6 7 8\n",
+        "1 2 3\n1,2,3\n",
+        "1 2 3 \r\n4 5 6\r\n",
+        "1 2\x0c3\n",
+        "1 2 3\x0c4 5 6\n",
+        "1\xa02 3\n",
+        "1 2 3 # caf\xe9\n",
+        "1 2 3\x00\n",
+    ])
+    def test_fast_path_matches_loop(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parsed(polygon._parse_rows, text)
+        want = _parsed(lambda t: polygon._parse_lines(t.splitlines()), text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_written_polygon_skips_the_loop(self, monkeypatch):
+        p = random_equilateral_polygon(256, np.random.default_rng(5))
+        monkeypatch.setattr(polygon, "_parse_lines", None)
+        assert np.array_equal(loads_polygon(dumps_polygon(p, "a comment")).vertices,
+                              p.vertices)

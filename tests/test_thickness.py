@@ -687,6 +687,45 @@ def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
                       for r0 in range(0, p.n, thickness._BLOCK)])
 
 
+# the covering rounds of regular-130 and regular-200 end in partial blocks
+# of 34 and 8 rows, which fill the workspace in part; crumpled-1024 is the
+# covering round with the most pairs per row
+NAMED_2048 = ["trefoil", "random", "regular", "near-regular", "cranked", "crumpled",
+              "cranked-0.05", "regular-130", "regular-200", "crumpled-1024", "cranked-0.002"]
+
+
+def _named_2048(name: str) -> Polygon:
+    """The named polygons of the pruned scan's parity tests, most of them
+    2048-gons."""
+    if name == "trefoil":
+        return _report_large_trefoil()
+    if name == "regular":
+        return regular_ngon(2048)
+    if name == "near-regular":
+        return perturbed_regular(2048, 1e-3, np.random.default_rng(1))
+    if name == "cranked":
+        return crankshaft_move(regular_ngon(2048), 0, 700, 0.01)
+    if name == "crumpled":
+        return perturbed_regular(2048, 0.1, np.random.default_rng(1))
+    if name == "crumpled-1024":
+        return perturbed_regular(1024, 0.3, np.random.default_rng(0))
+    if name.startswith("cranked-"):
+        return crankshaft_move(regular_ngon(2048), 0, 1024, float(name[len("cranked-"):]))
+    if name.startswith("regular-"):
+        return regular_ngon(int(name[len("regular-"):]))
+    return random_equilateral_polygon(2048, np.random.default_rng(3))
+
+
+def _cull_mask(p: Polygon, singly: bool) -> np.ndarray:
+    """The columns the covering round's chunk cull keeps for each row
+    block, spread over all n^2 pairs."""
+    M, idx = thickness._midpoints(p), np.arange(p.n)
+    span = 2.0 * float(np.linalg.norm(M, axis=1).max())
+    columns = thickness._chunk_cull(p, singly, M, span)
+    blocks = (idx[r0:r0 + thickness._BLOCK] for r0 in range(0, p.n, thickness._BLOCK))
+    return np.vstack([np.broadcast_to(columns(R, idx), (R.size, p.n)) for R in blocks])
+
+
 class TestPerpendicularityLemma:
     """Where the search ring covers every pair, the pruned scan drops a pair
     unless one edge can meet the reach of the other's start vertex: its two
@@ -723,6 +762,64 @@ class TestPerpendicularityLemma:
         else:
             p, singly = perturbed_regular(2048, 1e-3, np.random.default_rng(1)), False
         assert _pairs_per_row(p, singly).max() <= 8
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 120),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_cull_keeps_every_filtered_pair(self, kind, n, seed, x):
+        # the chunk cull drops a column of a row block only where the filter
+        # drops it for every row of the block
+        p = _subject(kind, n, seed, x)
+        for singly in (False, True):
+            assert not np.any(_perpendicular_mask(p, singly) & ~_cull_mask(p, singly))
+
+    @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 120),
+           seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_chunks_out_of_reach_reject_every_pair(self, kind, n, seed, x):
+        # a chunk out of reach of vertex k holds no point in reach of k and
+        # no edge parallel to k's, by the filter's own tests; the midpoints
+        # are jittered by up to 4 edges, so spheres straddle the regions
+        p = _subject(kind, n, seed, x)
+        h = p.edge_lengths
+        jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, (p.n, 3))
+        M = thickness._midpoints(p) + 4.0 * x * float(h.max()) * jitter
+        span, s = 2.0 * float(np.linalg.norm(M, axis=1).max()), math.isqrt(p.n)
+        A = thickness._chunks_out_of_reach(p, M, span, s)[:, np.arange(p.n) // s]
+        um, up, fa, ga, gb, fb = thickness._reach_bounds(p, M, span)
+        F, G = um @ M.T, up @ M.T
+        out = ((F > fa[:, None]) & (G > ga[:, None])) | ((G < gb[:, None]) & (F < fb[:, None]))
+        b2 = (p.edges @ p.edges.T) ** 2
+        threshold = (1.0 - thickness._PARALLEL) * h * h * float(h.min()) ** 2
+        parallel = (b2 >= threshold[:, None]) | (b2 >= threshold[None, :])
+        assert np.all(out[A]) and not np.any(parallel[A])
+
+    @pytest.mark.parametrize("singly", [False, True])
+    @pytest.mark.parametrize("name", NAMED_2048)
+    def test_cull_keeps_every_filtered_pair_at_2048(self, name, singly):
+        p = _named_2048(name)
+        assert not np.any(_perpendicular_mask(p, singly) & ~_cull_mask(p, singly))
+
+    def test_regular_filter_forms_few_window_pairs(self):
+        # the window columns of every row came to 2.30M pairs; the chunks
+        # some row of the block needs, 372k
+        assert sum(_window_pairs(regular_ngon(2048), singly=True)) <= 500_000
+
+    @pytest.mark.parametrize("singly", [False, True])
+    def test_cull_built_once_for_wide_ranges(self, singly):
+        # the regular n-gon's doubly windows hold a few columns per row, so
+        # every block range spans at most two blocks and skips the cull;
+        # its singly ranges span about n/2 columns
+        built, cull = [], thickness._chunk_cull
+
+        def recording(*args):
+            built.append(args)
+            return cull(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_chunk_cull", recording)
+            thickness._pruned_scan(regular_ngon(2048), singly)
+        assert len(built) == int(singly)
 
     def test_crumpled_takes_one_round(self):
         # 2 min_rad lies far below dcsd here; the seeded scan runs one
@@ -773,6 +870,27 @@ def _tree_queries(p: Polygon, singly: bool) -> list:
     return calls
 
 
+def _window_pairs(p: Polygon, singly: bool) -> list | None:
+    """The window pairs, rows times columns, that each call of the covering
+    round's filter forms, or None when the scan takes the ring round."""
+    calls, perpendicular = None, thickness._perpendicular
+
+    def recording(*args):
+        nonlocal calls
+        keep, calls = perpendicular(*args), []
+
+        def counting(R, J, b):
+            calls.append(R.size * J.size)
+            return keep(R, J, b)
+
+        return counting
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_perpendicular", recording)
+        thickness._pruned_scan(p, singly)
+    return calls
+
+
 def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
     """How many pairs of each row the pruned scan hands to _families."""
     return np.bincount(np.concatenate(_families_rows(p, singly)), minlength=p.n)
@@ -809,28 +927,9 @@ class TestPrunedScan:
         p = _subject(kind, n, seed, x)
         assert _results(p, 0) == _results(p, 10**9)
 
-    @pytest.mark.parametrize("name", ["trefoil", "random", "regular", "near-regular",
-                                      "cranked", "crumpled", "cranked-0.05",
-                                      "regular-130", "regular-200"])
+    @pytest.mark.parametrize("name", NAMED_2048)
     def test_matches_dense_at_2048(self, name):
-        # the covering rounds of regular-130 and regular-200 end in partial
-        # blocks of 34 and 8 rows, which fill the workspace in part
-        if name == "trefoil":
-            p = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 2048))
-        elif name == "regular":
-            p = regular_ngon(2048)
-        elif name == "near-regular":
-            p = perturbed_regular(2048, 1e-3, np.random.default_rng(1))
-        elif name == "cranked":
-            p = crankshaft_move(regular_ngon(2048), 0, 700, 0.01)
-        elif name == "crumpled":
-            p = perturbed_regular(2048, 0.1, np.random.default_rng(1))
-        elif name == "cranked-0.05":
-            p = crankshaft_move(regular_ngon(2048), 0, 1024, 0.05)
-        elif name.startswith("regular-"):
-            p = regular_ngon(int(name[len("regular-"):]))
-        else:
-            p = random_equilateral_polygon(2048, np.random.default_rng(3))
+        p = _named_2048(name)
         assert p.n >= thickness._CROSSOVER
         assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
 

@@ -28,8 +28,9 @@ so only the library under test differs between checkouts.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
-the number of pairs delta_n's pruned scan hands to _families and the
-number its ring round's midpoint tree queries returned, both counted by
+the number of pairs delta_n's pruned scan hands to _families, the number
+its ring round's midpoint tree queries returned and the number of window
+pairs its covering round's perpendicularity filter formed, all counted by
 the tests' wrappers, and the round it ran: "covering" when it called
 _perpendicular, which only the covering round does, "ring" otherwise.  It
 then runs the op sequence of the benchmark's report-large workload, delta_n
@@ -152,24 +153,15 @@ def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
         print(f"sequence {name}\t{seconds * 1e3:.1f} ms\t{faults:.0f} faults", flush=True)
 
 
-def _families_pairs(p) -> tuple[int, int, str]:
+def _scan_pairs(p) -> tuple[int, int, list | None]:
     """Pairs the pruned scan of delta_n (singly mode) hands to _families,
-    pairs its tree queries return, and the round that took them."""
-    import pytest
-    from polythick import thickness
-    from test_thickness import _families_rows, _tree_queries
+    pairs its tree queries return, and the window pairs its covering
+    round's filter forms per call, None when it takes the ring round."""
+    from test_thickness import _families_rows, _tree_queries, _window_pairs
 
-    covering, perpendicular = [], thickness._perpendicular
-
-    def recording(*args):
-        covering.append(True)
-        return perpendicular(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thickness, "_perpendicular", recording)
-        pairs = sum(I.size for I in _families_rows(p, singly=True))
+    pairs = sum(I.size for I in _families_rows(p, singly=True))
     tree = sum(size for _, size in _tree_queries(p, singly=True))
-    return pairs, tree, "covering" if covering else "ring"
+    return pairs, tree, _window_pairs(p, singly=True)
 
 
 def main(argv=None) -> int:
@@ -179,8 +171,9 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=here,
                     help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
-                    help="print best-of-5 delta_n time, minor faults, scanned and tree "
-                         "pairs and the round per input, then the report-large sequence")
+                    help="print best-of-5 delta_n time, minor faults, scanned, tree and "
+                         "window pairs and the round per input, then the report-large "
+                         "sequence")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(here / "tests")]
@@ -191,9 +184,11 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
-            pairs, tree, round_ = _families_pairs(p)
+            pairs, tree, window = _scan_pairs(p)
+            round_ = "ring" if window is None else "covering"
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{pairs} pairs\t{tree} tree pairs\t{round_}", flush=True)
+                  f"\t{pairs} pairs\t{tree} tree pairs\t{sum(window or [])} window pairs"
+                  f"\t{round_}", flush=True)
     results["campaigns"] = _campaigns()
     if trim is not None:
         _report_sequence(trim, inputs)
