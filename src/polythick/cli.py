@@ -63,6 +63,9 @@ def _cmd_gamma(args) -> int:
         raise ValueError(f"--ns must be comma-separated integers, got {args.ns!r}")
     if not ns:
         raise ValueError("--ns must name at least one resolution")
+    small = [n for n in ns if n < 3]
+    if small:
+        raise ValueError(f"--ns resolutions must be at least 3, got {small[0]}")
     curve = _load_curve(args.curve, args.m)
     rows = gamma_series(curve, ns, m_proxy=args.m_proxy)
     _emit(gamma_csv(rows), args.out)

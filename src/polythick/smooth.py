@@ -168,7 +168,10 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
         raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
     if P.shape[0] < 16:
         raise ValueError("need at least 16 raw samples")
-    chords_open = np.linalg.norm(np.diff(P, axis=0), axis=1)
+    with np.errstate(over="ignore"):        # an overflow fails the length checks
+        chords_open = np.linalg.norm(np.diff(P, axis=0), axis=1)
+    if not np.isfinite(chords_open).all():
+        raise ValueError("the samples' arc length overflows")
     if np.any(chords_open == 0.0):
         k = int(np.nonzero(chords_open == 0.0)[0][0])
         raise ValueError(f"coincident consecutive samples at index {k}")
@@ -178,15 +181,17 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     if wrap == 0.0:
         P = P[:-1]  # explicit duplicate of the start: drop it
 
-    chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     # squared curvature at each raw vertex from the circumradius of the
     # neighbouring triple; collinear triples contribute zero
-    area2, sides = _triple_terms(P)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+        area2, sides = _triple_terms(P)
         kappa2 = np.where(area2 > 0.0, (2.0 * area2 / sides) ** 2, 0.0)
-    k2_chord = 0.5 * (kappa2 + np.roll(kappa2, -1))
-    arcs = chords * (1.0 + chords * chords * k2_chord / 24.0)
-    total = float(arcs.sum())
+        k2_chord = 0.5 * (kappa2 + np.roll(kappa2, -1))
+        arcs = chords * (1.0 + chords * chords * k2_chord / 24.0)
+        total = float(arcs.sum())
+    if not math.isfinite(total):
+        raise ValueError("the samples' arc length overflows")
     s = np.concatenate([[0.0], np.cumsum(arcs)]) / total
 
     spline = CubicSpline(s, np.vstack([P, P[:1]]) / total,
@@ -206,9 +211,13 @@ def circle_samples(count: int = 16384) -> np.ndarray:
 
 def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
                        count: int = 16384) -> np.ndarray:
-    """(a, b) curve on the torus of radii (R, rho); embedded for gcd(a,b)=1."""
+    """(a, b) curve on the torus of radii (R, rho), 0 < |rho| < |R|, on
+    which the torus is embedded; the curve is embedded for gcd(a,b)=1."""
     if math.gcd(abs(a), abs(b)) != 1:
         raise ValueError("torus knot parameters must be coprime")
+    if not (math.isfinite(R) and math.isfinite(rho) and 0.0 < abs(rho) < abs(R)):
+        raise ValueError(f"torus radii must be finite with 0 < |rho| < |R|, "
+                         f"got R={R:g}, rho={rho:g}")
     u = np.arange(count) * (2.0 * np.pi / count)
     w = R + rho * np.cos(b * u)
     return np.column_stack([w * np.cos(a * u), w * np.sin(a * u),

@@ -21,27 +21,28 @@ annealing objective take the pruned scan: only pairs whose two arcs can
 both turn pi (pi/2 for the singly families), in one round.  It starts
 from a bound r on dcsd: the doubly pairs next to the closest midpoints of
 the turning window, found on a coarse grid and refined around its best
-pair.  When the reach of r falls short of the span, a ring round keeps
-the pairs whose edge midpoints lie within r + h_max.  It asks k-d trees
-only for pairs the turning window may keep: a row block's window columns
-form one cyclic range, and the block queries the trees of the chunks of
-isqrt(n) consecutive midpoints that meet it, less those whose bounding
-sphere lies beyond reach of the block's.  A block whose range meets every
-chunk or leaves out at most two blocks of columns, as on crumpled
-polygons whose windows leave out only a few arc neighbours, queries one
-tree over all midpoints instead.  Otherwise, as for
-the regular n-gon whose dcsd is its diameter, a covering round keeps
-the pairs that pass a perpendicularity filter: a candidate critical at
-one end has its other point within reach of that end's vertex, in one of
-its two edge slabs or its normal wedge, up to a slack
-sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances and
-rounding; near-parallel pairs, whose feet the quadratic fixes poorly, are
-always kept.  Before any pair is formed, a chunk cull drops the columns
-of the chunks of isqrt(n) midpoints that the filter would reject for every
-row of a block whose window range is wider than two blocks, judged on
-bounding spheres: the chunk lies wholly out of reach of the row's
-vertex, or each of its vertices finds the row's chunk out of reach, as
-the filter's mode asks, and it holds no edge parallel to the row's.
+pair.  Both rounds work on one chunk cover, _Chunks: the midpoints fall
+in chunks of isqrt(n) consecutive ones, each with a bounding sphere, and
+a row block's window columns form one cyclic range.  The block needs
+the chunks that range meets, less those the round's drop test rejects
+for every row of the block.  When the reach of r falls short of the
+span, a ring round keeps the pairs whose edge midpoints lie within
+r + h_max.  It queries the k-d trees of the needed chunks, a chunk being
+dropped when its sphere lies beyond reach of the block's.  A block whose
+range leaves out at most two blocks of columns, as on crumpled polygons
+whose windows leave out only a few arc neighbours, queries one tree over
+all midpoints instead.  Otherwise, as for the regular n-gon whose dcsd
+is its diameter, a covering round keeps the pairs that pass a
+perpendicularity filter: a candidate critical at one end has its other
+point within reach of that end's vertex, in one of its two edge slabs
+or its normal wedge, up to a slack sigma = 1e-6 (span + h_max + |V|_max)
+for the kernel's tolerances and rounding; near-parallel pairs, whose
+feet the quadratic fixes poorly, are always kept.  A block whose window
+range is wider than two blocks forms the filter only on the columns of
+its needed chunks, a chunk being dropped when, judged on bounding
+spheres, it lies wholly out of reach of the row's vertex, or each of its
+vertices finds the row's chunk out of reach, as the filter's mode asks,
+and it holds no edge parallel to the row's.
 Both enumerations take b = E_i . E_j from one matmul per row block and
 form every other term per pair, so their minima agree bit for bit.
 Every scan writes b into one workspace that lives for the scan, and the
@@ -61,7 +62,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -491,6 +492,55 @@ def _spheres(X: np.ndarray, s: int, slack: float):
     return centres, np.sqrt(np.maximum.reduceat(_dot(D, D), starts)) + slack
 
 
+class _Chunks:
+    """The chunk cover of one pruned scan.  The edge midpoints M come in
+    chunks of s = isqrt(n) consecutive ones, the last possibly shorter,
+    and the window columns i + lo .. i + hi of the rows i of row block q
+    lie in one cyclic range first .. last, ranges[q], taken mod n.
+    needed() maps a row block to the chunks it needs; the bounding spheres
+    and the k-d trees, one per chunk and one over all midpoints, are
+    formed on first use and kept for the scan."""
+
+    def __init__(self, M: np.ndarray, lo, hi, span: float):
+        self.M, self.s, self._slack = M, math.isqrt(len(M)), 1e-9 * span
+        idx = np.arange(len(M))
+        self.ranges = list(zip(np.minimum.reduceat(idx + lo, idx[::_BLOCK]).tolist(),
+                               np.maximum.reduceat(idx + hi, idx[::_BLOCK]).tolist()))
+        self._trees = {}
+
+    @cached_property
+    def spheres(self):
+        """(centres, radii) of the chunks, the radii padded by 1e-9 of the
+        span for the spheres' rounding."""
+        return _spheres(self.M, self.s, self._slack)
+
+    @cached_property
+    def block_spheres(self):
+        """(centres, radii) of the midpoints of each row block."""
+        return _spheres(self.M, _BLOCK, 0.0)
+
+    def tree(self, k: int | None) -> cKDTree:
+        """The tree over chunk k, or over every midpoint when k is None."""
+        if k not in self._trees:
+            rows = slice(None) if k is None else slice(k * self.s, (k + 1) * self.s)
+            self._trees[k] = cKDTree(self.M[rows])
+        return self._trees[k]
+
+    def needed(self, r0: int, drops) -> np.ndarray:
+        """The mask of the chunks the row block from r0 needs: those its
+        range meets, less the chunks Q where drops(rows, Q), rows being
+        the block's slice, says that the round rejects every pair of the
+        rows and Q."""
+        n, s, (first, last) = len(self.M), self.s, self.ranges[r0 // _BLOCK]
+        f, l = first % n, first % n + last - first      # columns f .. l, taken mod n
+        met = np.zeros(-(-n // s), dtype=bool)
+        met[f // s:l // s + 1] = True
+        met[:max(l - n + s, 0) // s] = True             # and 0 .. l - n, if any
+        Q = np.flatnonzero(met)
+        met[Q[drops(slice(r0, r0 + _BLOCK), Q)]] = False
+        return met
+
+
 def _reach_bounds(p: Polygon, M: np.ndarray, span: float):
     """(u-, u+, fa, ga, gb, fb) of _perpendicular: a midpoint y is out of
     reach of vertex k when y . u-_k > fa_k and y . u+_k > ga_k, or
@@ -527,9 +577,10 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
     both computations, which grows with the vertices' size.  Near-parallel
     pairs are always kept: there the quadratic's feet lose about
     eps d / (h sin^2 theta), so the kernel's verdict need not match the
-    geometry.  The covering round calls keep only on the columns that
-    _chunk_cull leaves to the row block, which hold every pair keep keeps;
-    _reach_bounds forms the region bounds for both.
+    geometry.  The covering round calls keep only on the columns of the
+    chunks _Chunks.needed leaves to the row block under _chunk_cull's
+    drop test, which hold every pair keep keeps; _reach_bounds forms the
+    region bounds for both.
     """
     h = p.edge_lengths
     um, dirs, fa, ga, gb, fb = _reach_bounds(p, M, span)
@@ -553,8 +604,8 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
     return keep
 
 
-def _chunks_out_of_reach(p: Polygon, M: np.ndarray, span: float, s: int) -> np.ndarray:
-    """A[k, C], over vertices k and chunks C of s consecutive midpoints:
+def _chunks_out_of_reach(p: Polygon, chunks: _Chunks, span: float) -> np.ndarray:
+    """A[k, C], over vertices k and the chunks C of the scan's cover:
     _perpendicular's row side rejects every pair (k, j) with j in C.
 
     It holds when C's bounding sphere, of centre c and radius rho, lies
@@ -568,8 +619,8 @@ def _chunks_out_of_reach(p: Polygon, M: np.ndarray, span: float, s: int) -> np.n
     and of 2 h_max, far above the rounding of either test."""
     n, h = p.n, p.edge_lengths
     hmax, hmin = float(h.max()), float(h.min())
-    um, up, fa, ga, gb, fb = _reach_bounds(p, M, span)
-    c, rho = _spheres(M, s, 1e-9 * span)
+    um, up, fa, ga, gb, fb = _reach_bounds(p, chunks.M, span)
+    c, rho = chunks.spheres
     sphere, Y = np.column_stack([c, np.ones(len(c)), rho]), np.empty((n, len(c)))
 
     def beyond(u, bound, sign):        # u_k . c_C - bound_k + sign rho_C, into Y
@@ -577,47 +628,46 @@ def _chunks_out_of_reach(p: Polygon, M: np.ndarray, span: float, s: int) -> np.n
 
     A = (beyond(um, fa, -1.0) > 0.0) & (beyond(up, ga, -1.0) > 0.0)
     A |= (beyond(up, gb, 1.0) < 0.0) & (beyond(um, fb, 1.0) < 0.0)
-    e, q = _spheres(p.edges, s, 2e-9 * hmax)
+    e, q = _spheres(p.edges, chunks.s, 2e-9 * hmax)
     t = math.sqrt(hmax * hmax * (hmax * hmax - (1.0 - _PARALLEL) * hmin * hmin))
     Ee = np.matmul(p.edges, e.T, out=Y)
     A &= np.multiply(Ee, Ee, out=Ee) < hmin * hmin * _dot(e, e) - (t + hmax * q) ** 2
     return A
 
 
-def _chunk_cull(p: Polygon, singly: bool, M: np.ndarray, span: float):
-    """The covering round's chunk cull: columns(R, J) is the mask of the
-    columns J whose chunk some row of R may keep under _perpendicular, the
-    chunks being the isqrt(n) consecutive midpoints of _MidpointChunks.
+def _chunk_cull(p: Polygon, singly: bool, chunks: _Chunks, span: float):
+    """The covering round's drop test for _Chunks.needed: drops(rows, Q)
+    is the mask of the chunks Q in which _perpendicular rejects every pair
+    of the rows.
 
     Row i's side of chunk Q is A[i, Q] of _chunks_out_of_reach.  Its
     column side is A[j, P] for every vertex j of Q, P being the chunk
     that holds midpoint i: one logical_and.reduceat of A over Q's rows.
     Row i drops Q when both sides hold (singly) or either does (doubly),
-    as _perpendicular drops a pair; the rows of a block need the chunks
-    that not all of them drop."""
-    s = math.isqrt(p.n)
-    A = _chunks_out_of_reach(p, M, span, s)
-    B = np.logical_and.reduceat(A, np.arange(0, p.n, s), axis=0)     # B[Q, P]
+    as _perpendicular drops a pair."""
+    s, idx = chunks.s, np.arange(p.n)
+    A = _chunks_out_of_reach(p, chunks, span)
+    B = np.logical_and.reduceat(A, idx[::s], axis=0)     # B[Q, P]
     both = np.logical_and if singly else np.logical_or
 
-    def columns(R, J):
-        return ~both(A[R], B[:, R // s].T).all(axis=0)[J // s]
+    def drops(rows, Q):
+        return both(A[rows], B[:, idx[rows] // s].T).all(axis=0)[Q]
 
-    return columns
+    return drops
 
 
-def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
+def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, s: int, workspace) -> float:
     """An upper bound on dcsd read off the pairs near the closest window
     midpoints, or +inf.
 
     The midpoint pairs inside the turning window (lo, hi) are searched
-    coarse to fine: a grid of stride isqrt(n), then +-isqrt(n) around its
-    nearest pair.  The doubly families of a +-4 patch around that pair, in
-    both orientations as _families gives edge-edge pairs to the lower row,
-    are evaluated on b formed as _scan forms it, into workspace, so the
-    bound is the distance of a doubly candidate of the dense scan; +inf
-    when the patch holds none."""
-    n, s = p.n, math.isqrt(p.n)
+    coarse to fine: a grid of stride s, the chunk size isqrt(n), then +-s
+    around its nearest pair.  The doubly families of a +-4 patch around
+    that pair, in both orientations as _families gives edge-edge pairs to
+    the lower row, are evaluated on b formed as _scan forms it, into
+    workspace, so the bound is the distance of a doubly candidate of the
+    dense scan; +inf when the patch holds none."""
+    n = p.n
 
     def nearest(I, J):
         I, J = I[:, None] % n, J[None, :] % n
@@ -641,64 +691,31 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, workspace) -> float:
     return out.doubly_min
 
 
-class _MidpointChunks:
-    """The ring round's midpoint queries, one per row block: the trees of
-    chunks of isqrt(n) consecutive midpoints, each with its bounding
-    sphere, and one tree over all midpoints, each built on first use and
-    kept for one scan only."""
+def _ring_pairs(chunks: _Chunks, r0: int, reach: float):
+    """(i, j) of midpoint pairs within reach, i in the row block from r0,
+    among them every pair whose j lies in the block's range: from the
+    trees of the chunks the block needs, the drop test being that a
+    chunk's sphere lies beyond reach of the rows' sphere, or from the one
+    tree over all midpoints when the range leaves out no more than two
+    blocks of columns.  Such a range holds most of the rows' arc
+    neighbours, and the one query costs less than many."""
+    M, q = chunks.M, r0 // _BLOCK
+    first, last = chunks.ranges[q]
+    ks = [None]
+    if last - first + 1 < len(M) - 2 * _BLOCK:
+        (centres, radii), (centre, radius) = chunks.spheres, chunks.block_spheres
 
-    def __init__(self, M: np.ndarray, lo, hi, span: float):
-        n = len(M)
-        self._M, self._s = M, math.isqrt(n)
-        self._count = -(-n // self._s)
-        self._slack = 1e-9 * span              # for the spheres' rounding
-        # the window columns i + lo .. i + hi of a block's rows i lie in
-        # first .. last, taken mod n
-        idx, starts = np.arange(n), np.arange(0, n, _BLOCK)
-        self._first = np.minimum.reduceat(idx + lo, starts).tolist()
-        self._last = np.maximum.reduceat(idx + hi, starts).tolist()
-        self._trees, self._spheres = {}, None
+        def drops(_, Q):
+            gap = np.linalg.norm(centres[Q] - centre[q], axis=1) - radii[Q] - radius[q]
+            return gap > reach
 
-    def _tree(self, k):
-        """The tree over chunk k, or over every midpoint when k is None."""
-        if k not in self._trees:
-            rows = slice(None) if k is None else slice(k * self._s, (k + 1) * self._s)
-            self._trees[k] = cKDTree(self._M[rows])
-        return self._trees[k]
-
-    def near(self, r0: int, reach: float):
-        """(i, j) of midpoint pairs within reach, i in the row block from
-        r0, among them every pair whose j lies in the block's range: from
-        the trees of the chunks the range meets, less those whose bounding
-        sphere lies beyond reach of the rows' sphere, or from the one tree
-        over all midpoints when the range meets every chunk or leaves out
-        no more than two blocks of columns.  Such a range holds most of the
-        rows' arc neighbours, and the one query costs less than many."""
-        M, s, n = self._M, self._s, len(self._M)
-        rows, first = slice(r0, r0 + _BLOCK), self._first[r0 // _BLOCK]
-        f = first % n
-        l = f + self._last[r0 // _BLOCK] - first    # columns f .. l, taken mod n
-        met = None
-        if l - f + 1 < n - 2 * _BLOCK:
-            met = {*range(f // s, min(l, n - 1) // s + 1), *range((l - n) // s + 1)}
-        block = cKDTree(M[rows])
-        if met is None or len(met) == self._count:
-            near = block.sparse_distance_matrix(self._tree(None), reach, output_type="ndarray")
-            return near["i"] + r0, near["j"]
-        if self._spheres is None:
-            self._spheres = _spheres(M, s, self._slack)
-        centres, radii = self._spheres
-        centre = M[rows].mean(axis=0)
-        D = M[rows] - centre
-        chunks = np.array(sorted(met))
-        gap = (np.linalg.norm(centres[chunks] - centre, axis=1) - radii[chunks]
-               - math.sqrt(float(_dot(D, D).max())))
-        I, J = [np.zeros(0, int)], [np.zeros(0, int)]
-        for k in chunks[gap <= reach].tolist():
-            near = block.sparse_distance_matrix(self._tree(k), reach, output_type="ndarray")
-            I.append(near["i"] + r0)
-            J.append(near["j"] + k * s)
-        return np.concatenate(I), np.concatenate(J)
+        ks = np.flatnonzero(chunks.needed(r0, drops)).tolist()
+    block, I, J = cKDTree(M[r0:r0 + _BLOCK]), [np.zeros(0, int)], [np.zeros(0, int)]
+    for k in ks:
+        near = block.sparse_distance_matrix(chunks.tree(k), reach, output_type="ndarray")
+        I.append(near["i"] + r0)
+        J.append(near["j"] + (k or 0) * chunks.s)
+    return np.concatenate(I), np.concatenate(J)
 
 
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
@@ -708,26 +725,28 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     d + h_max apart, and both arcs between a doubly critical pair turn at
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  r is
-    _doubly_seed's bound on dcsd.  When its _reach falls short of the
-    span, the ring round takes, per row block, the turning window's pairs
-    whose midpoint distance is within _reach of r, or of the best doubly
-    pair so far when that is closer.  The block's window columns lie in
-    one cyclic range first .. last; _MidpointChunks.near returns every
-    pair within reach there, from the trees of the chunks that range
-    meets or from the one tree over all midpoints, and the window drops
-    the rest, so _families sees the same pairs either way.  The seed's
-    own pair is in the window and within reach, so the round finds it
-    again and ends with a doubly pair within r, which settles the minima,
-    as scsd <= dcsd.  Otherwise, r being +inf included, the covering round
-    takes the window columns that pass _perpendicular, and forms that
-    filter only on the columns of the chunks _chunk_cull leaves to the
-    block: the chunks out of reach of every row, which the filter would
-    reject pair by pair, are dropped whole.  A block whose window range
-    spans at most two blocks of columns, as every block of the regular
-    n-gon's doubly round does, skips the cull, whose cost there exceeds
-    what it could drop; the cull is built on first use.  b is formed per
-    row block as in _scan, so the minima and the achieving pair are the
-    dense scan's bit for bit.
+    _doubly_seed's bound on dcsd.  Both rounds work per row block on one
+    _Chunks cover: the block's window columns lie in one cyclic range,
+    and the block needs only the chunks that range meets, less those the
+    round's drop test rejects for every row.  When the _reach of r falls
+    short of the span, the ring round takes, per row block, the turning
+    window's pairs whose midpoint distance is within _reach of r, or of
+    the best doubly pair so far when that is closer.  _ring_pairs returns
+    every pair within reach in the block's range, from the trees of the
+    needed chunks or from the one tree over all midpoints, and the window
+    drops the rest, so _families sees the same pairs either way.  The
+    seed's own pair is in the window and within reach, so the round finds
+    it again and ends with a doubly pair within r, which settles the
+    minima, as scsd <= dcsd.  Otherwise, r being +inf included, the
+    covering round takes the window columns that pass _perpendicular, and
+    forms that filter only on the columns of the needed chunks, under
+    _chunk_cull's drop test: the chunks out of reach of every row, which
+    the filter would reject pair by pair, are dropped whole.  A block
+    whose window range spans at most two blocks of columns, as every block
+    of the regular n-gon's doubly round does, skips the cull, whose cost
+    there exceeds what it could drop; the cull is built on first use.  b
+    is formed per row block as in _scan, so the minima and the achieving
+    pair are the dense scan's bit for bit.
 
     Each block's b goes to one workspace that lives for the scan, and the
     covering round's filter works in its other two rows: glibc hands a
@@ -740,41 +759,33 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
-    workspace = _workspace(n)
-
-    def block(r0):
+    workspace, chunks = _workspace(n), _Chunks(M, lo, hi, span)
+    out = _Collector(p.edge_lengths)
+    r = _doubly_seed(p, M, lo, hi, chunks.s, workspace)
+    ring = _reach(r, h, p.length) < span                      # beyond span every pair is in
+    if not ring:
+        perpendicular = _perpendicular(p, singly, M, span, workspace)
+        cull = cache(lambda: _chunk_cull(p, singly, chunks, span))
+    for r0 in range(0, n, _BLOCK):
         rows, b = slice(r0, r0 + _BLOCK), None
-        if perpendicular is None:
-            i, j = chunks.near(r0, _reach(min(r, out.doubly_min), h, p.length))
+        if ring:
+            i, j = _ring_pairs(chunks, r0, _reach(min(r, out.doubly_min), h, p.length))
             m = (j - i) % n
             keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
         else:
             # columns i + lo .. i + hi of every row i, unrolled into U
             R, b = idx[rows], _gram(p.edges, rows, workspace)
-            first, last = (R + lo[rows])[:, None], (R + hi[rows])[:, None]
-            U = np.arange(first.min(), last.max() + 1)
+            first, last = chunks.ranges[r0 // _BLOCK]
+            U = np.arange(first, last + 1)
             if U.size > 2 * _BLOCK:     # a narrower range leaves the cull little to drop
-                U = U[cull()(R, U % n)]
-            ri, k = np.nonzero((U >= first) & (U <= last) & perpendicular(R, U % n, b))
+                U = U[chunks.needed(r0, cull())[U % n // chunks.s]]
+            ri, k = np.nonzero((U >= (R + lo[rows])[:, None]) & (U <= (R + hi[rows])[:, None])
+                               & perpendicular(R, U % n, b))
             flat = ri * n + U[k] % n
-        if not flat.size:
-            return None
-        if b is None:
-            b = _gram(p.edges, rows, workspace)
-        return flat // n + r0, flat % n, b.take(flat)
-
-    out = _Collector(p.edge_lengths)
-    r = _doubly_seed(p, M, lo, hi, workspace)
-    if _reach(r, h, p.length) < span:                 # beyond span every pair is in
-        chunks, perpendicular = _MidpointChunks(M, lo, hi, span), None
-    else:
-        perpendicular = _perpendicular(p, singly, M, span, workspace)
-        cull = cache(lambda: _chunk_cull(p, singly, M, span))
-    for r0 in range(0, n, _BLOCK):
-        pairs = block(r0)
-        if pairs is not None:
-            _families(out, p, *pairs, singly)
+        if flat.size:
+            b = _gram(p.edges, rows, workspace) if b is None else b
+            _families(out, p, flat // n + r0, flat % n, b.take(flat), singly)
     return out
 
 

@@ -130,6 +130,18 @@ class TestInscribeCommand:
         assert main(["inscribe", "--curve", "helix", "--n", "8"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("torus:2,3,inf,1", "torus radii must be finite with 0 < |rho| < |R|, got R=inf, rho=1"),
+        ("torus:2,3,1e300,1", "the samples' arc length overflows"),
+        ("torus:2,3,2,0", "torus radii must be finite with 0 < |rho| < |R|, got R=2, rho=0")])
+    def test_degenerate_torus(self, spec, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inscribe", "--curve", spec, "--n", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestGammaCommand:
     def test_csv_stdout(self, capsys):
@@ -143,6 +155,19 @@ class TestGammaCommand:
     def test_bad_ns(self, capsys):
         assert main(["gamma", "--curve", "circle", "--ns", "8,x"]) == 1
         assert "comma-separated" in capsys.readouterr().err
+
+    def test_ns_below_three(self, capsys):
+        assert main(["gamma", "--curve", "circle", "--ns", "2,-3,8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --ns resolutions must be at least 3, got 2\n"
+
+    def test_failed_inscription_keeps_its_row(self, capsys):
+        # n = 5 is a valid resolution that the (4, 1) torus knot refuses
+        assert main(["gamma", "--curve", "torus:4,1", "--ns", "5", "--m", "1024",
+                     "--m-proxy", "256"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "5" and "did not converge" in row[10]
 
     def test_empty_ns(self, capsys):
         assert main(["gamma", "--curve", "circle", "--ns", ","]) == 1

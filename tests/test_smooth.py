@@ -1,6 +1,7 @@
 """Tests for smooth curves, inscription, and polygon-curve distance."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -192,6 +193,23 @@ class TestPresets:
     def test_custom_torus_radii(self):
         c = preset_curve("torus:2,1,2.0,0.3", m=512)
         assert c.length == 1.0
+
+    @pytest.mark.parametrize("R, rho", [(math.inf, 1.0), (2.0, math.nan), (2.0, 0.0),
+                                        (1.0, 1.0), (1.0, -2.0)])
+    def test_torus_radii_of_an_embedded_torus(self, R, rho):
+        # a torus with |rho| >= |R| meets its own axis; at rho = 0 the knot
+        # is a circle covered a times
+        with pytest.raises(ValueError, match=re.escape("0 < |rho| < |R|")):
+            torus_knot_samples(2, 3, R, rho)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
+    def test_overflowing_length(self, scale):
+        # the chords overflow at 1e160 and beyond, the sagitta terms at 1e100
+        samples = scale * torus_knot_samples(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="arc length overflows"):
+                arc_length_reparam(samples)
 
 
 class TestInscription:

@@ -1,10 +1,12 @@
 """Tests for the critical-pair kernel and discrete thickness."""
 
 import functools
+import importlib.util
 import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -716,14 +718,22 @@ def _named_2048(name: str) -> Polygon:
     return random_equilateral_polygon(2048, np.random.default_rng(3))
 
 
-def _cull_mask(p: Polygon, singly: bool) -> np.ndarray:
-    """The columns the covering round's chunk cull keeps for each row
-    block, spread over all n^2 pairs."""
-    M, idx = thickness._midpoints(p), np.arange(p.n)
+def _cull_mask(p: Polygon, singly: bool, window: bool = False) -> np.ndarray:
+    """The columns of the chunks each row block needs under the covering
+    round's drop test, spread over all n^2 pairs.  The block ranges come
+    from the scan's turning window when window is set, and hold every
+    column otherwise, so that the drop test is checked on every pair."""
+    M, idx, n = thickness._midpoints(p), np.arange(p.n), p.n
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
-    columns = thickness._chunk_cull(p, singly, M, span)
-    blocks = (idx[r0:r0 + thickness._BLOCK] for r0 in range(0, p.n, thickness._BLOCK))
-    return np.vstack([np.broadcast_to(columns(R, idx), (R.size, p.n)) for R in blocks])
+    lo, hi = np.zeros(n, int), np.full(n, n - 1)
+    if window:
+        lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - thickness._TURN_SLACK)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+    chunks = thickness._Chunks(M, lo, hi, span)
+    drops = thickness._chunk_cull(p, singly, chunks, span)
+    return np.vstack([np.broadcast_to(chunks.needed(r0, drops)[idx // chunks.s],
+                                      (min(thickness._BLOCK, n - r0), n))
+                      for r0 in range(0, n, thickness._BLOCK)])
 
 
 class TestPerpendicularityLemma:
@@ -767,8 +777,8 @@ class TestPerpendicularityLemma:
            seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
     @settings(max_examples=120, deadline=None)
     def test_cull_keeps_every_filtered_pair(self, kind, n, seed, x):
-        # the chunk cull drops a column of a row block only where the filter
-        # drops it for every row of the block
+        # a row block needs every chunk in which the filter keeps a pair
+        # of one of its rows
         p = _subject(kind, n, seed, x)
         for singly in (False, True):
             assert not np.any(_perpendicular_mask(p, singly) & ~_cull_mask(p, singly))
@@ -784,8 +794,9 @@ class TestPerpendicularityLemma:
         h = p.edge_lengths
         jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, (p.n, 3))
         M = thickness._midpoints(p) + 4.0 * x * float(h.max()) * jitter
-        span, s = 2.0 * float(np.linalg.norm(M, axis=1).max()), math.isqrt(p.n)
-        A = thickness._chunks_out_of_reach(p, M, span, s)[:, np.arange(p.n) // s]
+        span, zero = 2.0 * float(np.linalg.norm(M, axis=1).max()), np.zeros(p.n, int)
+        chunks = thickness._Chunks(M, zero, zero, span)
+        A = thickness._chunks_out_of_reach(p, chunks, span)[:, np.arange(p.n) // chunks.s]
         um, up, fa, ga, gb, fb = thickness._reach_bounds(p, M, span)
         F, G = um @ M.T, up @ M.T
         out = ((F > fa[:, None]) & (G > ga[:, None])) | ((G < gb[:, None]) & (F < fb[:, None]))
@@ -797,8 +808,14 @@ class TestPerpendicularityLemma:
     @pytest.mark.parametrize("singly", [False, True])
     @pytest.mark.parametrize("name", NAMED_2048)
     def test_cull_keeps_every_filtered_pair_at_2048(self, name, singly):
+        # and, on the block ranges of the scan, every kept window pair
         p = _named_2048(name)
-        assert not np.any(_perpendicular_mask(p, singly) & ~_cull_mask(p, singly))
+        kept = _perpendicular_mask(p, singly)
+        assert not np.any(kept & ~_cull_mask(p, singly))
+        idx = np.arange(p.n)
+        window = _in_window(p, idx[:, None], idx[None, :],
+                            (0.5 if singly else 1.0) * math.pi - thickness._TURN_SLACK)
+        assert not np.any(kept & window & ~_cull_mask(p, singly, window=True))
 
     def test_regular_filter_forms_few_window_pairs(self):
         # the window columns of every row came to 2.30M pairs; the chunks
@@ -889,6 +906,20 @@ def _window_pairs(p: Polygon, singly: bool) -> list | None:
         mp.setattr(thickness, "_perpendicular", recording)
         thickness._pruned_scan(p, singly)
     return calls
+
+
+def test_scan_parity_counts_both_rounds():
+    # tools/scan_parity.py --faults counts the pruned scan's pairs with this
+    # module's _families_rows, _tree_queries and _window_pairs
+    path = Path(__file__).resolve().parents[1] / "tools" / "scan_parity.py"
+    spec = importlib.util.spec_from_file_location("scan_parity", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    trefoil = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 512))
+    pairs, tree, window, round_ = tool._scan_pairs(trefoil)
+    assert (round_, pairs > 0, tree > 0, window) == ("ring", True, True, 0)
+    pairs, tree, window, round_ = tool._scan_pairs(regular_ngon(512))
+    assert (round_, pairs > 0, tree, window > 0) == ("covering", True, 0, True)
 
 
 def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
@@ -1037,13 +1068,13 @@ class TestPrunedScan:
             p, singly = _trefoil_proxy(), False
         else:
             p, singly = _report_large_trefoil(), True
-        near, full = thickness._MidpointChunks.near, cKDTree(thickness._midpoints(p))
+        ring_pairs, full = thickness._ring_pairs, cKDTree(thickness._midpoints(p))
         calls = []
 
         def checking(chunks, r0, reach):
-            i, j = near(chunks, r0, reach)
+            i, j = ring_pairs(chunks, r0, reach)
             rows = slice(r0, min(r0 + thickness._BLOCK, p.n))
-            first, last = (x[r0 // thickness._BLOCK] for x in (chunks._first, chunks._last))
+            first, last = chunks.ranges[r0 // thickness._BLOCK]
             every = full.query_ball_point(full.data[rows], reach)
             in_range = {(r, k) for r, ks in zip(range(rows.start, rows.stop), every)
                         for k in ks if (k - first) % p.n <= last - first}
@@ -1052,9 +1083,61 @@ class TestPrunedScan:
             return i, j
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness._MidpointChunks, "near", checking)
+            mp.setattr(thickness, "_ring_pairs", checking)
             thickness._pruned_scan(p, singly)
         assert len(calls) == math.ceil(p.n / thickness._BLOCK) and sum(calls) > 0
+
+    @pytest.mark.parametrize("name, singly, spheres", [
+        ("proxy", False, 1), ("report-large", True, 1), ("random", True, 0),
+        ("regular", True, 1), ("regular", False, 0)])
+    def test_cover_forms_each_part_once(self, name, singly, spheres):
+        # one scan forms the chunks' midpoint spheres at most once, for
+        # both rounds, as it does the row blocks', and builds each tree it
+        # queries once: each chunk tree and the one over all midpoints.  The random polygon's ring
+        # queries the full tree only; the regular n-gon takes the covering
+        # round, whose doubly ranges skip the cull
+        p = {"proxy": _trefoil_proxy, "report-large": _report_large_trefoil,
+             "random": lambda: random_equilateral_polygon(2048, np.random.default_rng(3)),
+             "regular": lambda: regular_ngon(2048)}[name]()
+        M, formed, queried = thickness._midpoints(p), [], []
+        spheres_of = thickness._spheres
+
+        def recording(X, s, slack):
+            if X.shape == M.shape and np.array_equal(X, M):
+                formed.append(s)
+            return spheres_of(X, s, slack)
+
+        class Recording(cKDTree):
+            def sparse_distance_matrix(self, other, *args, **kwargs):
+                queried.append(other)
+                return super().sparse_distance_matrix(other, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_spheres", recording)
+            mp.setattr(thickness, "cKDTree", Recording)
+            thickness._pruned_scan(p, singly)
+        assert formed.count(math.isqrt(p.n)) == spheres and len(formed) == len(set(formed))
+        # a tree built twice over the same midpoints shows as two objects
+        assert len({id(t) for t in queried}) == len({t.data.tobytes() for t in queried})
+        assert (len(queried) > 0) == (name != "regular")
+
+    def test_every_wide_gap_holds_a_chunk(self):
+        # the ring queries the needed chunks when its block range leaves out
+        # at least 2 _BLOCK + 1 columns; below n = 9604 those columns hold a
+        # whole chunk, so no such range meets every chunk.  A cyclic run of
+        # columns that holds no whole chunk lies in two neighbouring chunks
+        gap = 2 * thickness._BLOCK + 1
+        for n in range(thickness._CROSSOVER, 9604):
+            sizes = np.diff(np.arange(0, n, math.isqrt(n)), append=n)
+            assert (sizes + np.roll(sizes, -1)).max() - 2 < gap
+        # the same through _Chunks.needed, at every offset of the range
+        for n, meets_every in ((9603, False), (9604, True)):
+            zero = np.zeros(n, int)
+            chunks, met = thickness._Chunks(np.zeros((n, 3)), zero, zero, 1.0), []
+            for first in range(n):
+                chunks.ranges = [(first, first + n - 1 - gap)]
+                met.append(chunks.needed(0, lambda R, Q: np.zeros(Q.size, bool)).all())
+            assert any(met) == meets_every
 
     @pytest.mark.parametrize("spec", ["torus:2,3", "torus:2,5", "torus:3,4"])
     @pytest.mark.parametrize("n", [256, 1024])
@@ -1075,7 +1158,7 @@ class TestPrunedScan:
         p = _subject(kind, n, seed, x)
         lo, hi = _turning_window(p, math.pi - thickness._TURN_SLACK)
         bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi,
-                                       thickness._workspace(p.n))
+                                       math.isqrt(p.n), thickness._workspace(p.n))
         arr = _scan(p, singly=False).arrays()
         assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)
 

@@ -153,15 +153,17 @@ def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
         print(f"sequence {name}\t{seconds * 1e3:.1f} ms\t{faults:.0f} faults", flush=True)
 
 
-def _scan_pairs(p) -> tuple[int, int, list | None]:
+def _scan_pairs(p) -> tuple[int, int, int, str]:
     """Pairs the pruned scan of delta_n (singly mode) hands to _families,
-    pairs its tree queries return, and the window pairs its covering
-    round's filter forms per call, None when it takes the ring round."""
+    pairs its tree queries return, window pairs its covering round's
+    filter forms, and the round it takes: "covering" when it called
+    _perpendicular, which only the covering round does, "ring" otherwise."""
     from test_thickness import _families_rows, _tree_queries, _window_pairs
 
     pairs = sum(I.size for I in _families_rows(p, singly=True))
     tree = sum(size for _, size in _tree_queries(p, singly=True))
-    return pairs, tree, _window_pairs(p, singly=True)
+    window = _window_pairs(p, singly=True)
+    return pairs, tree, sum(window or []), "ring" if window is None else "covering"
 
 
 def main(argv=None) -> int:
@@ -184,10 +186,9 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
-            pairs, tree, window = _scan_pairs(p)
-            round_ = "ring" if window is None else "covering"
+            pairs, tree, window, round_ = _scan_pairs(p)
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{pairs} pairs\t{tree} tree pairs\t{sum(window or [])} window pairs"
+                  f"\t{pairs} pairs\t{tree} tree pairs\t{window} window pairs"
                   f"\t{round_}", flush=True)
     results["campaigns"] = _campaigns()
     if trim is not None:
