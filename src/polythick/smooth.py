@@ -168,10 +168,11 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
         raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
     if P.shape[0] < 16:
         raise ValueError("need at least 16 raw samples")
-    with np.errstate(over="ignore"):        # an overflow fails the length checks
-        chords_open = np.linalg.norm(np.diff(P, axis=0), axis=1)
-    if not np.isfinite(chords_open).all():
-        raise ValueError("the samples' arc length overflows")
+    # a power of two brings every coordinate within 1, so no chord, area or
+    # side product overflows, and the quadrature and P / total round as at
+    # the samples' own scale
+    P = np.ldexp(P, -math.frexp(float(np.abs(P).max()))[1])
+    chords_open = np.linalg.norm(np.diff(P, axis=0), axis=1)
     if np.any(chords_open == 0.0):
         k = int(np.nonzero(chords_open == 0.0)[0][0])
         raise ValueError(f"coincident consecutive samples at index {k}")
@@ -181,17 +182,15 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     if wrap == 0.0:
         P = P[:-1]  # explicit duplicate of the start: drop it
 
+    chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
     # squared curvature at each raw vertex from the circumradius of the
     # neighbouring triple; collinear triples contribute zero
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
-        area2, sides = _triple_terms(P)
+    area2, sides = _triple_terms(P)
+    with np.errstate(divide="ignore", invalid="ignore"):
         kappa2 = np.where(area2 > 0.0, (2.0 * area2 / sides) ** 2, 0.0)
-        k2_chord = 0.5 * (kappa2 + np.roll(kappa2, -1))
-        arcs = chords * (1.0 + chords * chords * k2_chord / 24.0)
-        total = float(arcs.sum())
-    if not math.isfinite(total):
-        raise ValueError("the samples' arc length overflows")
+    k2_chord = 0.5 * (kappa2 + np.roll(kappa2, -1))
+    arcs = chords * (1.0 + chords * chords * k2_chord / 24.0)
+    total = float(arcs.sum())
     s = np.concatenate([[0.0], np.cumsum(arcs)]) / total
 
     spline = CubicSpline(s, np.vstack([P, P[:1]]) / total,

@@ -44,7 +44,12 @@ spheres, it lies wholly out of reach of the row's vertex, or each of its
 vertices finds the row's chunk out of reach, as the filter's mode asks,
 and it holds no edge parallel to the row's.
 Both enumerations take b = E_i . E_j from one matmul per row block and
-form every other term per pair, so their minima agree bit for bit.
+form every other term per pair, so their minima agree bit for bit.  The
+pruned scan hands its kept pairs to _families in batches: each block's
+pairs, with b gathered from the block's own product, join a pending
+batch, which goes to the kernel once it holds _BATCH pairs and once more
+after the last block, as the kernel's per-call cost outweighs its
+arithmetic on one block's few hundred pairs.
 Every scan writes b into one workspace that lives for the scan, and the
 covering round's filter works in the workspace's other two rows,
 so no block allocates a float array of its size.
@@ -86,6 +91,7 @@ PARAM_TOL = 1e-9          # slack for foot parameters at edge ends
 _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
+_BATCH = 4096             # kept pairs the pruned scan hands to _families per call
 _TIE = 1e-12              # distances this close to the minimum tie, relative to length
 _CROSSOVER = 96           # n from which the minima come from the pruned scan
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
@@ -748,6 +754,18 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     is formed per row block as in _scan, so the minima and the achieving
     pair are the dense scan's bit for bit.
 
+    Either round adds each block's kept pairs, with b.take of them from
+    that block's product, to a pending batch, and flushes it through
+    _families once it holds _BATCH pairs, and once after the last block.
+    A call so holds fewer than _BATCH pairs plus one block's, and a block
+    is never split: one that fills a batch alone goes through alone.  The
+    kernel is elementwise in the pair, and a full tie in
+    _min_with_tiebreak joins candidates of one pair, whose family order a
+    batch keeps, so batching moves no minimum and no achieving pair.  The
+    ring's reach follows out.doubly_min as of the last flush; a pair it
+    keeps that a fresher reach would drop lies beyond reach of a doubly
+    pair already found, so it decides no minimum either.
+
     Each block's b goes to one workspace that lives for the scan, and the
     covering round's filter works in its other two rows: glibc hands a
     float array of that size back to the OS, to be faulted in afresh on
@@ -760,12 +778,18 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
     workspace, chunks = _workspace(n), _Chunks(M, lo, hi, span)
-    out = _Collector(p.edge_lengths)
+    out, pending = _Collector(p.edge_lengths), []
     r = _doubly_seed(p, M, lo, hi, chunks.s, workspace)
     ring = _reach(r, h, p.length) < span                      # beyond span every pair is in
     if not ring:
         perpendicular = _perpendicular(p, singly, M, span, workspace)
         cull = cache(lambda: _chunk_cull(p, singly, chunks, span))
+
+    def flush():     # a lone block goes as it is, uncopied
+        batch = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
+        _families(out, p, *batch, singly)
+        pending.clear()
+
     for r0 in range(0, n, _BLOCK):
         rows, b = slice(r0, r0 + _BLOCK), None
         if ring:
@@ -785,7 +809,11 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
             flat = ri * n + U[k] % n
         if flat.size:
             b = _gram(p.edges, rows, workspace) if b is None else b
-            _families(out, p, flat // n + r0, flat % n, b.take(flat), singly)
+            pending.append((flat // n + r0, flat % n, b.take(flat)))
+            if sum(I.size for I, _, _ in pending) >= _BATCH:
+                flush()
+    if pending:
+        flush()
     return out
 
 

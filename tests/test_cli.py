@@ -132,7 +132,6 @@ class TestInscribeCommand:
 
     @pytest.mark.parametrize("spec, message", [
         ("torus:2,3,inf,1", "torus radii must be finite with 0 < |rho| < |R|, got R=inf, rho=1"),
-        ("torus:2,3,1e300,1", "the samples' arc length overflows"),
         ("torus:2,3,2,0", "torus radii must be finite with 0 < |rho| < |R|, got R=2, rho=0")])
     def test_degenerate_torus(self, spec, message, capsys):
         with warnings.catch_warnings():
@@ -141,6 +140,16 @@ class TestInscribeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_huge_torus_inscribes(self, capsys):
+        # samples of size 1e300 inscribe as the default torus's do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inscribe", "--curve", "torus:2,3,2e300,1e300", "--n", "8"]) == 0
+            huge = capsys.readouterr().out
+            assert main(["inscribe", "--curve", "torus:2,3", "--n", "8"]) == 0
+        V, W = (loads_polygon(text).vertices for text in (huge, capsys.readouterr().out))
+        assert V.shape == (8, 3) and np.abs(V - W).max() <= 1e-14
 
 
 class TestGammaCommand:

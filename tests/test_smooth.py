@@ -202,14 +202,17 @@ class TestPresets:
         with pytest.raises(ValueError, match=re.escape("0 < |rho| < |R|")):
             torus_knot_samples(2, 3, R, rho)
 
-    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
-    def test_overflowing_length(self, scale):
-        # the chords overflow at 1e160 and beyond, the sagitta terms at 1e100
-        samples = scale * torus_knot_samples(2, 3)
+    @pytest.mark.parametrize("scale", [1e-300, 1e100, 1e160, 1e300, 1e307])
+    def test_scaled_samples_inscribe_alike(self, scale):
+        # unscaled, the chords overflowed from 1e160 on, the sagitta terms
+        # from 1e100 on, and 1e-300 chords had norm 0; the 64-gons read
+        # within 1e-16 of each other, and 1e-14 is 100 ulps of unit length
+        samples = torus_knot_samples(2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="arc length overflows"):
-                arc_length_reparam(samples)
+            scaled = inscribe_equilateral(arc_length_reparam(scale * samples), 64)
+        plain = inscribe_equilateral(arc_length_reparam(samples), 64)
+        assert np.abs(scaled.vertices - plain.vertices).max() <= 1e-14
 
 
 class TestInscription:

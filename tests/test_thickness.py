@@ -715,6 +715,8 @@ def _named_2048(name: str) -> Polygon:
         return crankshaft_move(regular_ngon(2048), 0, 1024, float(name[len("cranked-"):]))
     if name.startswith("regular-"):
         return regular_ngon(int(name[len("regular-"):]))
+    if name == "random-00":     # the benchmark's, beside NAMED_2048's random
+        return random_equilateral_polygon(2048, np.random.default_rng(0))
     return random_equilateral_polygon(2048, np.random.default_rng(3))
 
 
@@ -840,9 +842,11 @@ class TestPerpendicularityLemma:
 
     def test_crumpled_takes_one_round(self):
         # 2 min_rad lies far below dcsd here; the seeded scan runs one
-        # round, which calls _families at most once per row block
+        # round, which calls _families once per batch of kept pairs
         p = perturbed_regular(512, 0.1, np.random.default_rng(1))
-        assert len(_families_rows(p, singly=True)) <= math.ceil(p.n / thickness._BLOCK)
+        calls = _families_rows(p, singly=True)
+        pairs = sum(I.size for I in calls)
+        assert len(calls) <= math.ceil(pairs / thickness._BATCH) + 1
 
 
 def _families_rows(p: Polygon, singly: bool) -> list:
@@ -916,10 +920,13 @@ def test_scan_parity_counts_both_rounds():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     trefoil = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 512))
-    pairs, tree, window, round_ = tool._scan_pairs(trefoil)
+    blocks = math.ceil(512 / thickness._BLOCK)
+    pairs, calls, tree, window, round_ = tool._scan_pairs(trefoil)
     assert (round_, pairs > 0, tree > 0, window) == ("ring", True, True, 0)
-    pairs, tree, window, round_ = tool._scan_pairs(regular_ngon(512))
+    assert 0 < calls <= blocks
+    pairs, calls, tree, window, round_ = tool._scan_pairs(regular_ngon(512))
     assert (round_, pairs > 0, tree, window > 0) == ("covering", True, 0, True)
+    assert 0 < calls <= blocks
 
 
 def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
@@ -1038,6 +1045,36 @@ class TestPrunedScan:
         # pairs to _families; one seeded at dcsd, 0.28 of it, 3.8k
         calls = _families_rows(_report_large_trefoil(), singly)
         assert sum(I.size for I in calls) <= 8000
+
+    @pytest.mark.parametrize("name", ["trefoil", "random-00", "regular", "crumpled-1024"])
+    def test_batches_match_per_block_calls(self, name):
+        # a batch of one pair sends every block to _families alone, as the
+        # scan did before it batched; the trefoil and random-00 take the
+        # ring round, the regular 2048-gon and the crumpled 1024-gon, whose
+        # blocks each keep more pairs than a batch, the covering round
+        p = _named_2048(name)
+
+        def results():
+            scans = [thickness._pruned_scan(p, singly) for singly in (False, True)]
+            return [(out.min, out.doubly_min) for out in scans], delta_n(p).to_json()
+
+        batched = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_BATCH", 1)
+            assert results() == batched
+
+    def test_random_round_calls_families_per_batch(self):
+        # one call per row block made 22 calls of 500-1,100 pairs; a batch
+        # flushes once it holds _BATCH pairs, so a call holds fewer before
+        # its last block, and no block is split between calls
+        p = _named_2048("random-00")
+        calls = _families_rows(p, singly=True)
+        blocks = [np.unique(I // thickness._BLOCK) for I in calls]
+        sizes = np.bincount(np.concatenate(calls) // thickness._BLOCK)
+        assert np.unique(np.concatenate(blocks)).size == sum(q.size for q in blocks)
+        assert len(calls) <= math.ceil(sizes.sum() / thickness._BATCH) + 1
+        assert all(I.size - sizes[I[-1] // thickness._BLOCK] < thickness._BATCH
+                   for I in calls)
 
     def test_proxy_ring_tree_returns_few_pairs(self):
         # the window drops arc neighbours; a query over every midpoint

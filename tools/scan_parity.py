@@ -28,10 +28,11 @@ so only the library under test differs between checkouts.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
-the number of pairs delta_n's pruned scan hands to _families, the number
-its ring round's midpoint tree queries returned and the number of window
-pairs its covering round's perpendicularity filter formed, all counted by
-the tests' wrappers, and the round it ran: "covering" when it called
+the number of pairs delta_n's pruned scan hands to _families and the
+number of _families calls that take them, the number its ring round's
+midpoint tree queries returned and the number of window pairs its
+covering round's perpendicularity filter formed, all counted by the
+tests' wrappers, and the round it ran: "covering" when it called
 _perpendicular, which only the covering round does, "ring" otherwise.  It
 then runs the op sequence of the benchmark's report-large workload, delta_n
 of the trefoil, the regular and a random 2048-gon in turn, each after
@@ -153,17 +154,19 @@ def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
         print(f"sequence {name}\t{seconds * 1e3:.1f} ms\t{faults:.0f} faults", flush=True)
 
 
-def _scan_pairs(p) -> tuple[int, int, int, str]:
+def _scan_pairs(p) -> tuple[int, int, int, int, str]:
     """Pairs the pruned scan of delta_n (singly mode) hands to _families,
-    pairs its tree queries return, window pairs its covering round's
-    filter forms, and the round it takes: "covering" when it called
-    _perpendicular, which only the covering round does, "ring" otherwise."""
+    the calls of _families that take them, pairs its tree queries return,
+    window pairs its covering round's filter forms, and the round it takes:
+    "covering" when it called _perpendicular, which only the covering round
+    does, "ring" otherwise."""
     from test_thickness import _families_rows, _tree_queries, _window_pairs
 
-    pairs = sum(I.size for I in _families_rows(p, singly=True))
+    calls = _families_rows(p, singly=True)
     tree = sum(size for _, size in _tree_queries(p, singly=True))
     window = _window_pairs(p, singly=True)
-    return pairs, tree, sum(window or []), "ring" if window is None else "covering"
+    return (sum(I.size for I in calls), len(calls), tree, sum(window or []),
+            "ring" if window is None else "covering")
 
 
 def main(argv=None) -> int:
@@ -173,9 +176,9 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=here,
                     help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
-                    help="print best-of-5 delta_n time, minor faults, scanned, tree and "
-                         "window pairs and the round per input, then the report-large "
-                         "sequence")
+                    help="print best-of-5 delta_n time, minor faults, scanned pairs, "
+                         "kernel calls, tree and window pairs and the round per input, "
+                         "then the report-large sequence")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(here / "tests")]
@@ -186,10 +189,10 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
-            pairs, tree, window, round_ = _scan_pairs(p)
+            pairs, calls, tree, window, round_ = _scan_pairs(p)
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{pairs} pairs\t{tree} tree pairs\t{window} window pairs"
-                  f"\t{round_}", flush=True)
+                  f"\t{pairs} pairs\t{calls} kernel calls\t{tree} tree pairs"
+                  f"\t{window} window pairs\t{round_}", flush=True)
     results["campaigns"] = _campaigns()
     if trim is not None:
         _report_sequence(trim, inputs)
