@@ -13,8 +13,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .polygon import PolyArc, _format_table, regular_ngon
-from .schur import _bounded_arcs, _chord_check, sphere_exclusion_check
+from .polygon import _format_table, regular_ngon
+from .schur import _bounded_arcs, _chord_check, _sphere_check
 # not called here; kept as module attributes that perfbench/spans.py rebinds
 from .schur import random_bounded_arc, schur_check  # noqa: F401
 from .smooth import (ArcLengthCurve, inscribe_equilateral, rescale_unit,
@@ -225,20 +225,17 @@ def sphere_campaign(cases: int, seed: int) -> SchurCampaignResult:
 
     The margin of a case is the smallest signed vertex distance to the
     sphere; the anchor inequality is enforced here with a hard check since
-    it must hold within 1e-12 per case.
+    it must hold within 1e-12 per case.  Every case of a chunk is measured
+    by one stacked sphere check, as schur_campaign measures its chords.
     """
-    def margin(arc, K, k):
-        report = sphere_exclusion_check(arc, K)
-        gap = report.anchor_lhs - report.anchor_rhs
-        if np.any(gap < -1e-12):
-            raise RuntimeError(
-                f"anchor inequality failed by {float(gap.min()):.3e} "
-                f"at case {k} (seed {seed + k})"
-            )
-        return report.min_distance
-
     def measure(V, n, K, k):
-        return [margin(PolyArc(V[b, :m + 1]), K[b], k[b])
-                for b, m in enumerate(n.tolist())]
+        distances, lhs, rhs = _sphere_check(V, n, K, cases=k)
+        gap = (lhs - rhs).min(axis=1)
+        failed = gap < -1e-12
+        if failed.any():
+            b = int(np.argmax(failed))
+            raise RuntimeError(f"anchor inequality failed by {gap[b]:.3e} "
+                               f"at case {k[b]} (seed {seed + k[b]})")
+        return distances.min(axis=1)
 
     return _campaign(cases, seed, "sphere", measure)

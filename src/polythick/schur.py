@@ -5,6 +5,10 @@ obeys the admissibility bound has a strictly longer endpoint chord than the
 circle of curvature K with the same arc length.  The corollary checked here:
 an equilateral arc touching a sphere of curvature K tangentially at one
 endpoint keeps every other vertex strictly outside the sphere.
+
+Both checks measure a stack of arcs at once, a campaign's chunk or a stack
+of one; the sphere is centred at V_0 + w/K, w in closed form, so no arc is
+rotated.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ def _check_curvature(V: np.ndarray, n: np.ndarray, K: np.ndarray, cases=None):
     Arc b has the vertices V[b, :n[b] + 1]; the rows past them are padding.
     Each arc needs a finite K[b] > 0 and max_curv2 <= K[b].  Returns the
     edge lengths of all arcs, flat and case-major, the end of each arc's
-    slice of them, and each arc's max_curv2, all computed as PolyArc
-    computes them for the arc alone, so bitwise the same.  An error names
-    the first failing arc, as case cases[b] when cases is given.
+    slice of them, each arc's max_curv2 and each arc's length, all computed
+    as PolyArc computes them for the arc alone, so bitwise the same.  An
+    error names the first failing arc, as case cases[b] when cases is given.
     """
     bad = ~((0.0 < K) & (K < math.inf))
     if bad.any():
@@ -74,7 +78,9 @@ def _check_curvature(V: np.ndarray, n: np.ndarray, K: np.ndarray, cases=None):
         i = int(np.argmax(over))
         raise ValueError(f"curvature bound violated{_at(cases, i)}: "
                          f"max_curv2 = {kc[i]:.17g} > K = {K[i]:.17g}")
-    return lens, ends, kc
+    # numpy's pairwise sum blocks by length, so each arc sums its own edges
+    L = np.array([lens[a:b].sum() for a, b in zip((ends - n).tolist(), ends.tolist())])
+    return lens, ends, kc, L
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,9 @@ class SchurCase:
 @dataclass(frozen=True)
 class SphereExclusionReport:
     K: float
-    distances: np.ndarray      # |p(a_k)| - 1/K for each non-initial vertex
-    anchor_lhs: np.ndarray     # <p(a_k) - p(0), p(0)>
+    # per non-initial vertex V_k, against the sphere centred at V_0 + w/K
+    distances: np.ndarray      # |V_k - V_0 - w/K| - 1/K
+    anchor_lhs: np.ndarray     # <V_k - V_0, -w/K>, that is <p(a_k) - p(0), p(0)>
     anchor_rhs: np.ndarray     # <eta(a_k) - eta(0), eta(0)> on the circle
 
     @property
@@ -107,13 +114,10 @@ def _chord_check(V: np.ndarray, n: np.ndarray, K: np.ndarray, mode: str,
                  cases=None):
     """(L, circle chord, polygon chord) per arc of a stack laid out as for
     _check_curvature, after both preconditions of schur_check."""
-    lens, ends, _ = _check_curvature(V, n, K, cases)
-    starts = ends - n
-    # numpy's pairwise sum blocks by length, so each arc sums its own edges
-    L = np.array([lens[a:b].sum() for a, b in zip(starts.tolist(), ends.tolist())])
+    lens, ends, _, L = _check_curvature(V, n, K, cases)
     budget = np.full_like(K, math.pi)
     if mode == "relaxed":
-        budget += 0.5 * K * (lens[starts] + lens[ends - 1])
+        budget += 0.5 * K * (lens[ends - n] + lens[ends - 1])
     over = K * L > budget + _PRE_TOL
     if over.any():
         i = int(np.argmax(over))
@@ -140,61 +144,58 @@ def schur_check(arc: PolyArc, K: float, mode: str = "strict") -> SchurCase:
                      circle_chord=float(circle[0]), polygon_chord=float(poly[0]))
 
 
-def _canonical_frame(arc: PolyArc, K: float) -> np.ndarray:
-    """Vertices moved so the arc starts at -e2/K with first direction e1."""
-    r = 1.0 / K
-    v = arc.vertices - arc.vertices[0]
-    d0 = arc.directions()[0]
-    e1 = np.array([1.0, 0.0, 0.0])
-    # minimal rotation taking d0 to e1
-    c = float(d0 @ e1)
-    axis = np.cross(d0, e1)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-15:
-        if c > 0.0:
-            R = np.eye(3)
-        else:
-            R = np.diag([-1.0, 1.0, -1.0])  # d0 = -e1: half-turn about e2
-    else:
-        axis = axis / s
-        Kx = np.array([[0.0, -axis[2], axis[1]],
-                       [axis[2], 0.0, -axis[0]],
-                       [-axis[1], axis[0], 0.0]])
-        R = np.eye(3) + s * Kx + (1.0 - c) * (Kx @ Kx)
-    return v @ R.T + np.array([0.0, -r, 0.0])
+def _sphere_check(V: np.ndarray, n: np.ndarray, K: np.ndarray, cases=None):
+    """(distances, anchor_lhs, anchor_rhs) of SphereExclusionReport for each
+    arc of a stack laid out as for _check_curvature, after the preconditions
+    of sphere_exclusion_check, as (B, max n) rows padded past each arc's end
+    with +inf, 0 and 0."""
+    lens, ends, _, L = _check_curvature(V, n, K, cases)
+    ell = np.repeat(L / n, n)
+    uneven = np.abs(lens - ell) > 1e-9 * ell
+    if uneven.any():
+        i = int(np.searchsorted(ends, np.argmax(uneven), side="right"))
+        raise ValueError(f"sphere exclusion needs an equilateral arc{_at(cases, i)}")
+    over = K * L > 0.5 * math.pi + _PRE_TOL
+    if over.any():
+        i = int(np.argmax(over))
+        raise ValueError(f"length bound violated{_at(cases, i)}: "
+                         f"K*L = {K[i] * L[i]:.17g} > pi/2")
+    # w = R^T e2 for the minimal rotation R taking the first direction d to
+    # e1, in closed form; R is the identity or a half-turn about e2 if d = ±e1
+    dx, dy, dz = ((V[:, 1] - V[:, 0]) / lens[ends - n, None]).T
+    s2 = dy * dy + dz * dz
+    aligned = np.sqrt(s2) < 1e-15
+    t = (1.0 - dx) / np.where(aligned, 1.0, s2)
+    w = np.where(aligned[:, None], [0.0, 1.0, 0.0],
+                 np.stack([-dy, 1.0 - t * dy * dy, -t * dy * dz], axis=1))
+    r = (1.0 / K)[:, None]
+    X = V[:, 1:] - V[:, :1]
+    inside = np.arange(X.shape[1]) < n[:, None]
+    dists = np.linalg.norm(X - (w / K[:, None])[:, None], axis=2) - r
+    lhs = -np.einsum("bkj,bj->bk", X, w) / K[:, None]
+    a_k = np.zeros(inside.shape)
+    a_k[inside] = lens
+    a_k = np.cumsum(a_k, axis=1)      # arc length at each non-initial vertex
+    rhs = -r * r * (1.0 - np.cos(K[:, None] * a_k))
+    return (np.where(inside, dists, math.inf), np.where(inside, lhs, 0.0),
+            np.where(inside, rhs, 0.0))
 
 
 def sphere_exclusion_check(arc: PolyArc, K: float) -> SphereExclusionReport:
     """Signed vertex distances to the sphere the arc touches at its start.
 
-    The arc is moved rigidly so its start point sits at -e2/K with initial
-    direction e1; the sphere of radius 1/K is centered at the origin and
-    tangent to the first edge there.  Requires an equilateral arc with
-    max_curv2 <= K and K*L <= pi/2.  Also reports both sides of the anchor
-    inequality <p(a_k)-p(0), p(0)> >= <eta(a_k)-eta(0), eta(0)> against the
-    tangent great circle eta.
+    The sphere of radius 1/K is tangent to the first edge at V_0 and
+    centred at V_0 + w/K, where w = R^T e2 for the minimal rotation R taking
+    the first direction to e1.  Requires an equilateral arc with max_curv2
+    <= K and K*L <= pi/2.  Also reports both sides of the anchor inequality
+    <p(a_k)-p(0), p(0)> >= <eta(a_k)-eta(0), eta(0)> against the tangent
+    great circle eta, where p = R(V - V_0) - e2/K.  The arc is measured as
+    a stack of one, as sphere_campaign measures its arcs.
     """
-    _check_curvature(arc.vertices[None], np.array([arc.m]),
-                     np.array([K], dtype=float))
-    lens = arc.edge_lengths
-    ell = float(lens.mean())
-    if np.any(np.abs(lens - ell) > 1e-9 * ell):
-        raise ValueError("sphere exclusion needs an equilateral arc")
-    L = arc.length
-    if K * L > 0.5 * math.pi + _PRE_TOL:
-        raise ValueError(
-            f"length bound violated: K*L = {K * L:.17g} > pi/2"
-        )
-    r = 1.0 / K
-    v = _canonical_frame(arc, K)
-    p0 = v[0]
-    others = v[1:]
-    dists = np.linalg.norm(others, axis=1) - r
-    a_k = np.cumsum(lens)  # arc length at each non-initial vertex
-    lhs = (others - p0) @ p0
-    rhs = -r * r * (1.0 - np.cos(K * a_k))
-    return SphereExclusionReport(K=K, distances=dists,
-                                 anchor_lhs=lhs, anchor_rhs=rhs)
+    dists, lhs, rhs = _sphere_check(arc.vertices[None], np.array([arc.m]),
+                                    np.array([K], dtype=float))
+    return SphereExclusionReport(K=K, distances=dists[0],
+                                 anchor_lhs=lhs[0], anchor_rhs=rhs[0])
 
 
 # The arc walk steps every arc of a stack at once, one edge index per step,

@@ -4,10 +4,10 @@ A curve enters as a dense table of raw parametric samples, is
 reparametrized by arc length and rescaled to total length 1, and from then
 on lives as an ArcLengthCurve: a uniform table of positions and unit
 tangents with cubic position interpolation between samples.  On top of
-that sit the equilateral inscription (one Newton solve of the closure
-system for all vertex parameters and the chord at once), the unit-length
-rescale, a thickness estimate, and the W^{1,inf} distance between a polygon
-and a curve.
+that sit the equilateral inscription (Newton on the closure system for all
+vertex parameters and the chord at once, one banded solve a step), the
+unit-length rescale, a thickness estimate, and the W^{1,inf} distance
+between a polygon and a curve.
 
 Three-point circumradii of consecutive samples come from one helper, used
 both for the sagitta correction of the arc-length quadrature and for the
@@ -18,12 +18,10 @@ polygon text format of polygon.py, one 'x y z' row per sample.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.linalg.lapack import dtbtrs
 
 from .polygon import Polygon, _format_rows, _parse_rows
 from .thickness import dcsd as _polygon_dcsd
@@ -211,12 +209,16 @@ def circle_samples(count: int = 16384) -> np.ndarray:
 def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
                        count: int = 16384) -> np.ndarray:
     """(a, b) curve on the torus of radii (R, rho), 0 < |rho| < |R|, on
-    which the torus is embedded; the curve is embedded for gcd(a,b)=1."""
+    which the torus is embedded; the curve is embedded for gcd(a,b)=1.
+    rho must survive R's rounding, or the samples trace one circle twice."""
     if math.gcd(abs(a), abs(b)) != 1:
         raise ValueError("torus knot parameters must be coprime")
     if not (math.isfinite(R) and math.isfinite(rho) and 0.0 < abs(rho) < abs(R)):
         raise ValueError(f"torus radii must be finite with 0 < |rho| < |R|, "
                          f"got R={R:g}, rho={rho:g}")
+    if abs(R) + abs(rho) == abs(R):
+        raise ValueError(f"torus radius rho={rho:g} is lost in the rounding "
+                         f"of R={R:g}")
     u = np.arange(count) * (2.0 * np.pi / count)
     w = R + rho * np.cos(b * u)
     return np.column_stack([w * np.cos(a * u), w * np.sin(a * u),
@@ -253,32 +255,34 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
 
     With u_0 = 0 and u_n = 1, Newton's method solves the n closure equations
     F_k = |gamma(u_{k+1}) - gamma(u_k)| - c = 0 for u_1..u_{n-1} and the
-    chord c, from u_k = k/n and c the mean chord.  Its Jacobian is
-    bidiagonal plus a column of -1, so each step is one sparse solve.  A
-    step that leaves u_0 < u_1 < ... < u_n out of order is halved, up to
-    _NEWTON_HALVINGS times; a step that keeps it ordered is taken whole.
-    The vertices are gamma(u_k), vertex 0 is gamma(0), and the polygon
-    keeps its inscribed length n*c; see rescale_unit.
+    chord c, from u_k = k/n and c the mean chord.  Its Jacobian is a lower
+    bidiagonal block in u_1..u_{n-1} plus the chord's column of -1, so each
+    step is one banded triangular solve with two right-hand sides and the
+    scalar Schur complement of the last row.  A step that leaves
+    u_0 < u_1 < ... < u_n out of order is halved, up to _NEWTON_HALVINGS
+    times; a step that keeps it ordered is taken whole.  The vertices are
+    gamma(u_k), vertex 0 is gamma(0), and the polygon keeps its inscribed
+    length n*c; see rescale_unit.
 
     Failure rule: Newton stops after the first step that starts and ends
     with max|F| <= 1e-15 (times the largest position coordinate if above 1),
     which leaves the chords equal to the rounding of the positions.  A
     ValueError naming n and the reason is raised if that takes more than
     _NEWTON_STEPS steps, if a step is not finite (two vertices coincide, or
-    the Jacobian is singular), or if the last halving still leaves u out of
-    order.
+    the Jacobian is singular: a zero pivot of the block or a zero Schur
+    complement), or if the last halving still leaves u out of order.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     tol = _NEWTON_TOL * max(1.0, float(np.abs(curve.positions).max()))
-    # column j < n-1 is u_{j+1}, set in rows j and j+1; column n-1 is c
-    indptr = np.r_[0:2 * n - 1:2, 3 * n - 2]
-    indices = np.r_[np.arange(1, 2 * n - 1) // 2, 0:n]
-    data = np.full(3 * n - 2, -1.0)
+    # the block's diagonal dF_j/du_{j+1} and subdiagonal dF_{j+1}/du_{j+1} in
+    # LAPACK's lower band layout; band[1, -1], past the (n-1)-square block
+    # and ignored by dtbtrs, is the last row's dF_{n-1}/du_{n-1}
+    band = np.empty((2, n - 1))
+    rhs = np.ones((n - 1, 2))
     u, c, converged = np.arange(n + 1) / n, None, False
     for _ in range(_NEWTON_STEPS):
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
+        with np.errstate(all="ignore"):
             P = curve.position(u[:n])
             D = np.roll(P, -1, axis=0) - P
             L = np.linalg.norm(D, axis=1)
@@ -287,11 +291,16 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
             if prev and converged:
                 return Polygon(P)
             E, G = D / L[:, None], curve._dspline(u[1:n])
-            data[0:2 * n - 2:2] = np.einsum("ij,ij->i", E[:-1], G)
-            data[1:2 * n - 2:2] = -np.einsum("ij,ij->i", E[1:], G)
-            step = spsolve(csc_matrix((data, indices, indptr), shape=(n, n)),
-                           L - c)
-        if not np.all(np.isfinite(step)):
+            band[0] = np.einsum("ij,ij->i", E[:-1], G)
+            band[1] = -np.einsum("ij,ij->i", E[1:], G)
+            # the block solves for F[:-1] and for the chord's column at once,
+            # and the last row's scalar Schur complement gives the chord step
+            rhs[:, 0] = L[:-1] - c
+            Z, info = dtbtrs(band, rhs, uplo="L")
+            b = band[1, -1]
+            dc = (L[-1] - c - b * Z[-1, 0]) / (b * Z[-1, 1] - 1.0)
+            step = np.append(Z[:, 0] + dc * Z[:, 1], dc)
+        if info or not np.all(np.isfinite(step)):
             zero = np.flatnonzero(L == 0.0)
             if zero.size:
                 k = int(zero[0])

@@ -132,7 +132,10 @@ class TestInscribeCommand:
 
     @pytest.mark.parametrize("spec, message", [
         ("torus:2,3,inf,1", "torus radii must be finite with 0 < |rho| < |R|, got R=inf, rho=1"),
-        ("torus:2,3,2,0", "torus radii must be finite with 0 < |rho| < |R|, got R=2, rho=0")])
+        ("torus:2,3,2,0", "torus radii must be finite with 0 < |rho| < |R|, got R=2, rho=0"),
+        # rho = 1 vanishes in R = 1e300 + rho: the samples would trace a circle twice
+        ("torus:2,3,1e300,1", "torus radius rho=1 is lost in the rounding of R=1e+300"),
+        ("torus:2,3,1e16,1", "torus radius rho=1 is lost in the rounding of R=1e+16")])
     def test_degenerate_torus(self, spec, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -229,3 +229,58 @@ class TestCampaignStack:
         # a lone arc's message names no case
         with pytest.raises(ValueError, match="curvature bound violated: "):
             schur._chord_check(V[3:4], n[3:4], K[3:4], "relaxed")
+
+    def test_sphere_length_violation_names_the_case(self, monkeypatch):
+        # as for the chord check: a case past the first chunk drawn too long
+        k = experiments._CHUNK + 5
+        draw = experiments._campaign_case
+
+        def drawing(mode, seed):
+            n, K, L, u = draw(mode, seed)
+            return (n, K, 4.0 * math.pi / K, u) if seed == 7 + k else (n, K, L, u)
+
+        monkeypatch.setattr(experiments, "_campaign_case", drawing)
+        with pytest.raises(ValueError, match=f"length bound violated at case {k}: K\\*L"):
+            sphere_campaign(k + 10, 7)
+
+    def test_sphere_check_violations_name_the_case(self):
+        n, K, L, V = _stack("sphere", 40, 20)
+        # arc 5's first edge half again as long, along the same direction
+        V[5, 0] -= 0.5 * (V[5, 1] - V[5, 0])
+        with pytest.raises(ValueError, match="sphere exclusion needs an equilateral "
+                                             "arc at case 105$"):
+            schur._sphere_check(V, n, K, cases=np.arange(100, 120))
+        with pytest.raises(ValueError, match="sphere exclusion needs an equilateral arc$"):
+            schur._sphere_check(V[5:6], n[5:6], K[5:6])
+        # arc 3 at K*L = 2 pi, with its curvature bound still met
+        K = np.where(np.arange(20) == 3, 2.0 * math.pi / L, K)
+        with pytest.raises(ValueError, match="length bound violated at case 103: K\\*L = "
+                                             "6.28318530717958.* > pi/2$"):
+            schur._sphere_check(V[:5], n[:5], K[:5], cases=np.arange(100, 105))
+        with pytest.raises(ValueError, match="length bound violated: K\\*L"):
+            schur._sphere_check(V[3:4], n[3:4], K[3:4])
+
+    def test_anchor_failure_names_the_case_and_seed(self, monkeypatch):
+        # the anchor left sides of the first chunk's case 3 pushed down by 1e-6
+        check = schur._sphere_check
+
+        def shifted(V, n, K, cases=None):
+            dists, lhs, rhs = check(V, n, K, cases)
+            lhs[cases == 3] -= 1e-6
+            return dists, lhs, rhs
+
+        monkeypatch.setattr(experiments, "_sphere_check", shifted)
+        with pytest.raises(RuntimeError, match=r"anchor inequality failed by -1\.0\d\de-06 "
+                                               r"at case 3 \(seed 10\)$"):
+            sphere_campaign(20, 7)
+
+    def test_sphere_stack_is_padded(self):
+        # rows past an arc's end read +inf, 0 and 0, so row minima are the
+        # margins and the anchor gaps
+        n, K, L, V = _stack("sphere", 500, 50)
+        dists, lhs, rhs = schur._sphere_check(V, n, K)
+        past = np.arange(dists.shape[1]) >= n[:, None]
+        assert past.any()
+        assert np.all(dists[past] == math.inf)
+        assert not np.any(lhs[past]) and not np.any(rhs[past])
+        assert np.all(np.isfinite(dists[~past]))

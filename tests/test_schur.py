@@ -33,6 +33,42 @@ def straight_arc(n_edges: int, ell: float = 0.3) -> PolyArc:
     return PolyArc(pts)
 
 
+def rotated_frame_report(arc: PolyArc, K: float):
+    """Distances and both anchor sides of the sphere exclusion, measured as
+    it once was: the arc rotated by a 3x3 matrix, the minimal rotation R
+    taking its first direction to e1, and moved to start at -e2/K, against
+    the sphere of radius 1/K about the origin."""
+    r = 1.0 / K
+    v = arc.vertices - arc.vertices[0]
+    d0 = arc.directions()[0]
+    e1 = np.array([1.0, 0.0, 0.0])
+    c = float(d0 @ e1)
+    axis = np.cross(d0, e1)
+    s = float(np.linalg.norm(axis))
+    if s < 1e-15:
+        R = np.eye(3) if c > 0.0 else np.diag([-1.0, 1.0, -1.0])
+    else:
+        axis = axis / s
+        Kx = np.array([[0.0, -axis[2], axis[1]],
+                       [axis[2], 0.0, -axis[0]],
+                       [-axis[1], axis[0], 0.0]])
+        R = np.eye(3) + s * Kx + (1.0 - c) * (Kx @ Kx)
+    v = v @ R.T + np.array([0.0, -r, 0.0])
+    p0, others = v[0], v[1:]
+    a_k = np.cumsum(arc.edge_lengths)
+    return (np.linalg.norm(others, axis=1) - r, (others - p0) @ p0,
+            -r * r * (1.0 - np.cos(K * a_k)))
+
+
+def frame_with_first_column(d: np.ndarray) -> np.ndarray:
+    """A rotation matrix whose first column is the unit vector d."""
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(d)))] = 1.0
+    u = np.cross(d, helper)
+    u /= np.linalg.norm(u)
+    return np.column_stack([d, u, np.cross(d, u)])
+
+
 class TestCircleChord:
     def test_semicircle(self):
         # length pi on the unit circle closes a diameter
@@ -190,14 +226,50 @@ class TestSphereExclusion:
             assert np.min(rep.anchor_lhs - rep.anchor_rhs) >= -1e-12
 
     def test_reversed_initial_direction(self):
-        # first direction -e1 exercises the degenerate alignment in the
-        # canonical frame
+        # first direction -e1 exercises the degenerate alignment of the
+        # closed-form sphere centre
         pts = np.zeros((4, 3))
         pts[:, 0] = -0.3 * np.arange(4)
         rep = sphere_exclusion_check(PolyArc(pts), 1.0)
         a = 0.3 * np.arange(1, 4)
         expect = np.sqrt(a * a + 1.0) - 1.0
         assert np.max(np.abs(rep.distances - expect)) < 1e-12
+
+    @pytest.mark.parametrize("first", ["random", "e1", "-e1", "1e-8 off -e1",
+                                       "1e-16 off -e1"])
+    def test_matches_rotated_frame(self, first):
+        # the sphere centre V_0 + w/K in closed form against the rotation
+        # matrix it replaced; the degenerate branch takes d within 1e-15 of
+        # +-e1, and 1e-8 off -e1 is the worst-conditioned regular case
+        rng = np.random.default_rng(24)
+        for seed in range(60):
+            n = int(rng.integers(2, 25))
+            K = float(rng.uniform(0.2, 5.0))
+            L = float(rng.uniform(0.1, 0.98 * 0.5 * math.pi)) / K
+            if first == "random":
+                d = rng.normal(size=3)
+                d /= np.linalg.norm(d)
+                Q = frame_with_first_column(d)
+            elif first == "e1":
+                Q = np.eye(3)
+            elif first == "-e1":
+                Q = np.diag([-1.0, -1.0, 1.0])
+            else:
+                eps = 1e-8 if first.startswith("1e-8") else 1e-16
+                psi = rng.uniform(0.0, 2.0 * math.pi)
+                d = np.array([-math.cos(eps), math.sin(eps) * math.cos(psi),
+                              math.sin(eps) * math.sin(psi)])
+                Q = frame_with_first_column(d / np.linalg.norm(d))
+            arc = random_bounded_arc(n, K, L, seed=seed)
+            # a shift would blur the first direction by rounding, so only
+            # the random directions move off the origin
+            shift = rng.normal(size=3) if first == "random" else np.zeros(3)
+            moved = PolyArc(arc.vertices @ Q.T + shift)
+            rep = sphere_exclusion_check(moved, K)
+            dists, lhs, rhs = rotated_frame_report(moved, K)
+            assert np.max(np.abs(rep.distances - dists)) <= 2e-15 / K
+            assert np.max(np.abs(rep.anchor_lhs - lhs)) <= 2e-15 / K
+            assert np.max(np.abs(rep.anchor_rhs - rhs)) <= 2e-15 / K
 
     def test_requires_equilateral(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.5, 0, 0]])

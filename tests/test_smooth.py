@@ -268,6 +268,16 @@ class TestInscription:
         with pytest.raises(ValueError, match="n=3: inscription vertices 0 and 1 coincide"):
             inscribe_equilateral(ArcLengthCurve(_limacon(32)), 3)
 
+    def test_zero_pivot_is_a_singular_jacobian(self):
+        # gamma' zeroed at u_1 zeroes the first pivot of the bidiagonal
+        # block, which the banded solve reports through its info alone
+        curve = preset_curve("circle", m=512)
+        dspline = curve._dspline
+        curve._dspline = lambda t: dspline(t) * (np.arange(len(t)) > 0)[:, None]
+        with pytest.raises(ValueError, match=r"n=8: inscription Newton step is not "
+                                             r"finite \(singular closure Jacobian\)"):
+            inscribe_equilateral(curve, 8)
+
     def test_stalled_parameter_exhausts_the_halvings(self):
         # an ellipse whose parametrisation stalls at every u = k/3: the
         # Jacobian there is nearly singular, and even a step halved ten

@@ -7,7 +7,8 @@ one line per pair with s, t and the distance as float.hex(), and the
 move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
 of 0s and 1s, at the default clearance and at a quarter edge, which refuses
 some of them.  Under "campaigns" it holds the margins, as float.hex(), of a
-250-case strict and a relaxed Schur campaign and a sphere campaign.  Run it
+250-case strict and a relaxed Schur campaign and a sphere campaign, and of
+an 1100-case sphere campaign, whose stack crosses a chunk boundary.  Run it
 once per checkout and compare the files byte for byte; a change that keeps
 the scan's arithmetic, the sweep check's verdicts and the campaigns' draws
 must leave them equal:
@@ -110,7 +111,8 @@ def _campaigns() -> dict:
 
     runs = {"strict/0": schur_campaign(250, 0, "strict"),
             "relaxed/250": schur_campaign(250, 250, "relaxed"),
-            "sphere/500": sphere_campaign(250, 500)}
+            "sphere/500": sphere_campaign(250, 500),
+            "sphere/1000": sphere_campaign(1100, 1000)}
     return {name: [m.hex() for m in res.margins.tolist()] for name, res in runs.items()}
 
 
