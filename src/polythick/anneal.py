@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polygon import Polygon, _format_table
-from .thickness import _BLOCK, _gathered_gap, inv_delta_objective
+from .thickness import _BATCH, _gathered_gap, inv_delta_objective
 
 __all__ = [
     "AnnealConfig",
@@ -156,11 +156,18 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     T, X = (i + np.arange(m)) % n, (j - 1 + np.arange(n - m + 2)) % n
     I0, J0 = np.triu_indices(n, 2)
     A, B = np.minimum.outer(T, X).ravel(), np.maximum.outer(T, X).ravel()
-    F = np.repeat(np.arange(substeps + 1), [I0.size] + [A.size] * substeps)
-    I, J = np.concatenate([I0, np.tile(A, substeps)]), np.concatenate([J0, np.tile(B, substeps)])
-    chunk = _BLOCK * n       # the pairs of one frame's dense row block at a time
-    return all(_gathered_gap(frames, F[k:k + chunk], I[k:k + chunk], J[k:k + chunk])
-               > clearance for k in range(0, F.size, chunk))
+    total = I0.size + substeps * A.size
+
+    def gap(k):   # pairs k .. k + _BATCH - 1 of frame 0's, then each turned frame's
+        own = slice(min(k, I0.size), min(k + _BATCH, I0.size))
+        t = np.arange(max(k, I0.size), min(k + _BATCH, total)) - I0.size   # turned frames'
+        F = np.concatenate([np.zeros(own.stop - own.start, int), 1 + t // A.size])
+        return _gathered_gap(frames, F, np.concatenate([I0[own], A.take(t, mode="wrap")]),
+                             np.concatenate([J0[own], B.take(t, mode="wrap")]))
+
+    # _BATCH pairs a call: its temporaries stay below glibc's 128 kB mmap
+    # threshold, so the heap reuses them rather than faulting them in afresh
+    return all(gap(k) > clearance for k in range(0, total, _BATCH))
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:

@@ -21,28 +21,29 @@ annealing objective take the pruned scan: only pairs whose two arcs can
 both turn pi (pi/2 for the singly families), in one round.  It starts
 from a bound r on dcsd: the doubly pairs next to the closest midpoints of
 the turning window, found on a coarse grid and refined around its best
-pair.  Both rounds work on one chunk cover, _Chunks: the midpoints fall
-in chunks of isqrt(n) consecutive ones, each with a bounding sphere, and
-a row block's window columns form one cyclic range.  The block needs
-the chunks that range meets, less those the round's drop test rejects
-for every row of the block.  When the reach of r falls short of the
-span, a ring round keeps the pairs whose edge midpoints lie within
-r + h_max.  It queries the k-d trees of the needed chunks, a chunk being
-dropped when its sphere lies beyond reach of the block's.  A block whose
-range leaves out at most two blocks of columns, as on crumpled polygons
-whose windows leave out only a few arc neighbours, queries one tree over
-all midpoints instead.  Otherwise, as for the regular n-gon whose dcsd
-is its diameter, a covering round keeps the pairs that pass a
-perpendicularity filter: a candidate critical at one end has its other
-point within reach of that end's vertex, in one of its two edge slabs
-or its normal wedge, up to a slack sigma = 1e-6 (span + h_max + |V|_max)
-for the kernel's tolerances and rounding; near-parallel pairs, whose
-feet the quadratic fixes poorly, are always kept.  A block whose window
-range is wider than two blocks forms the filter only on the columns of
-its needed chunks, a chunk being dropped when, judged on bounding
-spheres, it lies wholly out of reach of the row's vertex, or each of its
-vertices finds the row's chunk out of reach, as the filter's mode asks,
-and it holds no edge parallel to the row's.
+pair.  A row block's window columns form one cyclic range.  When the
+reach of r falls short of the span, a ring round keeps the window pairs
+whose edge midpoints lie within r + h_max.  The blocks whose range
+leaves out more than two blocks of columns, as on finely inscribed
+smooth curves, take them from one dual-tree descent per scan over runs
+of 96, 48, 24, 12, 6, 3 and 1 consecutive midpoints: a pair of runs is
+dropped when their bounding spheres lie beyond reach or the column run
+misses the row run's range.  A block whose range leaves out at most two blocks of
+columns, as on crumpled polygons whose windows leave out only a few arc
+neighbours, queries one k-d tree over all midpoints instead.
+Otherwise, as for the regular n-gon whose dcsd is its diameter, a
+covering round keeps the pairs that pass a perpendicularity filter: a
+candidate critical at one end has its other point within reach of that
+end's vertex, in one of its two edge slabs or its normal wedge, up to a
+slack sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances
+and rounding; near-parallel pairs, whose feet the quadratic fixes
+poorly, are always kept.  A block whose window range is wider than two
+blocks forms the filter only on the columns of the chunks it needs, in
+the chunk cover _Chunks of isqrt(n) consecutive midpoints, each with a
+bounding sphere: the chunks its range meets, less those that, judged on
+the spheres, lie wholly out of reach of the row's vertex, or whose
+vertices each find the row's chunk out of reach, as the filter's mode
+asks, and that hold no edge parallel to the row's.
 Both enumerations take b = E_i . E_j from one matmul per row block and
 form every other term per pair, so their minima agree bit for bit.  The
 pruned scan hands its kept pairs to _families in batches: each block's
@@ -504,33 +505,19 @@ class _Chunks:
     and the window columns i + lo .. i + hi of the rows i of row block q
     lie in one cyclic range first .. last, ranges[q], taken mod n.
     needed() maps a row block to the chunks it needs; the bounding spheres
-    and the k-d trees, one per chunk and one over all midpoints, are
-    formed on first use and kept for the scan."""
+    are formed on first use and kept for the scan."""
 
     def __init__(self, M: np.ndarray, lo, hi, span: float):
         self.M, self.s, self._slack = M, math.isqrt(len(M)), 1e-9 * span
         idx = np.arange(len(M))
         self.ranges = list(zip(np.minimum.reduceat(idx + lo, idx[::_BLOCK]).tolist(),
                                np.maximum.reduceat(idx + hi, idx[::_BLOCK]).tolist()))
-        self._trees = {}
 
     @cached_property
     def spheres(self):
         """(centres, radii) of the chunks, the radii padded by 1e-9 of the
         span for the spheres' rounding."""
         return _spheres(self.M, self.s, self._slack)
-
-    @cached_property
-    def block_spheres(self):
-        """(centres, radii) of the midpoints of each row block."""
-        return _spheres(self.M, _BLOCK, 0.0)
-
-    def tree(self, k: int | None) -> cKDTree:
-        """The tree over chunk k, or over every midpoint when k is None."""
-        if k not in self._trees:
-            rows = slice(None) if k is None else slice(k * self.s, (k + 1) * self.s)
-            self._trees[k] = cKDTree(self.M[rows])
-        return self._trees[k]
 
     def needed(self, r0: int, drops) -> np.ndarray:
         """The mask of the chunks the row block from r0 needs: those its
@@ -697,31 +684,69 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, s: int, workspace) -> float:
     return out.doubly_min
 
 
-def _ring_pairs(chunks: _Chunks, r0: int, reach: float):
-    """(i, j) of midpoint pairs within reach, i in the row block from r0,
-    among them every pair whose j lies in the block's range: from the
-    trees of the chunks the block needs, the drop test being that a
-    chunk's sphere lies beyond reach of the rows' sphere, or from the one
-    tree over all midpoints when the range leaves out no more than two
-    blocks of columns.  Such a range holds most of the rows' arc
-    neighbours, and the one query costs less than many."""
-    M, q = chunks.M, r0 // _BLOCK
-    first, last = chunks.ranges[q]
-    ks = [None]
-    if last - first + 1 < len(M) - 2 * _BLOCK:
-        (centres, radii), (centre, radius) = chunks.spheres, chunks.block_spheres
+def _node_pairs(M: np.ndarray, lo, hi, w: int, R, C, reach: float, slack: float):
+    """The pairs (R, C) of runs of w consecutive midpoints, run k being
+    k w .. (k + 1) w - 1 cut at n, that survive one level of _ring_descent:
+    column run C meets the cyclic range of row run R's window columns, and
+    the runs' bounding spheres, padded by slack, come within reach.  Runs
+    of one midpoint take the exact test |M_i - M_j|^2 <= reach^2, summed
+    as cKDTree sums it; their pairs come back with that d2."""
+    n, idx = len(M), np.arange(len(M))
+    first = np.minimum.reduceat(idx + lo, idx[::w]).take(R)
+    last = np.maximum.reduceat(idx + hi, idx[::w]).take(R)
+    c0, c1 = C * w, np.minimum(C * w + w, n) - 1
+    # first .. last lies in 0 .. 2n - 2, so the columns meet it as they
+    # are or shifted by n; a run wider than one may pass an empty range
+    near = ((c0 <= last) & (c1 >= first)) | ((c0 + n <= last) & (c1 + n >= first))
+    R, C = R[near], C[near]
+    if w > 1:
+        centres, radii = _spheres(M, w, slack)
+        D = centres.take(R, axis=0) - centres.take(C, axis=0)
+        near = np.sqrt(_dot(D, D)) <= reach + radii.take(R) + radii.take(C)
+        return R[near], C[near]
+    D = M.take(R, axis=0) - M.take(C, axis=0)
+    d2 = D[:, 0] * D[:, 0] + D[:, 1] * D[:, 1] + D[:, 2] * D[:, 2]
+    near = d2 <= reach * reach
+    return R[near], C[near], d2[near]
 
-        def drops(_, Q):
-            gap = np.linalg.norm(centres[Q] - centre[q], axis=1) - radii[Q] - radius[q]
-            return gap > reach
 
-        ks = np.flatnonzero(chunks.needed(r0, drops)).tolist()
-    block, I, J = cKDTree(M[r0:r0 + _BLOCK]), [np.zeros(0, int)], [np.zeros(0, int)]
-    for k in ks:
-        near = block.sparse_distance_matrix(chunks.tree(k), reach, output_type="ndarray")
-        I.append(near["i"] + r0)
-        J.append(near["j"] + (k or 0) * chunks.s)
-    return np.concatenate(I), np.concatenate(J)
+def _ring_descent(M: np.ndarray, lo, hi, blocks, reach: float, slack: float) -> dict:
+    """{q: (i, j, d2)} for the row blocks q in blocks, ascending: the pairs
+    of midpoints with i in block q, (j - i) mod n in lo_i .. hi_i and
+    d2 = |M_i - M_j|^2 <= reach^2, as _node_pairs' exact test reads it.
+
+    A level-synchronous dual-tree descent (Gray & Moore, NIPS 2000): its
+    nodes are the runs of consecutive midpoints of _BLOCK, halved while
+    the width is even, then 1, so 96, 48, 24, 12, 6, 3 and 1, each run
+    nested in a row block.  It starts from each block against every run of
+    _BLOCK columns, keeps the node pairs _node_pairs lets through, and
+    splits those into their sub-runs' pairs for the next level.  The
+    spheres of a level are formed once, as all of its pairs are tested at
+    once, and children follow their parent, so each block's pairs come out
+    together, in the order of blocks."""
+    n, w, count = len(M), _BLOCK, -(-len(M) // _BLOCK)
+    R, C = np.repeat(blocks, count), np.tile(np.arange(count), len(blocks))
+    while True:
+        pairs = _node_pairs(M, lo, hi, w, R, C, reach, slack)
+        if w == 1:
+            break
+        f, (R, C) = (2 if w % 2 == 0 else w), pairs      # f sub-runs per run
+        w, kids = w // f, np.arange(f)
+        R = np.repeat(f * R, f * f) + np.tile(np.repeat(kids, f), R.size)
+        C = np.repeat(f * C, f * f) + np.tile(kids, f * C.size)
+        inside = (R < -(-n // w)) & (C < -(-n // w))    # the last run may hold fewer
+        R, C = R[inside], C[inside]
+    cuts = np.searchsorted(pairs[0] // _BLOCK, blocks[1:])
+    return dict(zip(blocks.tolist(), zip(*(np.split(x, cuts) for x in pairs))))
+
+
+def _ring_pairs(M: np.ndarray, tree: cKDTree, r0: int, reach: float):
+    """(i, j) of the midpoint pairs within reach, i in the row block from
+    r0: one query of the block's tree against the tree over all
+    midpoints."""
+    near = cKDTree(M[r0:r0 + _BLOCK]).sparse_distance_matrix(tree, reach,
+                                                             output_type="ndarray")
+    return near["i"] + r0, near["j"]
 
 
 def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
@@ -731,28 +756,31 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     d + h_max apart, and both arcs between a doubly critical pair turn at
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  r is
-    _doubly_seed's bound on dcsd.  Both rounds work per row block on one
-    _Chunks cover: the block's window columns lie in one cyclic range,
-    and the block needs only the chunks that range meets, less those the
-    round's drop test rejects for every row.  When the _reach of r falls
-    short of the span, the ring round takes, per row block, the turning
-    window's pairs whose midpoint distance is within _reach of r, or of
-    the best doubly pair so far when that is closer.  _ring_pairs returns
-    every pair within reach in the block's range, from the trees of the
-    needed chunks or from the one tree over all midpoints, and the window
-    drops the rest, so _families sees the same pairs either way.  The
-    seed's own pair is in the window and within reach, so the round finds
-    it again and ends with a doubly pair within r, which settles the
-    minima, as scsd <= dcsd.  Otherwise, r being +inf included, the
+    _doubly_seed's bound on dcsd.  Both rounds work per row block, whose
+    window columns lie in one cyclic range, _Chunks.ranges.  When the
+    _reach of r falls short of the span, the ring round takes, per row
+    block, the turning window's pairs whose midpoint distance is within
+    _reach of r, or of the best doubly pair so far when that is closer.
+    The blocks whose range leaves out more than two blocks of columns
+    take them from one _ring_descent per scan, run at the reach of r
+    before the first block; each block keeps those of its pairs within
+    the reach of the moment.  Any other block queries one tree over all
+    midpoints (_ring_pairs), built on first use, and its window drops the
+    rest: such a range holds most of the rows' arc neighbours, where one
+    query costs less than a descent.  _families sees the same pairs
+    either way.
+    The seed's own pair is in the window and within reach, so the round
+    finds it again and ends with a doubly pair within r, which settles
+    the minima, as scsd <= dcsd.  Otherwise, r being +inf included, the
     covering round takes the window columns that pass _perpendicular, and
-    forms that filter only on the columns of the needed chunks, under
-    _chunk_cull's drop test: the chunks out of reach of every row, which
-    the filter would reject pair by pair, are dropped whole.  A block
-    whose window range spans at most two blocks of columns, as every block
-    of the regular n-gon's doubly round does, skips the cull, whose cost
-    there exceeds what it could drop; the cull is built on first use.  b
-    is formed per row block as in _scan, so the minima and the achieving
-    pair are the dense scan's bit for bit.
+    forms that filter only on the columns of the chunks _Chunks.needed
+    leaves under _chunk_cull's drop test: the chunks out of reach of
+    every row, which the filter would reject pair by pair, are dropped
+    whole.  A block whose window range spans at most two blocks of
+    columns, as every block of the regular n-gon's doubly round does,
+    skips the cull, whose cost there exceeds what it could drop; the cull
+    is built on first use.  b is formed per row block as in _scan, so the
+    minima and the achieving pair are the dense scan's bit for bit.
 
     Either round adds each block's kept pairs, with b.take of them from
     that block's product, to a pending batch, and flushes it through
@@ -781,7 +809,13 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     out, pending = _Collector(p.edge_lengths), []
     r = _doubly_seed(p, M, lo, hi, chunks.s, workspace)
     ring = _reach(r, h, p.length) < span                      # beyond span every pair is in
-    if not ring:
+    if ring:
+        narrow = np.flatnonzero([last - first + 1 < n - 2 * _BLOCK
+                                 for first, last in chunks.ranges])
+        near = _ring_descent(M, lo, hi, narrow, _reach(r, h, p.length),
+                             1e-9 * span) if narrow.size else {}
+        tree = cache(lambda: cKDTree(M))
+    else:
         perpendicular = _perpendicular(p, singly, M, span, workspace)
         cull = cache(lambda: _chunk_cull(p, singly, chunks, span))
 
@@ -793,9 +827,14 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     for r0 in range(0, n, _BLOCK):
         rows, b = slice(r0, r0 + _BLOCK), None
         if ring:
-            i, j = _ring_pairs(chunks, r0, _reach(min(r, out.doubly_min), h, p.length))
-            m = (j - i) % n
-            keep = (m >= lo[i]) & (m <= hi[i])
+            reach = _reach(min(r, out.doubly_min), h, p.length)
+            if r0 // _BLOCK in near:
+                i, j, d2 = near[r0 // _BLOCK]
+                keep = d2 <= reach * reach
+            else:
+                i, j = _ring_pairs(M, tree(), r0, reach)
+                m = (j - i) % n
+                keep = (m >= lo[i]) & (m <= hi[i])
             flat = (i[keep] - r0) * n + j[keep]
         else:
             # columns i + lo .. i + hi of every row i, unrolled into U

@@ -21,7 +21,7 @@ from polythick import (
 )
 from polythick.anneal import _SUBSTEPS, _THETA_MAX, _swept
 from polythick.polygon import Polygon
-from polythick.thickness import _BLOCK, inv_delta_objective
+from polythick.thickness import _BATCH, inv_delta_objective
 
 from _dense import _edge_gap
 from _gen import perturbed_regular
@@ -169,24 +169,48 @@ class TestMoveAdmissibility:
 
     def test_pair_list_spans_chunks(self):
         # flipping half the regular 256-gon by pi lands it on the other half
-        # in the last frame only; its 298,625 pairs run in chunks of one
-        # frame's dense row block, 96 * 256 pairs, and the check stops at
-        # the first chunk that holds a contact
+        # in the last frame only; its 298,625 pairs run in 73 chunks of
+        # _BATCH pairs, each formed for its call, and the check stops at
+        # the first chunk that holds a contact, the 69th
         p, clearance = regular_ngon(256), 1e-6
         gaps, gathered = [], anneal_module._gathered_gap
 
         def recording(V, F, I, J):
-            assert F.size <= _BLOCK * p.n
+            assert F.size == I.size == J.size <= _BATCH
             gaps.append(gathered(V, F, I, J))
             return gaps[-1]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(anneal_module, "_gathered_gap", recording)
             assert not move_is_admissible(p, 0, 128, math.pi, clearance=clearance)
-        assert len(gaps) == 12
+        assert len(gaps) == 69
         assert min(gaps[:-1]) > clearance >= gaps[-1]
         dense = _edge_gap(_swept(p, 0, 128, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * math.pi))
         assert np.all(dense[:-1] > clearance) and dense[-1] <= clearance
+
+    def test_chunks_form_the_whole_pair_list(self):
+        # an admissible move runs every chunk; together they are frame 0's
+        # pairs i < j, then the pairs of turning edges 3 .. 59 and fixed
+        # edges 59 .. 103 of each turned frame, in order and once each
+        p, n = regular_ngon(100), 100
+        calls, gathered = [], anneal_module._gathered_gap
+
+        def recording(V, F, I, J):
+            calls.append((F, I, J))
+            return gathered(V, F, I, J)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anneal_module, "_gathered_gap", recording)
+            assert move_is_admissible(p, 3, 60, 0.1)
+        F, I, J = map(np.concatenate, zip(*calls))
+        T, X = np.arange(3, 60), np.arange(59, 104) % n
+        A, B = np.minimum.outer(T, X).ravel(), np.maximum.outer(T, X).ravel()
+        I0, J0 = np.triu_indices(n, 2)
+        assert len(calls) == math.ceil(F.size / _BATCH) > 1
+        assert np.array_equal(F, np.repeat(np.arange(_SUBSTEPS + 1),
+                                           [I0.size] + [A.size] * _SUBSTEPS))
+        assert np.array_equal(I, np.concatenate([I0, np.tile(A, _SUBSTEPS)]))
+        assert np.array_equal(J, np.concatenate([J0, np.tile(B, _SUBSTEPS)]))
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_below_one_rejected(self, substeps):

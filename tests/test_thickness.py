@@ -891,6 +891,26 @@ def _tree_queries(p: Polygon, singly: bool) -> list:
     return calls
 
 
+def _descent_levels(p: Polygon, singly: bool) -> list:
+    """(run width, node pairs tested, node pairs kept) of each level of the
+    pruned scan's ring descent, from runs of _BLOCK midpoints down to the
+    leaves, runs of one, whose kept pairs are the pairs the descent
+    returns; empty when no block takes the descent."""
+    levels, node_pairs = [], getattr(thickness, "_node_pairs", None)
+    if node_pairs is None:      # tools/scan_parity.py --checkout of a library without it
+        return levels
+
+    def recording(M, lo, hi, w, R, *args):
+        kept = node_pairs(M, lo, hi, w, R, *args)
+        levels.append((w, R.size, kept[0].size))
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_node_pairs", recording)
+        thickness._pruned_scan(p, singly)
+    return levels
+
+
 def _window_pairs(p: Polygon, singly: bool) -> list | None:
     """The window pairs, rows times columns, that each call of the covering
     round's filter forms, or None when the scan takes the ring round."""
@@ -914,19 +934,26 @@ def _window_pairs(p: Polygon, singly: bool) -> list | None:
 
 def test_scan_parity_counts_both_rounds():
     # tools/scan_parity.py --faults counts the pruned scan's pairs with this
-    # module's _families_rows, _tree_queries and _window_pairs
+    # module's _families_rows, _tree_queries, _descent_levels and
+    # _window_pairs.  The trefoil 512-gon's ring queries the one tree in
+    # every block; the 2048-gon's takes the descent
     path = Path(__file__).resolve().parents[1] / "tools" / "scan_parity.py"
     spec = importlib.util.spec_from_file_location("scan_parity", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    trefoil = rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", m=4096), 512))
-    blocks = math.ceil(512 / thickness._BLOCK)
-    pairs, calls, tree, window, round_ = tool._scan_pairs(trefoil)
-    assert (round_, pairs > 0, tree > 0, window) == ("ring", True, True, 0)
-    assert 0 < calls <= blocks
-    pairs, calls, tree, window, round_ = tool._scan_pairs(regular_ngon(512))
-    assert (round_, pairs > 0, tree, window > 0) == ("covering", True, 0, True)
-    assert 0 < calls <= blocks
+    curve, blocks = preset_curve("torus:2,3", m=4096), math.ceil(512 / thickness._BLOCK)
+    c = tool._scan_pairs(rescale_unit(inscribe_equilateral(curve, 512)))
+    assert (c["round"], c["pairs"] > 0, c["tree"] > 0, c["leaf"], c["window"]) == (
+        "ring", True, True, 0, 0)
+    assert 0 < c["calls"] <= blocks and c["levels"] == []
+    c = tool._scan_pairs(_report_large_trefoil())
+    w, _, kept = c["levels"][-1]
+    assert (c["round"], c["tree"], c["window"], w) == ("ring", 0, 0, 1)
+    assert kept == c["leaf"] >= c["pairs"] > 0
+    c = tool._scan_pairs(regular_ngon(512))
+    assert (c["round"], c["pairs"] > 0, c["tree"], c["leaf"], c["window"] > 0) == (
+        "covering", True, 0, 0, True)
+    assert 0 < c["calls"] <= blocks
 
 
 def _pairs_per_row(p: Polygon, singly: bool) -> np.ndarray:
@@ -1078,15 +1105,24 @@ class TestPrunedScan:
 
     def test_proxy_ring_tree_returns_few_pairs(self):
         # the window drops arc neighbours; a query over every midpoint
-        # returned 1.83M pairs for the 7.1k that pass it
+        # returned 1.83M pairs for the 7.1k that pass it.  Every block of
+        # the proxy takes the descent, which queries no tree: its leaves
+        # are the 7,130 window pairs within the seed's reach, and its leaf
+        # level tests 21,744 pairs of midpoints
         p = _trefoil_proxy()
-        returned = sum(size for _, size in _tree_queries(p, False))
+        levels = _descent_levels(p, False)
         kept = sum(I.size for I in _families_rows(p, False))
-        assert returned <= 2 * kept
+        (w, tested, leaf) = levels[-1]
+        assert w == 1 and leaf <= 2 * kept and tested <= 4 * kept
+        assert _tree_queries(p, False) == []
 
     def test_report_large_ring_tree_returns_few_pairs(self):
-        # a query over every midpoint returned 462k pairs
-        assert sum(size for _, size in _tree_queries(_report_large_trefoil(), True)) <= 100_000
+        # a query over every midpoint returned 462k pairs, the chunk trees
+        # 70k; the descent's leaves are the 3,608 window pairs within reach
+        p = _report_large_trefoil()
+        (w, _, leaf), = _descent_levels(p, True)[-1:]
+        assert w == 1 and leaf <= 8_000
+        assert _tree_queries(p, True) == []
 
     @pytest.mark.parametrize("singly", [False, True])
     def test_random_queries_one_tree_per_block(self, singly):
@@ -1099,40 +1135,87 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("name", ["proxy", "report-large"])
     def test_chunks_cover_the_block_range(self, name):
-        # the queried chunks return every pair within reach whose column
-        # lies in the block's range first..last, as the full tree does
+        # the descent returns every pair of a block's rows within reach
+        # whose column lies in the row's window, as the full tree finds
+        # them; every block of these two takes the descent
         if name == "proxy":
             p, singly = _trefoil_proxy(), False
         else:
             p, singly = _report_large_trefoil(), True
-        ring_pairs, full = thickness._ring_pairs, cKDTree(thickness._midpoints(p))
-        calls = []
+        descent, full = thickness._ring_descent, cKDTree(thickness._midpoints(p))
+        found = []
 
-        def checking(chunks, r0, reach):
-            i, j = ring_pairs(chunks, r0, reach)
-            rows = slice(r0, min(r0 + thickness._BLOCK, p.n))
-            first, last = chunks.ranges[r0 // thickness._BLOCK]
-            every = full.query_ball_point(full.data[rows], reach)
-            in_range = {(r, k) for r, ks in zip(range(rows.start, rows.stop), every)
-                        for k in ks if (k - first) % p.n <= last - first}
-            assert in_range <= set(zip(i.tolist(), j.tolist()))
-            calls.append(len(in_range))
-            return i, j
+        def checking(M, lo, hi, blocks, reach, slack):
+            near = descent(M, lo, hi, blocks, reach, slack)
+            for q, (i, j, _) in near.items():
+                rows = range(q * thickness._BLOCK, min((q + 1) * thickness._BLOCK, p.n))
+                every = full.query_ball_point(M[rows.start:rows.stop], reach)
+                in_window = {(r, k) for r, ks in zip(rows, every)
+                             for k in ks if lo[r] <= (k - r) % p.n <= hi[r]}
+                assert in_window <= set(zip(i.tolist(), j.tolist()))
+                found.append(len(in_window))
+            return near
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness, "_ring_pairs", checking)
+            mp.setattr(thickness, "_ring_descent", checking)
             thickness._pruned_scan(p, singly)
-        assert len(calls) == math.ceil(p.n / thickness._BLOCK) and sum(calls) > 0
+        assert len(found) == math.ceil(p.n / thickness._BLOCK) and sum(found) > 0
 
-    @pytest.mark.parametrize("name, singly, spheres", [
-        ("proxy", False, 1), ("report-large", True, 1), ("random", True, 0),
-        ("regular", True, 1), ("regular", False, 0)])
-    def test_cover_forms_each_part_once(self, name, singly, spheres):
-        # one scan forms the chunks' midpoint spheres at most once, for
-        # both rounds, as it does the row blocks', and builds each tree it
-        # queries once: each chunk tree and the one over all midpoints.  The random polygon's ring
-        # queries the full tree only; the regular n-gon takes the covering
-        # round, whose doubly ranges skip the cull
+    @given(source=st.sampled_from(("torus:2,3", "torus:2,5", "torus:3,4", "random",
+                                   "perturbed", "cranked", "torus", "near-contact",
+                                   "regular", "convex")),
+           n=st.integers(96, 1200), seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0),
+           reach=st.one_of(st.none(), st.floats(0.0, 1.0)), singly=st.booleans(),
+           every=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_descent_matches_brute_force(self, source, n, seed, x, reach, singly, every):
+        # the descent returns exactly the pairs of its blocks' rows within
+        # reach whose column lies in the row's window, with their d2, at the
+        # seed's reach (None) or a random share of the span, for the narrow
+        # blocks of the scan or every block; n = 96 .. 1200 ends in partial
+        # runs at every width when n is not a multiple of 96
+        if source.startswith("torus:"):
+            p = inscribe_equilateral(preset_curve(source, m=4096), n)
+        else:
+            p = _subject(source, n, seed, x)
+        n, M, B = p.n, thickness._midpoints(p), thickness._BLOCK
+        span = 2.0 * float(np.linalg.norm(M, axis=1).max())
+        lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - thickness._TURN_SLACK)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+        if reach is None:
+            r = thickness._doubly_seed(p, M, lo, hi, math.isqrt(n), thickness._workspace(n))
+            reach = thickness._reach(r, float(p.edge_lengths.max()), p.length)
+        else:
+            reach *= span
+        ranges = thickness._Chunks(M, lo, hi, span).ranges
+        blocks = np.flatnonzero([every or last - first + 1 < n - 2 * B
+                                 for first, last in ranges])
+        near = thickness._ring_descent(M, lo, hi, blocks, reach, 1e-9 * span)
+        assert list(near) == blocks.tolist()
+        for q, (i, j, d2) in near.items():
+            rows = np.arange(q * B, min((q + 1) * B, n))
+            D = M[rows, None] - M[None, :]
+            every_d2 = D[..., 0] * D[..., 0] + D[..., 1] * D[..., 1] + D[..., 2] * D[..., 2]
+            m = (np.arange(n) - rows[:, None]) % n
+            ri, k = np.nonzero((every_d2 <= reach * reach)
+                               & (m >= lo[rows, None]) & (m <= hi[rows, None]))
+            order = np.lexsort((j, i))
+            assert np.array_equal(i[order], rows[ri]) and np.array_equal(j[order], k)
+            assert np.array_equal(d2[order], every_d2[ri, k])
+
+    @pytest.mark.parametrize("name, singly, widths, trees", [
+        ("proxy", False, (96, 48, 24, 12, 6, 3), 0),
+        ("report-large", True, (96, 48, 24, 12, 6, 3), 0), ("random", True, (), 1),
+        ("regular", True, (45,), 0), ("regular", False, (), 0)],
+        ids=["proxy", "report-large", "random", "regular-singly", "regular-doubly"])
+    def test_cover_forms_each_part_once(self, name, singly, widths, trees):
+        # one scan forms the midpoint spheres of each run width at most
+        # once, for every node pair of a descent level or for both rounds'
+        # chunks of isqrt(n), and builds the tree it queries once.  The
+        # trefoils' rings take the descent, whose leaves, runs of one,
+        # need no spheres; the random polygon's ring queries the full tree
+        # only; the regular n-gon takes the covering round, whose doubly
+        # ranges skip the cull
         p = {"proxy": _trefoil_proxy, "report-large": _report_large_trefoil,
              "random": lambda: random_equilateral_polygon(2048, np.random.default_rng(3)),
              "regular": lambda: regular_ngon(2048)}[name]()
@@ -1153,15 +1236,14 @@ class TestPrunedScan:
             mp.setattr(thickness, "_spheres", recording)
             mp.setattr(thickness, "cKDTree", Recording)
             thickness._pruned_scan(p, singly)
-        assert formed.count(math.isqrt(p.n)) == spheres and len(formed) == len(set(formed))
+        assert tuple(formed) == widths
         # a tree built twice over the same midpoints shows as two objects
-        assert len({id(t) for t in queried}) == len({t.data.tobytes() for t in queried})
-        assert (len(queried) > 0) == (name != "regular")
+        assert len({id(t) for t in queried}) == len({t.data.tobytes() for t in queried}) == trees
 
     def test_every_wide_gap_holds_a_chunk(self):
-        # the ring queries the needed chunks when its block range leaves out
-        # at least 2 _BLOCK + 1 columns; below n = 9604 those columns hold a
-        # whole chunk, so no such range meets every chunk.  A cyclic run of
+        # a block range that leaves out at least 2 _BLOCK + 1 columns, as
+        # those of the ring's descent do, misses a whole chunk below
+        # n = 9604, so no such range meets every chunk.  A cyclic run of
         # columns that holds no whole chunk lies in two neighbouring chunks
         gap = 2 * thickness._BLOCK + 1
         for n in range(thickness._CROSSOVER, 9604):
@@ -1179,12 +1261,12 @@ class TestPrunedScan:
     @pytest.mark.parametrize("spec", ["torus:2,3", "torus:2,5", "torus:3,4"])
     @pytest.mark.parametrize("n", [256, 1024])
     def test_chunked_ring_matches_dense(self, spec, n):
-        # the doubly rings of two knots at n = 1024 query chunks of 32; the
+        # the doubly rings of two knots at n = 1024 take the descent; the
         # other rings' block ranges leave out at most two blocks of columns
         # and query the full tree
         p = rescale_unit(inscribe_equilateral(preset_curve(spec, m=4096), n))
-        sizes = [size for singly in (False, True) for size, _ in _tree_queries(p, singly)]
-        assert (min(sizes) < n) == ((spec, n) in {("torus:2,3", 1024), ("torus:3,4", 1024)})
+        descended = [bool(_descent_levels(p, singly)) for singly in (False, True)]
+        assert descended == [(spec, n) in {("torus:2,3", 1024), ("torus:3,4", 1024)}, False]
         assert _results(p, thickness._CROSSOVER) == _results(p, 10**9)
 
     @given(kind=st.sampled_from(SUBJECT_KINDS), n=st.integers(4, 160),

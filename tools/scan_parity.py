@@ -30,18 +30,20 @@ so only the library under test differs between checkouts.
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
 the number of pairs delta_n's pruned scan hands to _families and the
-number of _families calls that take them, the number its ring round's
-midpoint tree queries returned and the number of window pairs its
-covering round's perpendicularity filter formed, all counted by the
-tests' wrappers, and the round it ran: "covering" when it called
-_perpendicular, which only the covering round does, "ring" otherwise.  It
-then runs the op sequence of the benchmark's report-large workload, delta_n
-of the trefoil, the regular and a random 2048-gon in turn, each after
-malloc_trim, for 24 rounds, and prints each case's median time and minor
-faults.  Per-block arrays that glibc hands back to the OS are faulted in
-afresh on every block, and the order of the ops decides which ones it keeps,
-so a regression of the allocator shows there first; run it also with
-MALLOC_TRIM_THRESHOLD_=131072, which keeps fewer.
+number of _families calls that take them, the pairs its ring round's
+one-tree queries returned and the leaf pairs of its descent, the window
+pairs its covering round's perpendicularity filter formed, the round it
+ran ("covering" when it called _perpendicular, which only the covering
+round does, "ring" otherwise) and, when the ring took the descent, the
+node pairs that survived each level as width:kept/tested, all counted by
+the tests' wrappers.  It then runs the op sequence of the benchmark's
+report-large workload, delta_n of the trefoil, the regular and a random
+2048-gon in turn, each after malloc_trim, for 24 rounds, and prints each
+case's median time and minor faults.  Per-block arrays that glibc hands
+back to the OS are faulted in afresh on every block, and the order of the
+ops decides which ones it keeps, so a regression of the allocator shows
+there first; run it also with MALLOC_TRIM_THRESHOLD_=131072, which keeps
+fewer.
 """
 
 from __future__ import annotations
@@ -156,19 +158,23 @@ def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
         print(f"sequence {name}\t{seconds * 1e3:.1f} ms\t{faults:.0f} faults", flush=True)
 
 
-def _scan_pairs(p) -> tuple[int, int, int, int, str]:
-    """Pairs the pruned scan of delta_n (singly mode) hands to _families,
-    the calls of _families that take them, pairs its tree queries return,
-    window pairs its covering round's filter forms, and the round it takes:
-    "covering" when it called _perpendicular, which only the covering round
-    does, "ring" otherwise."""
-    from test_thickness import _families_rows, _tree_queries, _window_pairs
+def _scan_pairs(p) -> dict:
+    """What the pruned scan of delta_n (singly mode) does on p: the pairs it
+    hands to _families, the calls of _families that take them, the pairs
+    its one-tree queries return, the leaf pairs of its ring descent, the
+    window pairs its covering round's filter forms, the round it takes,
+    "covering" when it called _perpendicular, which only the covering
+    round does, "ring" otherwise, and the descent's levels as (run width,
+    node pairs tested, node pairs kept)."""
+    from test_thickness import _descent_levels, _families_rows, _tree_queries, _window_pairs
 
-    calls = _families_rows(p, singly=True)
-    tree = sum(size for _, size in _tree_queries(p, singly=True))
-    window = _window_pairs(p, singly=True)
-    return (sum(I.size for I in calls), len(calls), tree, sum(window or []),
-            "ring" if window is None else "covering")
+    calls, levels = _families_rows(p, True), _descent_levels(p, True)
+    window = _window_pairs(p, True)
+    return {"pairs": sum(I.size for I in calls), "calls": len(calls),
+            "tree": sum(size for _, size in _tree_queries(p, True)),
+            "leaf": sum(kept for w, _, kept in levels if w == 1),
+            "window": sum(window or []), "round": "ring" if window is None else "covering",
+            "levels": levels}
 
 
 def main(argv=None) -> int:
@@ -179,8 +185,8 @@ def main(argv=None) -> int:
                     help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
                     help="print best-of-5 delta_n time, minor faults, scanned pairs, "
-                         "kernel calls, tree and window pairs and the round per input, "
-                         "then the report-large sequence")
+                         "kernel calls, tree, leaf and window pairs, the round and the "
+                         "descent's levels per input, then the report-large sequence")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(here / "tests")]
@@ -191,10 +197,12 @@ def main(argv=None) -> int:
         results[name] = _outputs(p)
         if trim is not None:
             seconds, faults = _best_delta_n(p, trim)
-            pairs, calls, tree, window, round_ = _scan_pairs(p)
+            c = _scan_pairs(p)
+            levels = " ".join(f"{w}:{kept}/{tested}" for w, tested, kept in c["levels"])
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{pairs} pairs\t{calls} kernel calls\t{tree} tree pairs"
-                  f"\t{window} window pairs\t{round_}", flush=True)
+                  f"\t{c['pairs']} pairs\t{c['calls']} kernel calls\t{c['tree']} tree pairs"
+                  f"\t{c['leaf']} leaf pairs\t{c['window']} window pairs\t{c['round']}"
+                  f"\t{levels or '-'}", flush=True)
     results["campaigns"] = _campaigns()
     if trim is not None:
         _report_sequence(trim, inputs)
