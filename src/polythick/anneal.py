@@ -16,6 +16,7 @@ resolution, which is not a proof that the knot type is preserved.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,15 @@ _SUBSTEPS = 16               # sweep samples per move in the admissibility check
 _CLEARANCE_FACTOR = 1e-6     # clearance = factor * polygon length
 
 
+def _integral(name: str, value):
+    """value as an int, when it is one (operator.index), else ValueError:
+    a float count would only fail later, inside range or np.arange."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     """Cooling schedule and seed; the move settings are module constants."""
@@ -50,7 +60,7 @@ class AnnealConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
-        if self.steps_per_temp < 1:
+        if _integral("steps_per_temp", self.steps_per_temp) < 1:
             raise ValueError("steps_per_temp must be positive")
         # a zero temperature would divide by zero in the Metropolis test
         if not (math.isfinite(self.t_min) and self.t_min > 0.0):
@@ -89,7 +99,11 @@ class AnnealTrace:
 
 def _swept(p: Polygon, i: int, j: int, angles: np.ndarray) -> np.ndarray:
     """(len(angles), n, 3) stack of p with the open sub-chain between pivots
-    i and j turned about the pivot axis by each angle."""
+    i and j turned about the pivot axis by each angle, which must be
+    finite."""
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise ValueError(f"rotation angle must be finite, got {float(bad[0])!r}")
     n = p.n
     i, j = i % n, j % n
     if i == j:
@@ -134,16 +148,18 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     frame 0 is p and the last frame is the candidate crankshaft_move returns,
     bit for bit.  Every frame must keep all non-adjacent edge pairs farther
     apart than the clearance (default 1e-6 * length); pivots that coincide
-    make the move inadmissible.  Crossings between substeps are not
-    detected, so substeps trades speed against safety; it must be at
-    least 1.
+    and a theta that is not finite make the move inadmissible.  Crossings
+    between substeps are not detected, so substeps trades speed against
+    safety; it must be an integer, at least 1.
     """
-    if substeps < 1:
+    if _integral("substeps", substeps) < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps!r}")
     if clearance is None:
         clearance = _CLEARANCE_FACTOR * p.length
-    # k/substeps * theta, not theta*k/substeps: the last angle is theta exactly
-    angles = np.arange(substeps + 1) / substeps * theta
+    # k/substeps * theta, not theta*k/substeps: the last angle is theta
+    # exactly; an infinite theta reads nan at k = 0, which _swept refuses
+    with np.errstate(invalid="ignore"):
+        angles = np.arange(substeps + 1) / substeps * theta
     try:
         frames = _swept(p, i, j, angles)
     except ValueError:

@@ -21,14 +21,16 @@ annealing objective take the pruned scan: only pairs whose two arcs can
 both turn pi (pi/2 for the singly families), in one round.  It starts
 from a bound r on dcsd: the doubly pairs next to the closest midpoints of
 the turning window, found on a coarse grid and refined around its best
-pair.  A row block's window columns form one cyclic range.  When the
-reach of r falls short of the span, a ring round keeps the window pairs
-whose edge midpoints lie within r + h_max.  The blocks whose range
-leaves out more than two blocks of columns, as on finely inscribed
-smooth curves, take them from one dual-tree descent per scan over runs
-of 96, 48, 24, 12, 6, 3 and 1 consecutive midpoints: a pair of runs is
-dropped when their bounding spheres lie beyond reach or the column run
-misses the row run's range.  A block whose range leaves out at most two blocks of
+pair.  The window columns of a run of consecutive rows, a row block
+included, form one cyclic range (_run_ranges), and one test (_meets)
+says whether a run of columns meets it.  When the reach of r falls
+short of the span, a ring round keeps the window pairs whose edge
+midpoints lie within r + h_max.  The blocks whose range leaves out more
+than two blocks of columns, as on finely inscribed smooth curves, take
+them from one dual-tree descent per scan over runs of 96, 48, 24, 12, 6,
+3 and 1 consecutive midpoints: a pair of runs is dropped when their
+bounding spheres lie beyond reach or the column run misses the row
+run's range.  A block whose range leaves out at most two blocks of
 columns, as on crumpled polygons whose windows leave out only a few arc
 neighbours, queries one k-d tree over all midpoints instead.
 Otherwise, as for the regular n-gon whose dcsd is its diameter, a
@@ -38,12 +40,13 @@ end's vertex, in one of its two edge slabs or its normal wedge, up to a
 slack sigma = 1e-6 (span + h_max + |V|_max) for the kernel's tolerances
 and rounding; near-parallel pairs, whose feet the quadratic fixes
 poorly, are always kept.  A block whose window range is wider than two
-blocks forms the filter only on the columns of the chunks it needs, in
-the chunk cover _Chunks of isqrt(n) consecutive midpoints, each with a
-bounding sphere: the chunks its range meets, less those that, judged on
-the spheres, lie wholly out of reach of the row's vertex, or whose
-vertices each find the row's chunk out of reach, as the filter's mode
-asks, and that hold no edge parallel to the row's.
+blocks forms the filter only on the columns of the chunks it needs,
+chunks being runs of isqrt(n) consecutive midpoints: the chunks its
+range meets, less those that, judged on their bounding spheres, lie
+wholly out of reach of the row's vertex, or whose vertices each find
+the row's chunk out of reach, as the filter's mode asks, and that hold
+no edge parallel to the row's.  _chunk_cull forms that mask for every
+block at once.
 Both enumerations take b = E_i . E_j from one matmul per row block and
 form every other term per pair, so their minima agree bit for bit.  The
 pruned scan hands its kept pairs to _families in batches: each block's
@@ -68,7 +71,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -499,39 +502,22 @@ def _spheres(X: np.ndarray, s: int, slack: float):
     return centres, np.sqrt(np.maximum.reduceat(_dot(D, D), starts)) + slack
 
 
-class _Chunks:
-    """The chunk cover of one pruned scan.  The edge midpoints M come in
-    chunks of s = isqrt(n) consecutive ones, the last possibly shorter,
-    and the window columns i + lo .. i + hi of the rows i of row block q
-    lie in one cyclic range first .. last, ranges[q], taken mod n.
-    needed() maps a row block to the chunks it needs; the bounding spheres
-    are formed on first use and kept for the scan."""
+def _run_ranges(lo, hi, w: int):
+    """(first, last) of each run of w consecutive rows, run k being rows
+    k w .. (k + 1) w - 1 cut at n: the window columns i + lo_i .. i + hi_i
+    of the run's rows lie in the cyclic range first .. last, taken mod n,
+    which lies in 0 .. 2n - 2 when every lo_i .. hi_i lies in 0 .. n - 1."""
+    idx = np.arange(len(lo))
+    return np.minimum.reduceat(idx + lo, idx[::w]), np.maximum.reduceat(idx + hi, idx[::w])
 
-    def __init__(self, M: np.ndarray, lo, hi, span: float):
-        self.M, self.s, self._slack = M, math.isqrt(len(M)), 1e-9 * span
-        idx = np.arange(len(M))
-        self.ranges = list(zip(np.minimum.reduceat(idx + lo, idx[::_BLOCK]).tolist(),
-                               np.maximum.reduceat(idx + hi, idx[::_BLOCK]).tolist()))
 
-    @cached_property
-    def spheres(self):
-        """(centres, radii) of the chunks, the radii padded by 1e-9 of the
-        span for the spheres' rounding."""
-        return _spheres(self.M, self.s, self._slack)
-
-    def needed(self, r0: int, drops) -> np.ndarray:
-        """The mask of the chunks the row block from r0 needs: those its
-        range meets, less the chunks Q where drops(rows, Q), rows being
-        the block's slice, says that the round rejects every pair of the
-        rows and Q."""
-        n, s, (first, last) = len(self.M), self.s, self.ranges[r0 // _BLOCK]
-        f, l = first % n, first % n + last - first      # columns f .. l, taken mod n
-        met = np.zeros(-(-n // s), dtype=bool)
-        met[f // s:l // s + 1] = True
-        met[:max(l - n + s, 0) // s] = True             # and 0 .. l - n, if any
-        Q = np.flatnonzero(met)
-        met[Q[drops(slice(r0, r0 + _BLOCK), Q)]] = False
-        return met
+def _meets(first, last, C, w: int, n: int):
+    """Whether the runs C of w consecutive columns, cut at n, meet the
+    cyclic ranges first .. last, taken mod n, of _run_ranges.  As a range
+    lies in 0 .. 2n - 2, a run meets it as it is or shifted by n; a run
+    wider than one may pass an empty range."""
+    c0, c1 = C * w, np.minimum(C * w + w, n) - 1
+    return ((c0 <= last) & (c1 >= first)) | ((c0 + n <= last) & (c1 + n >= first))
 
 
 def _reach_bounds(p: Polygon, M: np.ndarray, span: float):
@@ -571,9 +557,8 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
     pairs are always kept: there the quadratic's feet lose about
     eps d / (h sin^2 theta), so the kernel's verdict need not match the
     geometry.  The covering round calls keep only on the columns of the
-    chunks _Chunks.needed leaves to the row block under _chunk_cull's
-    drop test, which hold every pair keep keeps; _reach_bounds forms the
-    region bounds for both.
+    chunks that _chunk_cull's mask leaves to the row block, which hold
+    every pair keep keeps; _reach_bounds forms the region bounds for both.
     """
     h = p.edge_lengths
     um, dirs, fa, ga, gb, fb = _reach_bounds(p, M, span)
@@ -597,9 +582,10 @@ def _perpendicular(p: Polygon, singly: bool, M: np.ndarray, span: float,
     return keep
 
 
-def _chunks_out_of_reach(p: Polygon, chunks: _Chunks, span: float) -> np.ndarray:
-    """A[k, C], over vertices k and the chunks C of the scan's cover:
-    _perpendicular's row side rejects every pair (k, j) with j in C.
+def _chunks_out_of_reach(p: Polygon, M: np.ndarray, s: int, span: float) -> np.ndarray:
+    """A[k, C], over vertices k and the chunks C of s consecutive midpoints
+    M, the last possibly shorter: _perpendicular's row side rejects every
+    pair (k, j) with j in C.
 
     It holds when C's bounding sphere, of centre c and radius rho, lies
     wholly in one of vertex k's out-of-reach regions, that is c . u -+ rho
@@ -612,8 +598,8 @@ def _chunks_out_of_reach(p: Polygon, chunks: _Chunks, span: float) -> np.ndarray
     and of 2 h_max, far above the rounding of either test."""
     n, h = p.n, p.edge_lengths
     hmax, hmin = float(h.max()), float(h.min())
-    um, up, fa, ga, gb, fb = _reach_bounds(p, chunks.M, span)
-    c, rho = chunks.spheres
+    um, up, fa, ga, gb, fb = _reach_bounds(p, M, span)
+    c, rho = _spheres(M, s, 1e-9 * span)
     sphere, Y = np.column_stack([c, np.ones(len(c)), rho]), np.empty((n, len(c)))
 
     def beyond(u, bound, sign):        # u_k . c_C - bound_k + sign rho_C, into Y
@@ -621,32 +607,32 @@ def _chunks_out_of_reach(p: Polygon, chunks: _Chunks, span: float) -> np.ndarray
 
     A = (beyond(um, fa, -1.0) > 0.0) & (beyond(up, ga, -1.0) > 0.0)
     A |= (beyond(up, gb, 1.0) < 0.0) & (beyond(um, fb, 1.0) < 0.0)
-    e, q = _spheres(p.edges, chunks.s, 2e-9 * hmax)
+    e, q = _spheres(p.edges, s, 2e-9 * hmax)
     t = math.sqrt(hmax * hmax * (hmax * hmax - (1.0 - _PARALLEL) * hmin * hmin))
     Ee = np.matmul(p.edges, e.T, out=Y)
     A &= np.multiply(Ee, Ee, out=Ee) < hmin * hmin * _dot(e, e) - (t + hmax * q) ** 2
     return A
 
 
-def _chunk_cull(p: Polygon, singly: bool, chunks: _Chunks, span: float):
-    """The covering round's drop test for _Chunks.needed: drops(rows, Q)
-    is the mask of the chunks Q in which _perpendicular rejects every pair
-    of the rows.
+def _chunk_cull(p: Polygon, singly: bool, M: np.ndarray, first, last, s: int,
+                span: float) -> np.ndarray:
+    """needed[q, Q], over the row blocks q and the chunks Q of s
+    consecutive midpoints M: the chunks that block q's window range
+    first[q] .. last[q] meets, less those in which _perpendicular rejects
+    every pair of the block's rows.
 
     Row i's side of chunk Q is A[i, Q] of _chunks_out_of_reach.  Its
     column side is A[j, P] for every vertex j of Q, P being the chunk
     that holds midpoint i: one logical_and.reduceat of A over Q's rows.
     Row i drops Q when both sides hold (singly) or either does (doubly),
-    as _perpendicular drops a pair."""
-    s, idx = chunks.s, np.arange(p.n)
-    A = _chunks_out_of_reach(p, chunks, span)
+    as _perpendicular drops a pair, and a block drops Q when each of its
+    rows does: one logical_and.reduceat over the block's rows."""
+    idx = np.arange(p.n)
+    A = _chunks_out_of_reach(p, M, s, span)
     B = np.logical_and.reduceat(A, idx[::s], axis=0)     # B[Q, P]
-    both = np.logical_and if singly else np.logical_or
-
-    def drops(rows, Q):
-        return both(A[rows], B[:, idx[rows] // s].T).all(axis=0)[Q]
-
-    return drops
+    drops = (np.logical_and if singly else np.logical_or)(A, B[:, idx // s].T)
+    met = _meets(first[:, None], last[:, None], np.arange(len(B)), s, p.n)
+    return met & ~np.logical_and.reduceat(drops, idx[::_BLOCK], axis=0)
 
 
 def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, s: int, workspace) -> float:
@@ -691,13 +677,8 @@ def _node_pairs(M: np.ndarray, lo, hi, w: int, R, C, reach: float, slack: float)
     the runs' bounding spheres, padded by slack, come within reach.  Runs
     of one midpoint take the exact test |M_i - M_j|^2 <= reach^2, summed
     as cKDTree sums it; their pairs come back with that d2."""
-    n, idx = len(M), np.arange(len(M))
-    first = np.minimum.reduceat(idx + lo, idx[::w]).take(R)
-    last = np.maximum.reduceat(idx + hi, idx[::w]).take(R)
-    c0, c1 = C * w, np.minimum(C * w + w, n) - 1
-    # first .. last lies in 0 .. 2n - 2, so the columns meet it as they
-    # are or shifted by n; a run wider than one may pass an empty range
-    near = ((c0 <= last) & (c1 >= first)) | ((c0 + n <= last) & (c1 + n >= first))
+    first, last = (x.take(R) for x in _run_ranges(lo, hi, w))
+    near = _meets(first, last, C, w, len(M))
     R, C = R[near], C[near]
     if w > 1:
         centres, radii = _spheres(M, w, slack)
@@ -756,11 +737,12 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     d + h_max apart, and both arcs between a doubly critical pair turn at
     least pi (pi/2 for a singly critical one: its chord is perpendicular
     to a tangent or a one-sided vertex direction at one end).  r is
-    _doubly_seed's bound on dcsd.  Both rounds work per row block, whose
-    window columns lie in one cyclic range, _Chunks.ranges.  When the
-    _reach of r falls short of the span, the ring round takes, per row
-    block, the turning window's pairs whose midpoint distance is within
-    _reach of r, or of the best doubly pair so far when that is closer.
+    _doubly_seed's bound on dcsd, found on a grid of stride s = isqrt(n).
+    Both rounds work per row block q, whose window columns lie in one
+    cyclic range first[q] .. last[q] of _run_ranges.  When the _reach of
+    r falls short of the span, the ring round takes, per row block, the
+    turning window's pairs whose midpoint distance is within _reach of
+    r, or of the best doubly pair so far when that is closer.
     The blocks whose range leaves out more than two blocks of columns
     take them from one _ring_descent per scan, run at the reach of r
     before the first block; each block keeps those of its pairs within
@@ -773,9 +755,9 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     finds it again and ends with a doubly pair within r, which settles
     the minima, as scsd <= dcsd.  Otherwise, r being +inf included, the
     covering round takes the window columns that pass _perpendicular, and
-    forms that filter only on the columns of the chunks _Chunks.needed
-    leaves under _chunk_cull's drop test: the chunks out of reach of
-    every row, which the filter would reject pair by pair, are dropped
+    forms that filter only on the columns of the chunks of s midpoints
+    that _chunk_cull's mask leaves to the block: the chunks out of reach
+    of every row, which the filter would reject pair by pair, are dropped
     whole.  A block whose window range spans at most two blocks of
     columns, as every block of the regular n-gon's doubly round does,
     skips the cull, whose cost there exceeds what it could drop; the cull
@@ -805,19 +787,18 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
-    workspace, chunks = _workspace(n), _Chunks(M, lo, hi, span)
-    out, pending = _Collector(p.edge_lengths), []
-    r = _doubly_seed(p, M, lo, hi, chunks.s, workspace)
+    s, (first, last) = math.isqrt(n), _run_ranges(lo, hi, _BLOCK)
+    workspace, out, pending = _workspace(n), _Collector(p.edge_lengths), []
+    r = _doubly_seed(p, M, lo, hi, s, workspace)
     ring = _reach(r, h, p.length) < span                      # beyond span every pair is in
     if ring:
-        narrow = np.flatnonzero([last - first + 1 < n - 2 * _BLOCK
-                                 for first, last in chunks.ranges])
+        narrow = np.flatnonzero(last - first + 1 < n - 2 * _BLOCK)
         near = _ring_descent(M, lo, hi, narrow, _reach(r, h, p.length),
                              1e-9 * span) if narrow.size else {}
         tree = cache(lambda: cKDTree(M))
     else:
         perpendicular = _perpendicular(p, singly, M, span, workspace)
-        cull = cache(lambda: _chunk_cull(p, singly, chunks, span))
+        cull = cache(lambda: _chunk_cull(p, singly, M, first, last, s, span))
 
     def flush():     # a lone block goes as it is, uncopied
         batch = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
@@ -825,11 +806,11 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         pending.clear()
 
     for r0 in range(0, n, _BLOCK):
-        rows, b = slice(r0, r0 + _BLOCK), None
+        q, rows, b = r0 // _BLOCK, slice(r0, r0 + _BLOCK), None
         if ring:
             reach = _reach(min(r, out.doubly_min), h, p.length)
-            if r0 // _BLOCK in near:
-                i, j, d2 = near[r0 // _BLOCK]
+            if q in near:
+                i, j, d2 = near[q]
                 keep = d2 <= reach * reach
             else:
                 i, j = _ring_pairs(M, tree(), r0, reach)
@@ -839,10 +820,9 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
         else:
             # columns i + lo .. i + hi of every row i, unrolled into U
             R, b = idx[rows], _gram(p.edges, rows, workspace)
-            first, last = chunks.ranges[r0 // _BLOCK]
-            U = np.arange(first, last + 1)
+            U = np.arange(first[q], last[q] + 1)
             if U.size > 2 * _BLOCK:     # a narrower range leaves the cull little to drop
-                U = U[chunks.needed(r0, cull())[U % n // chunks.s]]
+                U = U[cull()[q, U % n // s]]
             ri, k = np.nonzero((U >= (R + lo[rows])[:, None]) & (U <= (R + hi[rows])[:, None])
                                & perpendicular(R, U % n, b))
             flat = ri * n + U[k] % n

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ class TestCrankshaftMove:
         with pytest.raises(ValueError):
             crankshaft_move(regular_ngon(6), 2, 2, 0.3)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, theta):
+        # refused before the trig, which warned, and before the Polygon
+        # check, which named the vertices rather than the angle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"rotation angle must be finite, got {theta}"):
+                crankshaft_move(regular_ngon(6), 0, 3, theta)
+
 
 class TestMoveAdmissibility:
     def test_small_move_admissible(self):
@@ -91,6 +101,13 @@ class TestMoveAdmissibility:
 
     def test_equal_pivots_inadmissible(self):
         assert not move_is_admissible(regular_ngon(6), 3, 3, 0.2)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_inadmissible(self, theta):
+        # as coincident pivots are, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not move_is_admissible(regular_ngon(6), 0, 3, theta)
 
     def test_substeps_sample_the_sweep(self):
         # the hexagon flip stays clear of itself early in the sweep and
@@ -216,6 +233,17 @@ class TestMoveAdmissibility:
     def test_substeps_below_one_rejected(self, substeps):
         with pytest.raises(ValueError, match="substeps"):
             move_is_admissible(regular_ngon(8), 0, 4, 0.3, substeps=substeps)
+
+    @pytest.mark.parametrize("substeps", [2.0, 2.5, "2", None])
+    def test_substeps_not_an_integer_rejected(self, substeps):
+        # a float count failed inside np.arange with a TypeError
+        with pytest.raises(ValueError, match=f"substeps must be an integer, got {substeps!r}"):
+            move_is_admissible(regular_ngon(8), 0, 4, 0.3, substeps=substeps)
+
+    def test_integral_substeps_accepted(self):
+        p = regular_ngon(8)
+        assert move_is_admissible(p, 0, 4, 0.3, substeps=np.int64(4)) == \
+            move_is_admissible(p, 0, 4, 0.3, substeps=4)
 
     def test_clearance_scales(self):
         p = regular_ngon(8)
@@ -347,6 +375,11 @@ class TestAnneal:
             AnnealConfig(cooling=1.5)
         with pytest.raises(ValueError):
             AnnealConfig(steps_per_temp=0)
+        # a float count failed only in anneal, inside range, with a TypeError
+        for bad in (2.5, 2.0, "200", None):
+            with pytest.raises(ValueError, match=f"steps_per_temp must be an integer, got {bad!r}"):
+                AnnealConfig(steps_per_temp=bad)
+        AnnealConfig(steps_per_temp=np.int64(5))
         # a temperature of zero or below, or not finite, is refused before
         # it can reach the Metropolis test, where it would divide by zero
         for bad in (0.0, -1e-3, math.nan, math.inf):

@@ -143,7 +143,8 @@ class TestRegularPolygons:
 
 class TestRegularNgonUniqueness:
     """The regular n-gon is the unique minimizer of L / delta_n, tested next
-    to it: a crankshaft move by eps raises the value by at least 1.9 eps^2.
+    to it: a crankshaft move by eps raises the value by at least 1.9 eps^2,
+    and direction noise by a multiple of its largest angle deviation^2.
 
     A scan of 60 random pivot pairs per n, eps in {1e-4, 1e-3, 1e-2, 0.1}
     and both signs read a smallest excess / eps^2 of 2.000 at n = 4, 2.245
@@ -164,6 +165,24 @@ class TestRegularNgonUniqueness:
         q = crankshaft_move(regular_ngon(n), i, j, eps)
         excess = q.length * delta_n(q).inv_delta_n - closed_form_inv(n)
         assert excess >= 1.9 * eps * eps
+
+    @given(n=st.integers(4, 64), sigma=st.floats(1e-4, 3e-2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_perturbed_regular_costs_its_angle_deviation_squared(self, n, sigma, seed):
+        # beyond crankshaft moves: direction noise of size sigma, re-closed,
+        # moves every exterior angle phi_i, and the excess must be positive
+        # and at least 20 max_i |phi_i - 2 pi/n|^2.  A scan over n = 4..64
+        # of seeds 0-39 at sigma in {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2}
+        # and seeds 40-239 at sigma in {2e-2, 3e-2} (39,040 polygons) read
+        # every excess positive and a smallest excess / deviation^2 of 37.9
+        # (n = 10, sigma = 3e-2, seed 29); the ratio only falls as sigma
+        # grows, since the excess is first order in the deviation (at
+        # least 4.2 times it in the scan), so 20 leaves about half of the
+        # smallest reading as room
+        p = perturbed_regular(n, sigma, np.random.default_rng(seed))
+        deviation = float(np.abs(p.exterior_angles() - 2.0 * math.pi / n).max())
+        excess = p.length * delta_n(p).inv_delta_n - closed_form_inv(n)
+        assert excess > 0.0 and excess >= 20.0 * deviation * deviation
 
 
 class TestCriticalPairGeometry:
@@ -731,11 +750,10 @@ def _cull_mask(p: Polygon, singly: bool, window: bool = False) -> np.ndarray:
     if window:
         lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - thickness._TURN_SLACK)
         lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
-    chunks = thickness._Chunks(M, lo, hi, span)
-    drops = thickness._chunk_cull(p, singly, chunks, span)
-    return np.vstack([np.broadcast_to(chunks.needed(r0, drops)[idx // chunks.s],
-                                      (min(thickness._BLOCK, n - r0), n))
-                      for r0 in range(0, n, thickness._BLOCK)])
+    s, starts = math.isqrt(n), idx[::thickness._BLOCK]
+    needed = thickness._chunk_cull(p, singly, M, *thickness._run_ranges(lo, hi, thickness._BLOCK),
+                                   s, span)
+    return np.repeat(needed[:, idx // s], np.diff(starts, append=n), axis=0)
 
 
 class TestPerpendicularityLemma:
@@ -796,9 +814,8 @@ class TestPerpendicularityLemma:
         h = p.edge_lengths
         jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, (p.n, 3))
         M = thickness._midpoints(p) + 4.0 * x * float(h.max()) * jitter
-        span, zero = 2.0 * float(np.linalg.norm(M, axis=1).max()), np.zeros(p.n, int)
-        chunks = thickness._Chunks(M, zero, zero, span)
-        A = thickness._chunks_out_of_reach(p, chunks, span)[:, np.arange(p.n) // chunks.s]
+        span, s = 2.0 * float(np.linalg.norm(M, axis=1).max()), math.isqrt(p.n)
+        A = thickness._chunks_out_of_reach(p, M, s, span)[:, np.arange(p.n) // s]
         um, up, fa, ga, gb, fb = thickness._reach_bounds(p, M, span)
         F, G = um @ M.T, up @ M.T
         out = ((F > fa[:, None]) & (G > ga[:, None])) | ((G < gb[:, None]) & (F < fb[:, None]))
@@ -1187,9 +1204,8 @@ class TestPrunedScan:
             reach = thickness._reach(r, float(p.edge_lengths.max()), p.length)
         else:
             reach *= span
-        ranges = thickness._Chunks(M, lo, hi, span).ranges
-        blocks = np.flatnonzero([every or last - first + 1 < n - 2 * B
-                                 for first, last in ranges])
+        first, last = thickness._run_ranges(lo, hi, B)
+        blocks = np.flatnonzero(every | (last - first + 1 < n - 2 * B))
         near = thickness._ring_descent(M, lo, hi, blocks, reach, 1e-9 * span)
         assert list(near) == blocks.tolist()
         for q, (i, j, d2) in near.items():
@@ -1240,23 +1256,47 @@ class TestPrunedScan:
         # a tree built twice over the same midpoints shows as two objects
         assert len({id(t) for t in queried}) == len({t.data.tobytes() for t in queried}) == trees
 
-    def test_every_wide_gap_holds_a_chunk(self):
-        # a block range that leaves out at least 2 _BLOCK + 1 columns, as
-        # those of the ring's descent do, misses a whole chunk below
-        # n = 9604, so no such range meets every chunk.  A cyclic run of
-        # columns that holds no whole chunk lies in two neighbouring chunks
-        gap = 2 * thickness._BLOCK + 1
-        for n in range(thickness._CROSSOVER, 9604):
-            sizes = np.diff(np.arange(0, n, math.isqrt(n)), append=n)
-            assert (sizes + np.roll(sizes, -1)).max() - 2 < gap
-        # the same through _Chunks.needed, at every offset of the range
-        for n, meets_every in ((9603, False), (9604, True)):
-            zero = np.zeros(n, int)
-            chunks, met = thickness._Chunks(np.zeros((n, 3)), zero, zero, 1.0), []
-            for first in range(n):
-                chunks.ranges = [(first, first + n - 1 - gap)]
-                met.append(chunks.needed(0, lambda R, Q: np.zeros(Q.size, bool)).all())
-            assert any(met) == meets_every
+    @pytest.mark.parametrize("n", [96, 97, 191])
+    def test_meets_is_cyclic_membership(self, n):
+        # every range first .. last with first in 0 .. 2n - 2 and last in
+        # first - 1 .. 2n - 2, empty ranges and ranges that wrap past n
+        # included, against the runs of every width the scan uses: the
+        # descent's and the cull's, isqrt(n).  97 and 191 end in a partial
+        # run at every width, 96 at isqrt(n) = 9 only.  A run meets a
+        # range when it holds a column k mod n of it; a run of one never
+        # meets an empty range, and a wider run may
+        a, b = np.triu_indices(2 * n)
+        first, last = a[a < 2 * n - 1], b[a < 2 * n - 1] - 1     # last from first - 1 up
+        k = np.arange(2 * n - 1)
+        inside = (first[:, None] <= k) & (k <= last[:, None])
+        cover = inside[:, :n].copy()
+        cover[:, :n - 1] |= inside[:, n:]
+        empty = last < first
+        assert np.array_equal(cover.any(axis=1), ~empty)
+        for w in (96, 48, 24, 12, 6, 3, 1, math.isqrt(n)):
+            starts = np.arange(0, n, w)
+            holds = np.logical_or.reduceat(cover, starts, axis=1)
+            meets = thickness._meets(first[:, None], last[:, None],
+                                     np.arange(starts.size), w, n)
+            assert np.array_equal(meets[~empty], holds[~empty])
+            assert w > 1 or not np.any(meets[empty])
+
+    @pytest.mark.parametrize("n", [96, 97, 191])
+    def test_run_ranges_hold_every_window_column(self, n):
+        # each run's range is the hull of its rows' window columns i + lo_i
+        # .. i + hi_i, lo_i > hi_i (an empty window) included, and every
+        # window column of a row lies in a column run that meets its row
+        # run's range
+        idx = np.arange(n)
+        for lo, hi in np.random.default_rng(n).integers(0, n, (40, 2, n)):
+            i, m = np.nonzero((idx >= lo[:, None]) & (idx <= hi[:, None]))
+            for w in (96, 48, 24, 12, 6, 3, 1, math.isqrt(n)):
+                first, last = thickness._run_ranges(lo, hi, w)
+                runs = [slice(q, q + w) for q in range(0, n, w)]
+                assert first.tolist() == [min(idx[r] + lo[r]) for r in runs]
+                assert last.tolist() == [max(idx[r] + hi[r]) for r in runs]
+                C = (i + m) % n // w
+                assert np.all(thickness._meets(first[i // w], last[i // w], C, w, n))
 
     @pytest.mark.parametrize("spec", ["torus:2,3", "torus:2,5", "torus:3,4"])
     @pytest.mark.parametrize("n", [256, 1024])

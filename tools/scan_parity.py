@@ -44,6 +44,16 @@ back to the OS are faulted in afresh on every block, and the order of the
 ops decides which ones it keeps, so a regression of the allocator shows
 there first; run it also with MALLOC_TRIM_THRESHOLD_=131072, which keeps
 fewer.
+
+The lines are tab-separated.  The time and fault columns, the second and
+third of each line, vary from run to run (fault counts are often bimodal,
+as glibc keeps or returns a block); every later column is a count of the
+scan's own work or its round, the same on every run of one library, so
+two checkouts' --faults outputs compare as
+
+    diff <(cut -f1,4- parent.txt) <(cut -f1,4- change.txt)
+
+which leaves the report-large sequence lines with their names only.
 """
 
 from __future__ import annotations
