@@ -16,12 +16,11 @@ resolution, which is not a proof that the knot type is preserved.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polygon import Polygon, _format_table
+from .polygon import Polygon, _format_table, _integral
 from .thickness import _BATCH, _gathered_gap, inv_delta_objective
 
 __all__ = [
@@ -38,13 +37,13 @@ _SUBSTEPS = 16               # sweep samples per move in the admissibility check
 _CLEARANCE_FACTOR = 1e-6     # clearance = factor * polygon length
 
 
-def _integral(name: str, value):
-    """value as an int, when it is one (operator.index), else ValueError:
-    a float count would only fail later, inside range or np.arange."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _seed(value) -> int:
+    """value as a seed for np.random, which takes non-negative integers only;
+    else ValueError naming the setting, before any draw."""
+    seed = _integral("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,7 @@ class AnnealConfig:
             raise ValueError("cooling must be in (0, 1)")
         if _integral("steps_per_temp", self.steps_per_temp) < 1:
             raise ValueError("steps_per_temp must be positive")
+        _seed(self.seed)
         # a zero temperature would divide by zero in the Metropolis test
         if not (math.isfinite(self.t_min) and self.t_min > 0.0):
             raise ValueError(f"t_min must be finite and positive, got {self.t_min!r}")

@@ -13,6 +13,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from .anneal import _seed
 from .polygon import _format_table, regular_ngon
 from .schur import _bounded_arcs, _chord_check, _sphere_check
 # not called here; kept as module attributes that perfbench/spans.py rebinds
@@ -186,6 +187,7 @@ def _campaign(cases: int, seed: int, mode: str, measure) -> SchurCampaignResult:
     schur._check_curvature, and k holds the cases' indices."""
     if cases < 1:
         raise ValueError("cases must be at least 1")
+    seed = _seed(seed)
     margins = np.empty(cases)
     for start in range(0, cases, _CHUNK):
         k = np.arange(start, min(start + _CHUNK, cases))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import warnings
 from typing import Iterable
 
@@ -360,6 +361,15 @@ def total_curvature(p: Polygon | PolyArc) -> float:
 # digits.  '#' starts a comment and blank lines are skipped.  Polygons and
 # curve tables share the format; a polygon's closing edge is implicit (the
 # first vertex is not repeated).
+
+
+def _integral(name: str, value):
+    """value as an int, when it is one (operator.index), else ValueError:
+    a float count would only fail later, inside range or np.arange."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _fmt(x) -> str:

@@ -1,16 +1,18 @@
 """Smooth closed curves and their polygonal approximations.
 
-A curve enters as a dense table of raw parametric samples, is
-reparametrized by arc length and rescaled to total length 1, and from then
-on lives as an ArcLengthCurve: a uniform table of positions and unit
-tangents with cubic position interpolation between samples.  On top of
+A curve lives as an ArcLengthCurve: a table of positions uniform in arc
+length at total length 1, unit tangents from the table, and cubic position
+interpolation between samples.  User curves enter as a dense table of raw
+parametric samples, reparametrized by chord quadrature; the presets, a
+circle and torus knots, are closed forms whose arc length is integrated
+spectrally from their exact speed (preset_curve).  On top of
 that sit the equilateral inscription (Newton on the closure system for all
 vertex parameters and the chord at once, one banded solve a step), the
 unit-length rescale, a thickness estimate, and the W^{1,inf} distance
 between a polygon and a curve.
 
 Three-point circumradii of consecutive samples come from one helper, used
-both for the sagitta correction of the arc-length quadrature and for the
+both for the sagitta correction of the chord quadrature and for the
 radius part of the thickness estimate.  Curve tables are stored in the
 polygon text format of polygon.py, one 'x y z' row per sample.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dtbtrs
 
-from .polygon import Polygon, _format_rows, _parse_rows
+from .polygon import Polygon, _format_rows, _integral, _parse_rows
 from .thickness import dcsd as _polygon_dcsd
 
 __all__ = [
@@ -44,8 +46,10 @@ __all__ = [
 # multiple of the median sample spacing, else the input is not a closed loop.
 _CLOSURE_FACTOR = 10.0
 # read_curve's bound on a table's closed chord sum against 1 and on its chord
-# spread against the mean chord; presets read at most 2e-4 of either from
-# m = 512 on, and within it from m = 128 on (64 for all but torus:4,1)
+# spread against the mean chord.  The circle and torus:2,3, 2,5, 3,2, 3,4,
+# 3,1, 4,1, 5,1 and 5,2 read at most 4.7e-4 of either from m = 512 on
+# (torus:5,1's spread), and within it from m = 128 on (64 for all but
+# torus:4,1, 5,1 and 5,2)
 _UNIT_TOL = 1e-2
 
 
@@ -206,11 +210,10 @@ def circle_samples(count: int = 16384) -> np.ndarray:
     return np.column_stack([np.cos(u), np.sin(u), np.zeros(count)])
 
 
-def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
-                       count: int = 16384) -> np.ndarray:
-    """(a, b) curve on the torus of radii (R, rho), 0 < |rho| < |R|, on
-    which the torus is embedded; the curve is embedded for gcd(a,b)=1.
-    rho must survive R's rounding, or the samples trace one circle twice."""
+def _check_torus(a: int, b: int, R: float, rho: float) -> None:
+    """ValueError unless the (a, b) curve on the torus of radii (R, rho) is
+    embedded: a and b coprime, 0 < |rho| < |R|, and rho not lost in the
+    rounding of R."""
     if math.gcd(abs(a), abs(b)) != 1:
         raise ValueError("torus knot parameters must be coprime")
     if not (math.isfinite(R) and math.isfinite(rho) and 0.0 < abs(rho) < abs(R)):
@@ -219,25 +222,100 @@ def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
     if abs(R) + abs(rho) == abs(R):
         raise ValueError(f"torus radius rho={rho:g} is lost in the rounding "
                          f"of R={R:g}")
-    u = np.arange(count) * (2.0 * np.pi / count)
+
+
+def _torus_points(a: int, b: int, R: float, rho: float, u: np.ndarray) -> np.ndarray:
+    """gamma(u) = ((R + rho cos bu) cos au, (R + rho cos bu) sin au, rho sin bu)."""
     w = R + rho * np.cos(b * u)
     return np.column_stack([w * np.cos(a * u), w * np.sin(a * u),
                             rho * np.sin(b * u)])
 
 
+def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
+                       count: int = 16384) -> np.ndarray:
+    """(a, b) curve on the torus of radii (R, rho), 0 < |rho| < |R|, on
+    which the torus is embedded; the curve is embedded for gcd(a,b)=1.
+    rho must survive R's rounding, or the samples trace one circle twice."""
+    _check_torus(a, b, R, rho)
+    return _torus_points(a, b, R, rho, np.arange(count) * (2.0 * np.pi / count))
+
+
+def _arc_parameters(speed: np.ndarray, m: int):
+    """(u, L): the parameters u_k in [0, 2 pi) at arc length S(u_k) = k L / m,
+    k = 0..m-1, of a curve whose periodic speed |gamma'| is given on the grid
+    u_j = 2 pi j / N, and its length L.
+
+    S on the grid is the speed's mean times u plus the termwise integral of
+    its rfft, which is the periodic trapezoid rule and spectrally accurate
+    for an analytic speed.  Each u_k starts from linear interpolation of S
+    on the grid and takes Newton steps on the cubic Hermite interpolant of
+    S, whose slopes are the speed itself, so its error is O(h^4) in the
+    grid step h.  On the presets one step leaves at most 3e-16 of u and two
+    reach rounding; the third is margin.
+    """
+    N = speed.size
+    h = 2.0 * np.pi / N
+    F = np.fft.rfft(speed)
+    mean = F[0].real / N
+    # the mean integrates to the linear term below; irfft drops the
+    # imaginary Nyquist term, the sine that cos(N u / 2) integrates to,
+    # which vanishes on the grid
+    F[1:] /= 1j * np.arange(1, F.size)
+    F[0] = 0.0
+    g = np.fft.irfft(F, N)
+    L = 2.0 * np.pi * mean
+    # S(0) = 0 exactly, so u_0 = 0 and the table starts at gamma(0)
+    S = np.append(mean * (np.arange(N) * h) + (g - g[0]), L)
+    slope = h * np.append(speed, speed[0])
+    s = np.arange(m) * (L / m)
+    j = np.searchsorted(S, s, side="right") - 1
+    # H(t) = S[j] + f0 t + c2 t^2 + c3 t^3 on t in [0, 1], with H(1) = S[j+1]
+    # and slopes f0, f1 at the ends
+    d, f0, f1 = S[j + 1] - S[j], slope[j], slope[j + 1]
+    c2, c3 = 3.0 * d - 2.0 * f0 - f1, f0 + f1 - 2.0 * d
+    r0 = S[j] - s
+    t = -r0 / d
+    for _ in range(3):
+        t -= (r0 + t * (f0 + t * (c2 + t * c3))) / (f0 + t * (2.0 * c2 + 3.0 * t * c3))
+    return (j + t) * h, L
+
+
 def preset_curve(spec: str, m: int = 4096) -> ArcLengthCurve:
-    """Build a named curve: "circle" or "torus:a,b[,R,rho]"."""
-    raw_count = max(4 * m, 16384)
+    """Build a named curve of m samples: "circle" or "torus:a,b[,R,rho]".
+
+    Each preset is the closed form gamma(u), u in [0, 2 pi), of
+    _torus_points: the unit circle is its (1, 0) curve with R = 1 and
+    rho = 0.  Its speed |gamma'(u)|, sqrt((rho b)^2 + a^2 (R + rho cos bu)^2),
+    is sampled on N = max(4m, 16384) uniform points, and _arc_parameters
+    integrates it to the length L and the parameters u_k at arc length
+    k L / m.  The table is gamma(u_k) / L, k = 0..m-1, and ArcLengthCurve
+    takes its tangents from the table, as for any other.
+    """
+    if _integral("m", m) < 8:
+        raise ValueError(f"need at least 8 curve samples, got m={m}")
     if spec == "circle":
-        return arc_length_reparam(circle_samples(raw_count), m)
-    if spec.startswith("torus:"):
+        a, b, R, rho = 1, 0, 1.0, 0.0
+    elif spec.startswith("torus:"):
         parts = spec[len("torus:"):].split(",")
         if len(parts) not in (2, 4):
-            raise ValueError("torus spec needs 'torus:a,b' or 'torus:a,b,R,rho'")
-        a, b = int(parts[0]), int(parts[1])
-        R, rho = (float(parts[2]), float(parts[3])) if len(parts) == 4 else (2.0, 1.0)
-        return arc_length_reparam(torus_knot_samples(a, b, R, rho, raw_count), m)
-    raise ValueError(f"unknown curve preset {spec!r}")
+            raise ValueError(f"torus spec {spec!r} needs 'torus:a,b' or 'torus:a,b,R,rho'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            R, rho = (float(parts[2]), float(parts[3])) if len(parts) == 4 else (2.0, 1.0)
+        except ValueError:
+            raise ValueError(f"torus spec {spec!r} needs integers a, b and numbers "
+                             f"R, rho") from None
+        _check_torus(a, b, R, rho)
+    else:
+        raise ValueError(f"unknown curve preset {spec!r}")
+    # a power of two brings the radii within 1 exactly, so no square of the
+    # speed overflows and the table rounds as at the radii's own scale
+    e = math.frexp(R)[1]
+    R, rho = math.ldexp(R, -e), math.ldexp(rho, -e)
+    N = max(4 * m, 16384)
+    w = R + rho * np.cos(b * (np.arange(N) * (2.0 * np.pi / N)))
+    u, L = _arc_parameters(np.sqrt((rho * b) ** 2 + (a * w) ** 2), m)
+    return ArcLengthCurve(_torus_points(a, b, R, rho, u) / L)
 
 
 # -- inscription ------------------------------------------------------------

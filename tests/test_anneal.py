@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -388,3 +389,14 @@ class TestAnneal:
             with pytest.raises(ValueError, match="t0"):
                 AnnealConfig(t0=bad)
         AnnealConfig(t0=None, t_min=1e-300)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        (-1, "seed must be a non-negative integer, got -1"),
+        ("2", "seed must be an integer, got '2'"),
+        (None, "seed must be an integer, got None")])
+    def test_seed_validation(self, seed, message):
+        # these failed only inside anneal, in numpy's seeding, naming no setting
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnnealConfig(seed=seed)
+        AnnealConfig(seed=np.int64(5))

@@ -233,6 +233,11 @@ class TestSchurCommand:
                      "--mode", "relaxed"]) == 0
         assert "relaxed" in capsys.readouterr().out
 
+    def test_negative_seed(self, capsys):
+        assert main(["schur-campaign", "--cases", "5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_violations_exit_numerical(self, capsys, monkeypatch):
         # a sign violation would disprove the inequality; fabricate one to
         # pin the exit-code contract without waiting for a miracle
@@ -272,6 +277,11 @@ class TestAnnealCommand:
         out = capsys.readouterr()
         assert loads_polygon(out.out).n == 6
         assert "proposals:" in out.err
+
+    def test_negative_seed(self, capsys):
+        assert main(["anneal", "--input", "tests/data/crumpled10.txt", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_nonsimple_start(self, capsys):
         assert main(["anneal", "--input", "tests/data/pentagram10.txt",

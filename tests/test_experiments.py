@@ -1,6 +1,7 @@
 """Tests for the sweep, table, and campaign drivers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ class TestSphereCampaign:
     def test_cases_validation(self, cases):
         with pytest.raises(ValueError, match="cases must be at least 1"):
             sphere_campaign(cases, seed=0)
+
+
+@pytest.mark.parametrize("campaign", [schur_campaign, sphere_campaign])
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    (-1, "seed must be a non-negative integer, got -1"),
+    ("2", "seed must be an integer, got '2'"),
+    (None, "seed must be an integer, got None")])
+def test_campaign_seed_validation(campaign, seed, message):
+    # these failed in numpy's seeding, with messages that named no setting
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        campaign(3, seed)
 
 
 def _stack(mode, seed, cases):

@@ -22,7 +22,8 @@ from polythick import (
     w1inf_distance,
     write_curve,
 )
-from polythick.smooth import ArcLengthCurve, circle_samples, torus_knot_samples
+from polythick.smooth import (ArcLengthCurve, _arc_parameters, circle_samples,
+                              torus_knot_samples)
 
 
 def _limacon(j2: int) -> np.ndarray:
@@ -175,6 +176,21 @@ class TestArcLengthReparam:
         assert curve.positions[0, 0] != 2.0
 
 
+# the presets of the inscription scan, a thin torus, a negative rho and radii
+# near overflow, with the sampler arguments of their dense references
+DENSE_PRESETS = [("circle", None)] + [
+    (f"torus:{a},{b}", (a, b)) for a, b in
+    ((2, 3), (2, 5), (3, 2), (3, 4), (3, 1), (4, 1), (5, 1), (5, 2))] + [
+    ("torus:2,1,2.0,0.3", (2, 1, 2.0, 0.3)), ("torus:2,3,2.0,-1.0", (2, 3, 2.0, -1.0)),
+    ("torus:2,3,2e300,1e300", (2, 3, 2e300, 1e300))]
+
+
+def _chord_spread(P: np.ndarray) -> float:
+    """read_curve's chord spread: the chords' range over their mean."""
+    chords = np.linalg.norm(np.roll(P, -1, axis=0) - P, axis=1)
+    return float(np.ptp(chords)) * P.shape[0] / float(chords.sum())
+
+
 class TestPresets:
     def test_torus_knot_coprime_check(self):
         with pytest.raises(ValueError):
@@ -185,6 +201,72 @@ class TestPresets:
             preset_curve("lemniscate")
         with pytest.raises(ValueError):
             preset_curve("torus:2")
+
+    @pytest.mark.parametrize("spec", ["circle", "torus:2,3"])
+    @pytest.mark.parametrize("m", [-5, 0, 7])
+    def test_too_few_samples_names_m(self, spec, m):
+        # m = -5 used to build the raw grid and fail in the table as "got 0"
+        with pytest.raises(ValueError, match=f"^need at least 8 curve samples, got m={m}$"):
+            preset_curve(spec, m)
+
+    @pytest.mark.parametrize("m", [100.5, 512.0, "512", None])
+    def test_m_not_an_integer_rejected(self, m):
+        # m = 100.5 built a 101-row table whose closing chord was half the others
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            preset_curve("torus:2,3", m)
+
+    @pytest.mark.parametrize("spec", ["torus:2.5,3", "torus:2,x", "torus:2,3,2.0,wide"])
+    def test_unparsable_spec_is_named(self, spec):
+        # int("2.5") raised a bare "invalid literal for int()"
+        with pytest.raises(ValueError, match=f"^torus spec {re.escape(repr(spec))} needs "):
+            preset_curve(spec)
+
+    @pytest.mark.parametrize("m", [64, 512, 4096])
+    @pytest.mark.parametrize("spec, args", DENSE_PRESETS)
+    def test_matches_dense_reference(self, spec, args, m):
+        # the chord quadrature through max(4m, 16384) raw samples is the
+        # reference; the tables read within 8.0e-15 of it.  Their chords are
+        # as uniform as its, up to m * 1e-14 of spread, which a chord moved
+        # by 1e-14 could add; the largest excess is 1.6e-15 m (torus:2,5, m = 64)
+        count = max(4 * m, 16384)
+        samples = circle_samples(count) if args is None else torus_knot_samples(*args, count=count)
+        dense = arc_length_reparam(samples, m).positions
+        P = preset_curve(spec, m).positions
+        assert np.abs(P - dense).max() <= 3e-14
+        assert _chord_spread(P) <= _chord_spread(dense) + m * 1e-14
+
+    @pytest.mark.parametrize("m", [8, 64, 512, 4096])
+    def test_circle_table_is_closed_form(self, m):
+        # the circle's speed is constant, so u_k = 2 pi k / m
+        u = 2.0 * np.pi * np.arange(m) / m
+        exact = np.column_stack([np.cos(u), np.sin(u), np.zeros(m)]) / (2.0 * np.pi)
+        assert np.abs(preset_curve("circle", m).positions - exact).max() <= \
+            2.0 * np.spacing(1.0 / (2.0 * np.pi))
+
+    @pytest.mark.parametrize("m", [8, 64, 4096])
+    def test_arc_parameters_invert_a_closed_form_length(self, m):
+        # speed 2 + sin u + cos 3u / 2 is not even in u, so its periodic
+        # antiderivative is not 0 at u = 0: S(u) = 2u + 1 - cos u + sin(3u) / 6
+        N = max(4 * m, 16384)
+        u = 2.0 * np.pi * np.arange(N) / N
+        uk, L = _arc_parameters(2.0 + np.sin(u) + 0.5 * np.cos(3.0 * u), m)
+        assert uk[0] == 0.0 and L == pytest.approx(4.0 * np.pi, abs=1e-14)
+        S = 2.0 * uk + (1.0 - np.cos(uk)) + np.sin(3.0 * uk) / 6.0
+        assert np.abs(S - np.arange(m) * (L / m)).max() <= 4.0 * np.finfo(float).eps * L
+
+    @pytest.mark.parametrize("m", [64, 512])
+    @pytest.mark.parametrize("a, b, R, rho", [(2, 3, 2.0, 1.0), (5, 1, 2.0, 1.0),
+                                              (5, 2, 2.0, 1.0), (2, 1, 2.0, 0.3)])
+    def test_newton_residual_at_rounding(self, a, b, R, rho, m):
+        # S(u_k) summed from the speed's Fourier series at each u_k, off the
+        # grid, against k L / m: at most 1.5 eps L
+        N = max(4 * m, 16384)
+        f = np.hypot(rho * b, a * (R + rho * np.cos(b * 2.0 * np.pi * np.arange(N) / N)))
+        u, L = _arc_parameters(f, m)
+        F, k = np.fft.rfft(f), np.arange(1, N // 2)
+        S = F[0].real / N * u + (2.0 / N) * ((np.exp(1j * np.outer(u, k)) - 1.0)
+                                             @ (F[1:N // 2] / (1j * k))).real
+        assert np.abs(S - np.arange(m) * (L / m)).max() <= 4.0 * np.finfo(float).eps * L
 
     def test_trefoil_is_unit_length(self, trefoil):
         assert trefoil.length == 1.0

@@ -17,6 +17,21 @@ must leave them equal:
     python tools/scan_parity.py parent.json --checkout ../parent
     cmp parent.json change.json
 
+A change that moves its inputs by design, as a new curve table moves the
+inscribed polygons, cannot be checked with cmp.  Then
+
+    python tools/scan_parity.py --compare parent.json change.json
+
+prints, one tab-separated line each, every value that differs: its input,
+its key, both values and their relative change |b - a| / |a|, or - for a
+verdict, a kind or an index.  A key names a report field as delta_n.dcsd,
+a list item as strict/0[17], and a pair's s, t or distance by the pair,
+as critical_pairs_singly[edge-edge singly 3 67 #1].distance, so pairs
+that swap places in the list still compare.  The output ends with the
+largest relative change of each key, list items taken together, and the
+input where it is, and exits 1; it prints identical and exits 0 when
+nothing differs.
+
 The inputs cover both pruned-scan rounds and the dense scan's range: inscribed
 torus knots at n = 128..512, random equilateral polygons (one of them a
 384-gon whose ring at 2 min_rad fell short of dcsd), perturbed regular
@@ -62,9 +77,11 @@ import argparse
 import ctypes
 import json
 import math
+import re
 import resource
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 
@@ -187,10 +204,91 @@ def _scan_pairs(p) -> dict:
             "levels": levels}
 
 
+# the columns of a critical_pairs line, as _outputs writes it
+_PAIR_COLUMNS = ("s", "t", "distance", "kind", "criticality", "i", "j")
+
+
+def _leaves(key: str, value):
+    """(key, value) of each scalar in one recorded output: a delta_n
+    report's fields, a list's length and items, and a pair line's s, t and
+    distance.  A pair is named by its kind, criticality and edges, and two
+    of one name by their order in s, not by their places in the list,
+    which ties broken the other way change."""
+    if key == "delta_n":
+        for field, v in json.loads(value).items():
+            yield f"delta_n.{field}", v
+    elif isinstance(value, list):
+        yield f"{key}.length", len(value)
+        rows = [item.split() for item in value]
+        if rows and len(rows[0]) == len(_PAIR_COLUMNS):
+            seen = Counter()
+            for cols in sorted(rows, key=lambda c: (c[3:], float.fromhex(c[0]))):
+                pair = " ".join(cols[3:])
+                seen[pair] += 1
+                for col, v in zip(_PAIR_COLUMNS[:3], cols):
+                    yield f"{key}[{pair} #{seen[pair]}].{col}", v
+        else:
+            yield from ((f"{key}[{k}]", item) for k, item in enumerate(value))
+    else:
+        yield key, value
+
+
+def _number(value):
+    """A recorded float (float.hex or a JSON number) as a float, else None."""
+    if isinstance(value, str) and ("0x" in value or value in ("inf", "-inf", "nan")):
+        return float.fromhex(value)
+    if isinstance(value, float):
+        return value
+    return None
+
+
+def _relative(x, y) -> str:
+    """|y - x| / |x| of two recorded values, or - when either is no float."""
+    x, y = _number(x), _number(y)
+    if x is None or y is None:
+        return "-"
+    return format(abs(y - x) / abs(x) if x else math.inf, ".3g")
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    """Print every value that differs between two parity files, then the
+    largest relative change per key; 0 when they are identical, else 1."""
+    a, b = (json.loads(path.read_text()) for path in (path_a, path_b))
+    largest, differs = {}, False
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}\tonly in {path_a if name in a else path_b}")
+            differs = True
+            continue
+        leaves_a, leaves_b = (dict(leaf for key in sorted(side[name])
+                                   for leaf in _leaves(key, side[name][key]))
+                              for side in (a, b))
+        for key in sorted(leaves_a.keys() | leaves_b.keys()):
+            va, vb = leaves_a.get(key), leaves_b.get(key)
+            if repr(va) == repr(vb):
+                continue
+            rel = _relative(va, vb)
+            shown = [repr(_number(v)) if _number(v) is not None else v for v in (va, vb)]
+            print(f"{name}\t{key}\t{shown[0]}\t{shown[1]}\t{rel}")
+            differs = True
+            group = re.sub(r"\[[^]]*\]", "[]", key)
+            rank = -1.0 if rel == "-" else float(rel)
+            if group not in largest or rank > largest[group][0]:
+                largest[group] = (rank, rel, name)
+    if not differs:
+        print("identical")
+        return 0
+    for group, (_, rel, name) in sorted(largest.items()):
+        print(f"largest\t{group}\t{rel}\t{name}")
+    return 1
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", type=Path, help="JSON file to write")
+    ap.add_argument("out", type=Path, nargs="?", help="JSON file to write")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                    help="print every value that differs between parity files A and B")
     ap.add_argument("--checkout", type=Path, default=here,
                     help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
@@ -198,6 +296,10 @@ def main(argv=None) -> int:
                          "kernel calls, tree, leaf and window pairs, the round and the "
                          "descent's levels per input, then the report-large sequence")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("name the JSON file to write, or --compare two of them")
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(here / "tests")]
     trim = ctypes.CDLL("libc.so.6").malloc_trim if args.faults else None
