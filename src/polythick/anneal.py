@@ -150,12 +150,15 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     apart than the clearance (default 1e-6 * length); pivots that coincide
     and a theta that is not finite make the move inadmissible.  Crossings
     between substeps are not detected, so substeps trades speed against
-    safety; it must be an integer, at least 1.
+    safety; it must be an integer, at least 1.  A clearance that is
+    negative, which would admit every move, or not finite is a ValueError.
     """
     if _integral("substeps", substeps) < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps!r}")
     if clearance is None:
         clearance = _CLEARANCE_FACTOR * p.length
+    elif not (math.isfinite(clearance) and clearance >= 0.0):
+        raise ValueError(f"clearance must be finite and non-negative, got {clearance!r}")
     # k/substeps * theta, not theta*k/substeps: the last angle is theta
     # exactly; an infinite theta reads nan at k = 0, which _swept refuses
     with np.errstate(invalid="ignore"):

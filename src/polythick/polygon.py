@@ -204,8 +204,9 @@ class Polygon(_Polyline):
     # -- arc-length parametrisation ----------------------------------------
 
     def arc_point(self, t) -> np.ndarray:
-        """Point at arc-length parameter t (mod 1).  Accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
+        """Point at arc-length parameter t (mod 1).  Accepts scalars or
+        arrays; a t that is not finite is a ValueError."""
+        t = _arc_parameter("t", t)
         u = np.mod(t, 1.0) * self.n
         k = np.minimum(u.astype(int), self.n - 1)
         frac = u - k
@@ -217,11 +218,11 @@ class Polygon(_Polyline):
 
         At vertex parameters the tangent jumps; side="right" (default) gives
         the outgoing edge direction, side="left" the incoming one.  Off the
-        vertices both sides agree.
+        vertices both sides agree.  A t that is not finite is a ValueError.
         """
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        t = np.asarray(t, dtype=float)
+        t = _arc_parameter("t", t)
         u = np.mod(t, 1.0) * self.n
         k = np.minimum(u.astype(int), self.n - 1)
         frac = u - k
@@ -370,6 +371,15 @@ def _integral(name: str, value):
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _arc_parameter(name: str, value) -> np.ndarray:
+    """value as a float array when every entry is finite, else ValueError
+    naming it: mod 1 turns nan and inf into nan, which indexes no edge."""
+    t = np.asarray(value, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"{name} must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    return t
 
 
 def _fmt(x) -> str:

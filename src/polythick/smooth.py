@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dtbtrs
 
-from .polygon import Polygon, _format_rows, _integral, _parse_rows
+from .polygon import Polygon, _arc_parameter, _format_rows, _integral, _parse_rows
 from .thickness import dcsd as _polygon_dcsd
 
 __all__ = [
@@ -105,12 +105,14 @@ class ArcLengthCurve:
         return 1.0
 
     def position(self, t) -> np.ndarray:
-        """gamma(t), t taken mod 1; accepts scalars or arrays."""
-        return self._spline(np.mod(t, 1.0))
+        """gamma(t), t taken mod 1; accepts scalars or arrays.  A t that is
+        not finite is a ValueError."""
+        return self._spline(np.mod(_arc_parameter("t", t), 1.0))
 
     def tangent(self, t) -> np.ndarray:
-        """Unit tangent at t: linear interpolation of the table, renormalized."""
-        u = np.mod(np.asarray(t, dtype=float), 1.0) * self._m
+        """Unit tangent at t: linear interpolation of the table, renormalized.
+        A t that is not finite is a ValueError."""
+        u = np.mod(_arc_parameter("t", t), 1.0) * self._m
         k = np.minimum(u.astype(int), self._m - 1)
         frac = (u - k)[..., None]
         T = (1.0 - frac) * self._T[k] + frac * self._T[(k + 1) % self._m]

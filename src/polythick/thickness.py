@@ -57,13 +57,19 @@ arithmetic on one block's few hundred pairs.
 Every scan writes b into one workspace that lives for the scan, and the
 covering round's filter works in the workspace's other two rows,
 so no block allocates a float array of its size.
+Every scan hands its candidates to a _Collector, which follows the minima
+and keeps only what its caller can pick: every candidate for
+critical_pairs(), the doubly ones within _TIE * L of the running doubly
+minimum for delta_n(), whose achieving pair is picked among those within
+_TIE * L of the last, and none for dcsd, scsd and the objective, which
+read the minima alone.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) is measured one way, on gathered pairs of edges of a
 stack of vertex frames (_gathered_gap).  is_simple and the objective
-gather the pairs a midpoint tree finds within reach of a clearance
-(_gap_within); the annealer's sweep check gathers the pairs a crankshaft
-move can bring closer.  Python-level pair objects are only materialised
-by critical_pairs() and delta_n().
+gather the non-adjacent pairs a midpoint tree finds within reach of a
+clearance (_gap_within); the annealer's sweep check gathers the pairs a
+crankshaft move can bring closer.  Python-level pair objects are only
+materialised by critical_pairs() and delta_n().
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from functools import cache, reduce
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .polygon import Polygon, max_curv2, min_rad
+from .polygon import Polygon, _arc_parameter, max_curv2, min_rad
 
 __all__ = [
     "CriticalPair",
@@ -171,34 +177,48 @@ def _extremal(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _Collector:
-    """Accepted candidates from all enumeration families, with their minima.
+    """The minima of the accepted candidates of all enumeration families,
+    and the candidates a minimum can pick.
 
     add() takes the row and column labels i, j of the evaluated pairs, as
     broadcast against the mask, with the edge fractions fs, ft of the two
-    points, 0.0 at a vertex, and keeps i, j, dist, fs, ft for the accepted
-    entries only; min and doubly_min follow the smallest distance kept.
-    arrays() forms the flat columns, with s = (cum[i] + fs * lens[i]) / L
-    and t alike, wrapped into [0, 1): a foot at the end of edge n - 1 is
-    vertex 0.  Labels are kept as found, s > t included; _pair_at swaps
-    such a pair when it is reported.
+    points, 0.0 at a vertex; min and doubly_min follow the smallest
+    accepted distance.  It keeps i, j, dist, fs, ft of every accepted entry
+    when window is None, as critical_pairs needs, and otherwise only of the
+    doubly ones within window of the running doubly_min, none at -inf.  A
+    family with no accepted entry keeps nothing, whatever the window.  The
+    minimum only falls, so a candidate within window of the final
+    doubly_min was within window of it when added, and _min_with_tiebreak
+    finds every one it needs; kept candidates keep the order they were
+    found in, which its tie-break reads.
+    arrays() forms the flat columns of the kept candidates, with
+    s = (cum[i] + fs * lens[i]) / L and t alike, wrapped into [0, 1): a
+    foot at the end of edge n - 1 is vertex 0.  Labels are kept as found,
+    s > t included; _pair_at swaps such a pair when it is reported.
     """
 
-    def __init__(self, lens: np.ndarray):
-        self._lens = lens
+    def __init__(self, lens: np.ndarray, window: float | None = None):
+        self._lens, self._window = lens, window
         self.min = self.doubly_min = np.inf
         z = np.zeros(0)   # a typed empty chunk, so a scan with no candidates works
         self._chunks = [(z.astype(int), z.astype(int), z, z, z, 0, False)]
 
     def add(self, i, j, mask, dist, fs, ft, kind: int, doubly: bool):
-        if not np.any(mask):
+        dist = np.broadcast_to(dist, mask.shape)
+        d = float(np.min(dist, where=mask, initial=np.inf))
+        if d == np.inf:                                   # nothing accepted
             return
-        i, j, dist, fs, ft = (np.broadcast_to(x, mask.shape)[mask]
-                              for x in (i, j, dist, fs, ft))
-        self._chunks.append((i, j, dist, fs, ft, kind, doubly))
-        d = float(dist.min())
         self.min = min(self.min, d)
         if doubly:
             self.doubly_min = min(self.doubly_min, d)
+        if self._window is not None:
+            limit = self.doubly_min + self._window
+            if not doubly or d > limit:
+                return
+            mask = mask & (dist <= limit)
+        i, j, dist, fs, ft = (np.broadcast_to(x, mask.shape)[mask]
+                              for x in (i, j, dist, fs, ft))
+        self._chunks.append((i, j, dist, fs, ft, kind, doubly))
 
     def arrays(self) -> dict:
         i, j, dist, fs, ft, kind, doubly = zip(*self._chunks)
@@ -344,10 +364,13 @@ def _gathered_gap(V: np.ndarray, F, I, J) -> float:
 def _gap_within(p: Polygon, clearance: float) -> float:
     """The edge gap of p when it is at most clearance, a larger value
     otherwise, measured on the pairs whose midpoints a tree finds within
-    _reach(clearance, h_max) only."""
+    _reach(clearance, h_max) only, less the adjacent ones: every edge's
+    neighbours are within reach, and on a finely inscribed curve they are
+    most of the pairs the tree finds."""
     reach = _reach(clearance, float(p.edge_lengths.max()), p.length)
     I, J = cKDTree(_midpoints(p)).query_pairs(reach, output_type="ndarray").T  # i < j
-    return _gathered_gap(p.vertices[None], 0, I, J)
+    ok = _pair_ok(I, J, p.n)
+    return _gathered_gap(p.vertices[None], 0, I[ok], J[ok])
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +489,11 @@ def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
             out.add(I, J, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
 
 
-def _scan(p: Polygon, singly: bool) -> _Collector:
+def _scan(p: Polygon, singly: bool, window: float | None = None) -> _Collector:
     """Every critical-pair candidate of p: _families over all n^2 pairs,
-    one row block against every column at a time."""
-    idx, out = np.arange(p.n), _Collector(p.edge_lengths)
+    one row block against every column at a time, into a _Collector with
+    that window."""
+    idx, out = np.arange(p.n), _Collector(p.edge_lengths, window)
     workspace = _workspace(p.n)
     for r0 in range(0, p.n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
@@ -665,7 +689,7 @@ def _doubly_seed(p: Polygon, M: np.ndarray, lo, hi, s: int, workspace) -> float:
     for q in np.unique(blocks):
         k, r0 = blocks == q, q * _BLOCK
         b[k] = _gram(p.edges, slice(r0, r0 + _BLOCK), workspace)[I[k] - r0, J[k]]
-    out = _Collector(p.edge_lengths)
+    out = _Collector(p.edge_lengths, -math.inf)
     _families(out, p, I, J, b, False)
     return out.doubly_min
 
@@ -730,8 +754,9 @@ def _ring_pairs(M: np.ndarray, tree: cKDTree, r0: int, reach: float):
     return near["i"] + r0, near["j"]
 
 
-def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
-    """The candidates of _scan that can decide its minima, in one round.
+def _pruned_scan(p: Polygon, singly: bool, window: float | None = None) -> _Collector:
+    """The candidates of _scan that can decide its minima, in one round,
+    into a _Collector with that window.
 
     A candidate at distance d joins edges whose midpoints are at most
     d + h_max apart, and both arcs between a doubly critical pair turn at
@@ -771,7 +796,9 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     is never split: one that fills a batch alone goes through alone.  The
     kernel is elementwise in the pair, and a full tie in
     _min_with_tiebreak joins candidates of one pair, whose family order a
-    batch keeps, so batching moves no minimum and no achieving pair.  The
+    batch keeps, so batching moves no minimum and no achieving pair; nor
+    does it move the collector's window, as the candidates within it of
+    the final minimum are kept however the batches fall.  The
     ring's reach follows out.doubly_min as of the last flush; a pair it
     keeps that a fresher reach would drop lies beyond reach of a doubly
     pair already found, so it decides no minimum either.
@@ -788,7 +815,7 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1
     s, (first, last) = math.isqrt(n), _run_ranges(lo, hi, _BLOCK)
-    workspace, out, pending = _workspace(n), _Collector(p.edge_lengths), []
+    workspace, out, pending = _workspace(n), _Collector(p.edge_lengths, window), []
     r = _doubly_seed(p, M, lo, hi, s, workspace)
     ring = _reach(r, h, p.length) < span                      # beyond span every pair is in
     if ring:
@@ -836,12 +863,13 @@ def _pruned_scan(p: Polygon, singly: bool) -> _Collector:
     return out
 
 
-def _minimum_scan(p: Polygon, singly: bool) -> _Collector:
+def _minimum_scan(p: Polygon, singly: bool, window: float) -> _Collector:
     """The scan behind delta_n, dcsd, scsd and the objective: dense below
-    _CROSSOVER edges, pruned from there on; the results agree bitwise."""
+    _CROSSOVER edges, pruned from there on; the results agree bitwise.
+    Its _Collector has that window, -inf to keep no candidate."""
     if p.n < _CROSSOVER:
-        return _scan(p, singly)
-    return _pruned_scan(p, singly)
+        return _scan(p, singly, window)
+    return _pruned_scan(p, singly, window)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +940,7 @@ def _min_with_tiebreak(arr: dict, mask: np.ndarray, tie: float):
 def dcsd(p: Polygon) -> float:
     """Doubly critical self distance; +inf when no doubly critical pair
     exists.  From _CROSSOVER edges on it comes from the pruned scan."""
-    return _minimum_scan(p, singly=False).min
+    return _minimum_scan(p, False, -math.inf).min
 
 
 def scsd(p: Polygon) -> float:
@@ -923,7 +951,7 @@ def scsd(p: Polygon) -> float:
     edge end) the infimum may sit on the boundary, so boundary pairs count.
     From _CROSSOVER edges on only pairs within the dcsd radius are scanned.
     """
-    return _minimum_scan(p, singly=True).min
+    return _minimum_scan(p, True, -math.inf).min
 
 
 def is_simple(p: Polygon) -> bool:
@@ -960,7 +988,7 @@ def delta_n(p: Polygon) -> ThicknessReport:
     mc2 = max_curv2(p)
     mr = min_rad(p)
 
-    out = _minimum_scan(p, singly=True)
+    out = _minimum_scan(p, True, _TIE * p.length)
     arr = out.arrays()
     d_val, d_idx = _min_with_tiebreak(arr, arr["doubly"], _TIE * p.length)
     s_val = out.min
@@ -990,7 +1018,7 @@ def inv_delta_objective(p: Polygon, clearance: float) -> float:
     mc = float(np.max(p.kappa_d_all()))
     if math.isinf(mc) or _gap_within(p, clearance) <= clearance:
         return float("inf")
-    dv = _minimum_scan(p, singly=False).min
+    dv = _minimum_scan(p, False, -math.inf).min
     if dv <= 0.0:
         return float("inf")
     return max(mc, 2.0 / dv)
@@ -1007,11 +1035,12 @@ def arc_total_curvature(p: Polygon, s: float, t: float) -> float:
     Sums the full exterior angle of every vertex strictly between the two
     points along each arc; when an endpoint sits exactly at a vertex that
     vertex's angle is included in both arcs (the turning at the pair point
-    itself separates the outgoing from the incoming strand).
+    itself separates the outgoing from the incoming strand).  An s or t
+    that is not finite is a ValueError.
     """
     n = p.n
     angles = p.exterior_angles()
-    s, t = float(s) % 1.0, float(t) % 1.0
+    s, t = float(_arc_parameter("s", s)) % 1.0, float(_arc_parameter("t", t)) % 1.0
     if s > t:
         s, t = t, s
     eps = 1e-9 / n

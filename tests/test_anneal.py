@@ -251,6 +251,17 @@ class TestMoveAdmissibility:
         assert move_is_admissible(p, 0, 4, 0.3, clearance=1e-9)
         assert not move_is_admissible(p, 0, 4, 0.3, clearance=0.2)
 
+    @pytest.mark.parametrize("clearance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_clearance_rejected(self, clearance):
+        # -1.0 admitted every move and nan refused every move, silently
+        with pytest.raises(ValueError, match="clearance must be finite and non-negative"):
+            move_is_admissible(regular_ngon(8), 0, 4, 0.3, clearance=clearance)
+
+    def test_default_and_zero_clearance(self):
+        p = regular_ngon(8)
+        assert move_is_admissible(p, 0, 4, 0.3, clearance=None)
+        assert move_is_admissible(p, 0, 4, 0.3, clearance=0.0)
+
 
 class TestIsNearRegular:
     def test_regular_passes(self):

@@ -151,6 +151,25 @@ class TestArcParametrization:
         e = p.vertices[1] - p.vertices[0]
         assert np.allclose(d, e / np.linalg.norm(e), atol=1e-14)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.25, math.nan]])
+    def test_non_finite_parameter_rejected(self, t):
+        # mod 1 read nan, whose int cast indexed far outside the edge table
+        p = regular_ngon(6)
+        for f in (p.arc_point, p.arc_dir, lambda t: p.arc_dir(t, side="left")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="t must be finite, got (nan|inf|-inf)"):
+                    f(t)
+
+    def test_finite_parameters_keep_their_values(self):
+        p = perturbed_regular(9, 0.1, np.random.default_rng(0))
+        ts = np.array([0.0, 0.05, 1.0 / 9.0, 0.5, 0.91, 1.3, -0.2])
+        u = np.mod(ts, 1.0) * p.n
+        k = np.minimum(u.astype(int), p.n - 1)
+        expect = p.vertices[k] + (u - k)[:, None] * p.edges[k]
+        assert np.array_equal(p.arc_point(ts), expect)
+        assert np.array_equal(p.arc_point(0.37), p.arc_point(np.array([0.37]))[0])
+
 
 class TestDiscreteCurvature:
     def test_square_kappa_d(self):

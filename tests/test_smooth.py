@@ -155,6 +155,18 @@ class TestArcLengthReparam:
         with pytest.raises(ValueError, match="need at least 8 curve samples, got 4"):
             ArcLengthCurve(np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.5, -math.inf])])
+    def test_rejects_non_finite_parameter(self, circle, t):
+        # position read nan and tangent indexed outside its table
+        for f in (circle.position, circle.tangent):
+            with pytest.raises(ValueError, match="t must be finite"):
+                f(t)
+
+    def test_finite_parameters_keep_their_values(self, circle):
+        ts = np.array([0.0, 1e-4, 0.3, 0.999, 1.25, -0.5])
+        assert np.array_equal(circle.position(ts), circle._spline(np.mod(ts, 1.0)))
+        assert np.array_equal(circle.position(0.3), circle._spline(0.3))
+
     def test_rejects_nan_position(self):
         # the tangent table is built from the positions, so a nan row would
         # otherwise spread into nan tangents around it

@@ -567,6 +567,13 @@ class TestArcCurvatureAtPairs:
             b = arc_total_curvature(p, q.t, q.s)
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("s, t, name", [(math.nan, 0.5, "s"), (0.5, math.inf, "t"),
+                                            (-math.inf, math.nan, "s")])
+    def test_non_finite_parameter_rejected(self, s, t, name):
+        # a nan s matched no vertex and summed the angles of one side, pi/3
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            arc_total_curvature(regular_ngon(6), s, t)
+
 
 class TestOracleAgreement:
     # independent double-grid scan with window refinement; the kernel and
@@ -962,6 +969,7 @@ def test_scan_parity_counts_both_rounds():
     c = tool._scan_pairs(rescale_unit(inscribe_equilateral(curve, 512)))
     assert (c["round"], c["pairs"] > 0, c["tree"] > 0, c["leaf"], c["window"]) == (
         "ring", True, True, 0, 0)
+    assert 0 < c["kept"] <= 4
     assert 0 < c["calls"] <= blocks and c["levels"] == []
     c = tool._scan_pairs(_report_large_trefoil())
     w, _, kept = c["levels"][-1]
@@ -1322,6 +1330,112 @@ class TestPrunedScan:
         assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)
 
 
+class _KeepAll(thickness._Collector):
+    """A collector that keeps every accepted candidate, as critical_pairs'
+    does, whatever window its scan asks for."""
+
+    def __init__(self, lens, window=None):
+        super().__init__(lens)
+
+
+def _window_results(p: Polygon, crossover: int, keep_all: bool):
+    """The minima of the scans behind dcsd, scsd and delta_n, delta_n's
+    report and the objective's bits, from the dense scan (a crossover above
+    n) or the pruned one (0), with each collector keeping its window or,
+    under keep_all, every candidate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_CROSSOVER", crossover)
+        if keep_all:
+            mp.setattr(thickness, "_Collector", _KeepAll)
+        scans = [thickness._minimum_scan(p, singly, window) for singly, window in
+                 ((False, -math.inf), (True, -math.inf), (True, thickness._TIE * p.length))]
+        return ([(out.min, out.doubly_min) for out in scans], delta_n(p).to_json(),
+                inv_delta_objective(p, 1e-6 * p.length).hex())
+
+
+def _gathered(out) -> int:
+    """How many candidates a collector has gathered."""
+    return sum(chunk[2].size for chunk in out._chunks)
+
+
+def _delta_n_collector(p: Polygon):
+    """The collector of the scan behind delta_n(p)."""
+    seen, scan = [], thickness._minimum_scan
+
+    def recording(*args, **kwargs):
+        seen.append(scan(*args, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_minimum_scan", recording)
+        delta_n(p)
+    (out,) = seen
+    return out
+
+
+class TestMinimumOnlyCollector:
+    """The minima's collectors keep only what a minimum can pick: delta_n's
+    the doubly candidates within _TIE * L of the running doubly minimum,
+    dcsd's, scsd's and the objective's none.  Every result matches a
+    collector that keeps every candidate, bit for bit."""
+
+    @given(kind=st.sampled_from(["random", "perturbed", "crossing-hexagon", "regular"]),
+           n=st.integers(4, 160), seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_keep_all(self, kind, n, seed, x):
+        # the regular n-gons tie every diameter or width candidate
+        p = (crossing_hexagon(10.0 ** (-2.0 - 7.0 * x)) if kind == "crossing-hexagon"
+             else _subject(kind, n, seed, x))
+        for crossover in (0, 10**9):
+            assert _window_results(p, crossover, False) == _window_results(p, crossover, True)
+
+    @pytest.mark.parametrize("name", ["regular", "trefoil", "random-00", "crumpled-1024"])
+    def test_matches_keep_all_at_2048(self, name):
+        # the regular 2048-gon's pruned scan ties 1,024 width candidates
+        p = _named_2048(name)
+        crossover = thickness._CROSSOVER
+        assert _window_results(p, crossover, False) == _window_results(p, crossover, True)
+
+    def test_family_without_candidates_keeps_nothing(self):
+        # a family with no accepted entry has masked minimum +inf, and the
+        # doubly minimum stays +inf until a doubly entry is accepted: a
+        # window about +inf must keep none of the entries, however close
+        ij, dist = np.arange(4), np.array([0.1, 0.2, 0.3, 0.4])
+        out, every = thickness._Collector(np.ones(4), 1e-12), thickness._Collector(np.ones(4))
+        for mask, kind, doubly in (([0, 0, 0, 0], 2, True), ([0, 0, 1, 1], 1, False),
+                                   ([0, 1, 1, 0], 0, True)):
+            for c in (out, every):
+                c.add(ij, ij[::-1], np.array(mask, dtype=bool), dist, 0.0, 0.0, kind, doubly)
+            if doubly:
+                assert (out.min, out.doubly_min) == (every.min, every.doubly_min)
+        arr = out.arrays()
+        assert (out.min, out.doubly_min, _gathered(out), _gathered(every)) == (0.2, 0.2, 1, 4)
+        assert (arr["dist"].tolist(), arr["i"].tolist(), arr["doubly"].tolist()) == (
+            [0.2], [1], [True])
+
+    @pytest.mark.parametrize("name", ["regular", "trefoil", "random-00", "crumpled"])
+    def test_delta_n_keeps_the_tie_window(self, name):
+        # delta_n's collector holds the keep-all scan's doubly candidates
+        # within _TIE * L of dcsd, in order, and a few more, each within the
+        # window of the minimum as it stood then
+        p = _named_2048(name)
+        tie = thickness._TIE * p.length
+        out, every = _delta_n_collector(p), thickness._pruned_scan(p, True)
+        full, arr = every.arrays(), out.arrays()
+        window = full["doubly"] & (full["dist"] <= every.doubly_min + tie)
+        final = arr["dist"] <= out.doubly_min + tie
+        assert out.doubly_min == every.doubly_min and arr["doubly"].all()
+        assert all(np.array_equal(arr[key][final], full[key][window]) for key in full)
+        assert window.sum() <= arr["dist"].size <= window.sum() + 4
+
+    @pytest.mark.parametrize("n", [40, 2048])
+    def test_minima_keep_no_candidate(self, n):
+        p = random_equilateral_polygon(n, np.random.default_rng(5))
+        for singly in (False, True):
+            out = thickness._minimum_scan(p, singly, -math.inf)
+            assert out.min < math.inf and _gathered(out) == 0
+
+
 class TestGapWithin:
     """The tree-pruned edge gap behind is_simple, delta_n and the objective
     against the dense _edge_gap, and the pairs it measures."""
@@ -1348,3 +1462,21 @@ class TestGapWithin:
             mp.setattr(thickness, "_gap2", counting)
             assert is_simple(p)
         assert sum(measured) <= 4 * p.n
+
+    @pytest.mark.parametrize("name", ["trefoil", "random-00"])
+    def test_measures_non_adjacent_pairs_only(self, name):
+        # the tree finds every edge's neighbours; the trefoil's 2,048 pairs
+        # are all adjacent, and random-00's leave 4,913 of 6,961
+        p, seen = _named_2048(name), []
+        gathered = thickness._gathered_gap
+
+        def recording(V, F, I, J):
+            seen.append((I, J))
+            return gathered(V, F, I, J)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thickness, "_gathered_gap", recording)
+            assert is_simple(p)
+        (I, J), = seen
+        assert np.all(thickness._pair_ok(I, J, p.n))
+        assert I.size == {"trefoil": 0, "random-00": 4913}[name]

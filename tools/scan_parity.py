@@ -44,8 +44,10 @@ so only the library under test differs between checkouts.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
-the number of pairs delta_n's pruned scan hands to _families and the
-number of _families calls that take them, the pairs its ring round's
+the number of pairs delta_n's pruned scan hands to _families, the
+number of _families calls that take them, the candidates delta_n's
+collector gathered (every accepted one, where it keeps them all, else
+those near the running minimum), the pairs its ring round's
 one-tree queries returned and the leaf pairs of its descent, the window
 pairs its covering round's perpendicularity filter formed, the round it
 ran ("covering" when it called _perpendicular, which only the covering
@@ -187,17 +189,20 @@ def _report_sequence(trim, inputs: dict, rounds: int = 24) -> None:
 
 def _scan_pairs(p) -> dict:
     """What the pruned scan of delta_n (singly mode) does on p: the pairs it
-    hands to _families, the calls of _families that take them, the pairs
+    hands to _families, the calls of _families that take them, the
+    candidates delta_n's collector gathered, the pairs
     its one-tree queries return, the leaf pairs of its ring descent, the
     window pairs its covering round's filter forms, the round it takes,
     "covering" when it called _perpendicular, which only the covering
     round does, "ring" otherwise, and the descent's levels as (run width,
     node pairs tested, node pairs kept)."""
-    from test_thickness import _descent_levels, _families_rows, _tree_queries, _window_pairs
+    from test_thickness import (_delta_n_collector, _descent_levels, _families_rows,
+                                _gathered, _tree_queries, _window_pairs)
 
     calls, levels = _families_rows(p, True), _descent_levels(p, True)
     window = _window_pairs(p, True)
     return {"pairs": sum(I.size for I in calls), "calls": len(calls),
+            "kept": _gathered(_delta_n_collector(p)),
             "tree": sum(size for _, size in _tree_queries(p, True)),
             "leaf": sum(kept for w, _, kept in levels if w == 1),
             "window": sum(window or []), "round": "ring" if window is None else "covering",
@@ -293,8 +298,9 @@ def main(argv=None) -> int:
                     help="repository whose src/ to import (default: this one)")
     ap.add_argument("--faults", action="store_true",
                     help="print best-of-5 delta_n time, minor faults, scanned pairs, "
-                         "kernel calls, tree, leaf and window pairs, the round and the "
-                         "descent's levels per input, then the report-large sequence")
+                         "kernel calls, kept candidates, tree, leaf and window pairs, the "
+                         "round and the descent's levels per input, then the report-large "
+                         "sequence")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
@@ -312,7 +318,8 @@ def main(argv=None) -> int:
             c = _scan_pairs(p)
             levels = " ".join(f"{w}:{kept}/{tested}" for w, tested, kept in c["levels"])
             print(f"{name}\t{seconds * 1e3:.1f} ms\t{faults} faults"
-                  f"\t{c['pairs']} pairs\t{c['calls']} kernel calls\t{c['tree']} tree pairs"
+                  f"\t{c['pairs']} pairs\t{c['calls']} kernel calls\t{c['kept']} kept"
+                  f"\t{c['tree']} tree pairs"
                   f"\t{c['leaf']} leaf pairs\t{c['window']} window pairs\t{c['round']}"
                   f"\t{levels or '-'}", flush=True)
     results["campaigns"] = _campaigns()
