@@ -6,11 +6,14 @@ length exactly.  A move counts only if the rotation sweep, sampled at a
 fixed number of angles, keeps every pair of non-adjacent edges apart by a
 clearance.  The move and its sweep check turn the sub-chain with the same
 formula (_swept), so the last frame checked is the polygon the chain
-commits.  It measures every pair of the start frame, and on the turned
-frames the pairs with one edge on each side of the move, the only ones
-the move can bring closer.  Crossings between sampled angles go
-undetected: accepted paths are discrete isotopies at the sampled
-resolution, which is not a proof that the knot type is preserved.
+commits.  Every frame is measured as computed, on the pairs the edge gap's
+one gatherer (thickness._near_pairs) finds: one midpoint tree over all
+the frames returns each frame's non-adjacent pairs whose midpoints lie
+within reach of the clearance, which holds every pair that could come
+within it, so the check's cost follows the near pairs, not n^2.
+Crossings between sampled angles go undetected: accepted paths are
+discrete isotopies at the sampled resolution, which is not a proof that
+the knot type is preserved.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polygon import Polygon, _format_table, _integral
-from .thickness import _BATCH, _gathered_gap, inv_delta_objective
+from .thickness import (_BATCH, _gathered_gap, _midpoints, _near_pairs, _reach,
+                        inv_delta_objective)
 
 __all__ = [
     "AnnealConfig",
@@ -99,13 +103,13 @@ class AnnealTrace:
 
 def _swept(p: Polygon, i: int, j: int, angles: np.ndarray) -> np.ndarray:
     """(len(angles), n, 3) stack of p with the open sub-chain between pivots
-    i and j turned about the pivot axis by each angle, which must be
-    finite."""
+    i and j, integers, turned about the pivot axis by each angle, which
+    must be finite."""
     bad = angles[~np.isfinite(angles)]
     if bad.size:
         raise ValueError(f"rotation angle must be finite, got {float(bad[0])!r}")
     n = p.n
-    i, j = i % n, j % n
+    i, j = _integral("pivot i", i) % n, _integral("pivot j", j) % n
     if i == j:
         raise ValueError("pivots must differ")
     a = p.vertices[i]
@@ -147,11 +151,17 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     The move is replayed at angles theta*k/substeps for k = 0..substeps, so
     frame 0 is p and the last frame is the candidate crankshaft_move returns,
     bit for bit.  Every frame must keep all non-adjacent edge pairs farther
-    apart than the clearance (default 1e-6 * length); pivots that coincide
-    and a theta that is not finite make the move inadmissible.  Crossings
-    between substeps are not detected, so substeps trades speed against
-    safety; it must be an integer, at least 1.  A clearance that is
-    negative, which would admit every move, or not finite is a ValueError.
+    apart than the clearance (default 1e-6 * length).  Only the pairs whose
+    midpoints lie within _reach(clearance, h_max) of each other can fail
+    that; _near_pairs gathers them from every frame at once, and
+    _gathered_gap measures them _BATCH pairs at a time, stopping at the
+    first batch at or under the clearance.  A move with no near pair is
+    admitted without a kernel call.  Pivots that coincide and a theta that
+    is not finite make the move inadmissible.  Crossings between substeps
+    are not detected, so substeps trades speed against safety; it must be
+    an integer, at least 1.  A pivot that is not an integer, a clearance
+    that is negative, which would admit every move, or not finite is a
+    ValueError.
     """
     if _integral("substeps", substeps) < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps!r}")
@@ -163,30 +173,20 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     # exactly; an infinite theta reads nan at k = 0, which _swept refuses
     with np.errstate(invalid="ignore"):
         angles = np.arange(substeps + 1) / substeps * theta
+    # a pivot that is no integer is the caller's error, not a move to refuse
+    i, j = _integral("pivot i", i), _integral("pivot j", j)
     try:
         frames = _swept(p, i, j, angles)
     except ValueError:
         return False
-    # frame 0, p itself, takes every pair i < j (_gathered_gap drops the
-    # adjacent ones).  The turned frames keep p's pairs of fixed edges bit for
-    # bit and turn its pairs of turning edges rigidly, so they take the pairs
-    # of turning edges i .. j-1 and fixed edges j-1 .. i, bridges on both sides
-    n, m = p.n, (j - i) % p.n
-    T, X = (i + np.arange(m)) % n, (j - 1 + np.arange(n - m + 2)) % n
-    I0, J0 = np.triu_indices(n, 2)
-    A, B = np.minimum.outer(T, X).ravel(), np.maximum.outer(T, X).ravel()
-    total = I0.size + substeps * A.size
-
-    def gap(k):   # pairs k .. k + _BATCH - 1 of frame 0's, then each turned frame's
-        own = slice(min(k, I0.size), min(k + _BATCH, I0.size))
-        t = np.arange(max(k, I0.size), min(k + _BATCH, total)) - I0.size   # turned frames'
-        F = np.concatenate([np.zeros(own.stop - own.start, int), 1 + t // A.size])
-        return _gathered_gap(frames, F, np.concatenate([I0[own], A.take(t, mode="wrap")]),
-                             np.concatenate([J0[own], B.take(t, mode="wrap")]))
-
-    # _BATCH pairs a call: its temporaries stay below glibc's 128 kB mmap
-    # threshold, so the heap reuses them rather than faulting them in afresh
-    return all(gap(k) > clearance for k in range(0, total, _BATCH))
+    # a pair whose edges come within the clearance has its midpoints within
+    # reach; _BATCH pairs a call keep the kernel's temporaries below glibc's
+    # 128 kB mmap threshold, so the heap reuses them rather than faulting
+    # them in afresh, and the check stops at the first slice with a contact
+    F, I, J = _near_pairs(_midpoints(frames),
+                          _reach(clearance, float(p.edge_lengths.max()), p.length))
+    return all(_gathered_gap(frames, F[k:k + _BATCH], I[k:k + _BATCH], J[k:k + _BATCH])
+               > clearance for k in range(0, F.size, _BATCH))
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:

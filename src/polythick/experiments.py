@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .anneal import _seed
-from .polygon import _format_table, regular_ngon
+from .polygon import _format_table, _integral, regular_ngon
 from .schur import _bounded_arcs, _chord_check, _sphere_check
 # not called here; kept as module attributes that perfbench/spans.py rebinds
 from .schur import random_bounded_arc, schur_check  # noqa: F401
@@ -96,7 +96,7 @@ def gamma_series(curve: ArcLengthCurve, n_list, m_proxy: int = 8192) -> list[Gam
     (inscribe_equilateral raises ValueError under its failure rule) yields
     a failed row and the sweep continues.
     """
-    ns = sorted(set(int(n) for n in n_list))
+    ns = sorted(set(_integral("n", n) for n in n_list))
     if not ns:
         return []
     proxy = 1.0 / smooth_thickness_proxy(curve, m_proxy)
@@ -185,7 +185,7 @@ def _campaign(cases: int, seed: int, mode: str, measure) -> SchurCampaignResult:
     random_bounded_arc(n, K, L, seed + k) bit for bit, and measure(V, n, K, k)
     returns their margins; V, n and K are laid out as for
     schur._check_curvature, and k holds the cases' indices."""
-    if cases < 1:
+    if _integral("cases", cases) < 1:
         raise ValueError("cases must be at least 1")
     seed = _seed(seed)
     margins = np.empty(cases)

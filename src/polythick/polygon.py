@@ -287,7 +287,7 @@ def regular_ngon(n: int) -> Polygon:
     Vertex k sits at angle 2 pi k / n on a circle of radius
     1 / (2 n sin(pi/n)), so every edge has length exactly 1/n up to rounding.
     """
-    if n < 3:
+    if _integral("n", n) < 3:
         raise ValueError("n must be at least 3")
     r = 1.0 / (2.0 * n * np.sin(np.pi / n))
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -305,7 +305,7 @@ def random_equilateral_polygon(n: int, rng) -> Polygon:
     equilateral tolerance.  The result may be non-simple; callers that need
     embedded polygons must filter.
     """
-    if n < 3:
+    if _integral("n", n) < 3:
         raise ValueError("n must be at least 3")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     for _attempt in range(16):

@@ -163,6 +163,7 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
     arc parameters through a periodic cubic spline, and tangents come from
     five-point centered differences on the resampled table, normalized.
     """
+    m = _integral("m", m)
     P = np.asarray(samples, dtype=float)
     if P.ndim != 2 or P.shape[1] != 3:
         raise ValueError(
@@ -352,7 +353,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int) -> Polygon:
     the Jacobian is singular: a zero pivot of the block or a zero Schur
     complement), or if the last halving still leaves u out of order.
     """
-    if n < 3:
+    if _integral("n", n) < 3:
         raise ValueError("n must be at least 3")
     tol = _NEWTON_TOL * max(1.0, float(np.abs(curve.positions).max()))
     # the block's diagonal dF_j/du_{j+1} and subdiagonal dF_{j+1}/du_{j+1} in
@@ -419,7 +420,7 @@ def smooth_thickness_proxy(curve: ArcLengthCurve, m: int = 2048) -> float:
     m-gon.  Both parts converge as the resolution grows; a curve that is
     not embedded drives the dcsd part (and the result) to zero.
     """
-    if m < 3:
+    if _integral("m", m) < 3:
         raise ValueError(f"proxy resolution must be at least 3, got {m}")
     area2, sides = _triple_terms(curve.positions)
     with np.errstate(divide="ignore"):
@@ -436,7 +437,7 @@ def w1inf_distance(p: Polygon, curve: ArcLengthCurve, grid: int):
     at vertex parameters both one-sided directions are tried and the larger
     mismatch kept.
     """
-    if grid < 10 * p.n:
+    if _integral("grid", grid) < 10 * p.n:
         raise ValueError("grid must be at least 10 * n")
     tv = np.arange(p.n) / p.n
     ts = np.unique(np.concatenate([np.arange(grid) / grid, tv]))

@@ -65,10 +65,12 @@ _TIE * L of the last, and none for dcsd, scsd and the objective, which
 read the minima alone.
 Simplicity is separate: the edge gap (the minimum distance between
 non-adjacent edges) is measured one way, on gathered pairs of edges of a
-stack of vertex frames (_gathered_gap).  is_simple and the objective
-gather the non-adjacent pairs a midpoint tree finds within reach of a
-clearance (_gap_within); the annealer's sweep check gathers the pairs a
-crankshaft move can bring closer.  Python-level pair objects are only
+stack of vertex frames (_gathered_gap), and its pairs are gathered one
+way (_near_pairs): the non-adjacent pairs of each frame whose midpoints
+one k-d tree over every frame finds within reach of a clearance, the
+only pairs that can come within it.  is_simple and the objective gather
+them from one frame (_gap_within), the annealer's sweep check from every
+frame of a crankshaft sweep.  Python-level pair objects are only
 materialised by critical_pairs() and delta_n().
 """
 
@@ -343,9 +345,29 @@ def _reach(r: float, h: float, length: float) -> float:
     return r + _TIE * length + h + _PAD * (r + 4.0 * h)
 
 
-def _midpoints(p: Polygon) -> np.ndarray:
-    """Edge midpoints, centred on the vertices' mean: less rounding."""
-    return p.vertices - p.vertices.mean(axis=0) + 0.5 * p.edges
+def _midpoints(V: np.ndarray) -> np.ndarray:
+    """Edge midpoints of each frame of the vertex stack V, (..., n, 3),
+    centred on the frame's vertex mean: less rounding."""
+    E = V.take(np.arange(1, V.shape[-2] + 1), axis=-2, mode="wrap") - V    # as Polygon.edges
+    return V - V.mean(axis=-2, keepdims=True) + 0.5 * E
+
+
+def _near_pairs(M: np.ndarray, reach: float):
+    """(F, I, J): the non-adjacent pairs i < j of each frame f of the
+    midpoint stack M, (frames, n, 3), whose midpoints lie within reach.
+    Every edge's neighbours are within reach, and on a finely inscribed
+    curve they are most of the pairs the tree finds, so they are dropped
+    here.  One tree holds every frame, frame f shifted by f K along x,
+    where K = 2 (|M|_max + reach) leaves twice the reach between frames,
+    so that no pair joins two; the shift rounds a distance by about
+    eps f K, far inside _reach's padding.  A lone frame goes unshifted,
+    and its F is 0."""
+    frames, n = M.shape[:2]
+    if frames > 1:
+        M = M + np.arange(frames)[:, None, None] * [2.0 * (np.abs(M).max() + reach), 0.0, 0.0]
+    I, J = cKDTree(M.reshape(-1, 3)).query_pairs(reach, output_type="ndarray").T   # I < J
+    ok = _pair_ok(I, J, n)           # the pairs of one frame: J - I = j - i
+    return (I[ok] // n, I[ok] % n, J[ok] % n) if frames > 1 else (0, I[ok], J[ok])
 
 
 def _gathered_gap(V: np.ndarray, F, I, J) -> float:
@@ -363,14 +385,11 @@ def _gathered_gap(V: np.ndarray, F, I, J) -> float:
 
 def _gap_within(p: Polygon, clearance: float) -> float:
     """The edge gap of p when it is at most clearance, a larger value
-    otherwise, measured on the pairs whose midpoints a tree finds within
-    _reach(clearance, h_max) only, less the adjacent ones: every edge's
-    neighbours are within reach, and on a finely inscribed curve they are
-    most of the pairs the tree finds."""
+    otherwise, measured on the pairs _near_pairs finds within
+    _reach(clearance, h_max) only: a pair whose edges come within the
+    clearance has its midpoints within that reach."""
     reach = _reach(clearance, float(p.edge_lengths.max()), p.length)
-    I, J = cKDTree(_midpoints(p)).query_pairs(reach, output_type="ndarray").T  # i < j
-    ok = _pair_ok(I, J, p.n)
-    return _gathered_gap(p.vertices[None], 0, I[ok], J[ok])
+    return _gathered_gap(p.vertices[None], *_near_pairs(_midpoints(p.vertices)[None], reach))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +829,7 @@ def _pruned_scan(p: Polygon, singly: bool, window: float | None = None) -> _Coll
     (README has the measurements).
     """
     n, h, idx = p.n, float(p.edge_lengths.max()), np.arange(p.n)
-    M = _midpoints(p)
+    M = _midpoints(p.vertices)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - _TURN_SLACK)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)         # m lies in 0 .. n-1

@@ -23,9 +23,10 @@ from polythick import (
 )
 from polythick.anneal import _SUBSTEPS, _THETA_MAX, _swept
 from polythick.polygon import Polygon
-from polythick.thickness import _BATCH, inv_delta_objective
+from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
+from polythick.thickness import _BATCH, _midpoints, _near_pairs, _reach, inv_delta_objective
 
-from _dense import _edge_gap
+from _dense import _edge_gap, _pair_gaps
 from _gen import perturbed_regular
 
 # the package exports the function anneal under the module's name
@@ -90,8 +91,26 @@ class TestCrankshaftMove:
             with pytest.raises(ValueError, match=f"rotation angle must be finite, got {theta}"):
                 crankshaft_move(regular_ngon(6), 0, 3, theta)
 
+    @pytest.mark.parametrize("i, j, name", [(1.5, 4, "pivot i"), (1, 4.0, "pivot j"),
+                                            ("1", 4, "pivot i")])
+    def test_non_integer_pivot_rejected(self, i, j, name):
+        # 1.5 failed inside numpy's indexing with an IndexError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            crankshaft_move(regular_ngon(8), i, j, 0.1)
+
+    def test_integral_pivots_accepted(self):
+        p = regular_ngon(8)
+        q = crankshaft_move(p, np.int64(1), np.int32(4), 0.1)
+        assert q.vertices.tobytes() == crankshaft_move(p, 1, 4, 0.1).vertices.tobytes()
+
 
 class TestMoveAdmissibility:
+    @pytest.mark.parametrize("i, j, name", [(1.5, 4, "pivot i"), (1, 4.0, "pivot j")])
+    def test_non_integer_pivot_rejected(self, i, j, name):
+        # the caller's error, raised, not an inadmissible move
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            move_is_admissible(regular_ngon(8), i, j, 0.1)
+
     def test_small_move_admissible(self):
         assert move_is_admissible(regular_ngon(8), 0, 4, 0.3)
 
@@ -131,16 +150,16 @@ class TestMoveAdmissibility:
              else random_equilateral_polygon(n, rng))
         i = i % n
         j = (i + 2 + gap % (n - 3)) % n     # forward gap 2..n-2
-        seen = []
+        seen, midpoints = [], anneal_module._midpoints
 
-        def capture(V, F, I, J):
+        def capture(V):     # the frames on their way into the gatherer
             seen.append(V.copy())
-            return math.inf
+            return midpoints(V)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anneal_module, "_gathered_gap", capture)
+            mp.setattr(anneal_module, "_midpoints", capture)
             assert move_is_admissible(p, i, j, theta)
-        frames = seen[0]
+        frames, = seen
         assert frames.shape == (_SUBSTEPS + 1, n, 3)
         assert frames[0].tobytes() == p.vertices.tobytes()
         assert (frames[-1].tobytes()
@@ -185,50 +204,105 @@ class TestMoveAdmissibility:
             crankshaft_move(p, 0, 4, 0.3)
         assert not move_is_admissible(p, 0, 4, 0.3)
 
-    def test_pair_list_spans_chunks(self):
-        # flipping half the regular 256-gon by pi lands it on the other half
-        # in the last frame only; its 298,625 pairs run in 73 chunks of
-        # _BATCH pairs, each formed for its call, and the check stops at
-        # the first chunk that holds a contact, the 69th
-        p, clearance = regular_ngon(256), 1e-6
-        gaps, gathered = [], anneal_module._gathered_gap
+    @staticmethod
+    def _kernel_calls(monkeypatch, batch=None):
+        """Record every call of the edge-gap kernel the sweep check makes,
+        (F, I, J, gap), and check that each takes at most _BATCH pairs,
+        batch pairs when given."""
+        calls, gathered = [], anneal_module._gathered_gap
+        if batch is not None:
+            monkeypatch.setattr(anneal_module, "_BATCH", batch)
 
         def recording(V, F, I, J):
-            assert F.size == I.size == J.size <= _BATCH
-            gaps.append(gathered(V, F, I, J))
-            return gaps[-1]
+            assert F.size == I.size == J.size <= anneal_module._BATCH
+            calls.append((F, I, J, gathered(V, F, I, J)))
+            return calls[-1][-1]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anneal_module, "_gathered_gap", recording)
-            assert not move_is_admissible(p, 0, 128, math.pi, clearance=clearance)
-        assert len(gaps) == 69
-        assert min(gaps[:-1]) > clearance >= gaps[-1]
+        monkeypatch.setattr(anneal_module, "_gathered_gap", recording)
+        return calls
+
+    def test_flipped_regular_256gon_refused(self, monkeypatch):
+        # flipping half the regular 256-gon by pi lands it on the other half
+        # in the last frame only: the kernel takes at most _BATCH pairs a
+        # call, and the check stops at the first call that reads a contact
+        p, clearance = regular_ngon(256), 1e-6
+        calls = self._kernel_calls(monkeypatch)
+        assert not move_is_admissible(p, 0, 128, math.pi, clearance=clearance)
+        gaps = [gap for *_, gap in calls]
+        assert min(gaps[:-1], default=math.inf) > clearance >= gaps[-1]
         dense = _edge_gap(_swept(p, 0, 128, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * math.pi))
         assert np.all(dense[:-1] > clearance) and dense[-1] <= clearance
 
-    def test_chunks_form_the_whole_pair_list(self):
-        # an admissible move runs every chunk; together they are frame 0's
-        # pairs i < j, then the pairs of turning edges 3 .. 59 and fixed
-        # edges 59 .. 103 of each turned frame, in order and once each
-        p, n = regular_ngon(100), 100
-        calls, gathered = [], anneal_module._gathered_gap
+    def test_batches_stop_at_the_first_contact(self, monkeypatch):
+        # the same flip one pair a call: the calls before the last read
+        # clear, the last reads a contact, and most of the 394 near pairs,
+        # 380 of them in the last frame, are never measured
+        p, clearance = regular_ngon(256), 1e-6
+        calls = self._kernel_calls(monkeypatch, batch=1)
+        assert not move_is_admissible(p, 0, 128, math.pi, clearance=clearance)
+        frames = _swept(p, 0, 128, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * math.pi)
+        F, _, _ = _near_pairs(_midpoints(frames), _reach(clearance, 1.0 / 256, 1.0))
+        assert F.size == 394 and 1 < len(calls) < F.size // 2
+        assert min(gap for *_, gap in calls[:-1]) > clearance >= calls[-1][-1]
 
-        def recording(V, F, I, J):
-            calls.append((F, I, J))
-            return gathered(V, F, I, J)
+    def test_batches_cover_the_near_pairs(self, monkeypatch):
+        # an admissible move measures every frame's non-adjacent pairs whose
+        # midpoints lie within reach, each once: the random 300-gon's 9,571
+        # near pairs in three calls, against a dense midpoint distance
+        p = random_equilateral_polygon(300, np.random.default_rng(300))
+        calls = self._kernel_calls(monkeypatch)
+        assert move_is_admissible(p, 0, 150, 0.2)
+        F, I, J = (np.concatenate(x) for x in list(zip(*calls))[:3])
+        frames = _swept(p, 0, 150, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * 0.2)
+        M = _midpoints(frames)
+        D = np.linalg.norm(M[:, :, None] - M[:, None, :], axis=-1)
+        reach = _reach(1e-6 * p.length, float(p.edge_lengths.max()), p.length)
+        f, i, j = np.nonzero((D <= reach) & np.isfinite(_pair_gaps(frames)))
+        assert len(calls) == math.ceil(f.size / _BATCH) == 3
+        assert sorted(zip(F.tolist(), I.tolist(), J.tolist())) == list(zip(f, i, j))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anneal_module, "_gathered_gap", recording)
-            assert move_is_admissible(p, 3, 60, 0.1)
-        F, I, J = map(np.concatenate, zip(*calls))
-        T, X = np.arange(3, 60), np.arange(59, 104) % n
-        A, B = np.minimum.outer(T, X).ravel(), np.maximum.outer(T, X).ravel()
-        I0, J0 = np.triu_indices(n, 2)
-        assert len(calls) == math.ceil(F.size / _BATCH) > 1
-        assert np.array_equal(F, np.repeat(np.arange(_SUBSTEPS + 1),
-                                           [I0.size] + [A.size] * _SUBSTEPS))
-        assert np.array_equal(I, np.concatenate([I0, np.tile(A, _SUBSTEPS)]))
-        assert np.array_equal(J, np.concatenate([J0, np.tile(B, _SUBSTEPS)]))
+    def test_no_near_pair_no_kernel_call(self, monkeypatch):
+        # the octagon's non-adjacent midpoints are 1.7 edges apart, beyond
+        # the reach of the default clearance
+        calls = self._kernel_calls(monkeypatch)
+        assert move_is_admissible(regular_ngon(8), 0, 4, 0.3)
+        assert calls == []
+
+    @given(n=st.integers(4, 200), seed=st.integers(0, 2**31 - 1),
+           perturbed=st.booleans(), i=st.integers(0, 199), gap=st.integers(0, 196),
+           theta=st.floats(-math.pi, math.pi), substeps=st.integers(1, 16),
+           x=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_near_pairs_hold_every_close_pair(self, n, seed, perturbed, i, gap,
+                                             theta, substeps, x):
+        # on every sampled frame, every non-adjacent pair whose dense gap is
+        # at most the clearance, up to one edge, is among the near pairs
+        rng = np.random.default_rng(seed)
+        p = (perturbed_regular(n, 0.15, rng) if perturbed
+             else random_equilateral_polygon(n, rng))
+        i = i % n
+        j = (i + 2 + gap % (n - 3)) % n     # forward gap 2..n-2
+        clearance = x * p.length / n
+        frames = _swept(p, i, j, np.arange(substeps + 1) / substeps * theta)
+        F, I, J = _near_pairs(_midpoints(frames),
+                              _reach(clearance, float(p.edge_lengths.max()), p.length))
+        close = set(zip(*np.nonzero(_pair_gaps(frames) <= clearance)))
+        assert close <= set(zip(F.tolist(), I.tolist(), J.tolist()))
+
+    @pytest.mark.parametrize("name", ["trefoil-256", "random-300"])
+    def test_fixed_verdicts_match_dense(self, name):
+        p = (rescale_unit(inscribe_equilateral(preset_curve("torus:2,3", 4096), 256))
+             if name == "trefoil-256"
+             else random_equilateral_polygon(300, np.random.default_rng(300)))
+        n, verdicts = p.n, []
+        for i, j, theta in [(0, n // 2, 0.2), (n // 4, 3 * n // 4, -1.0),
+                            (n // 8, n // 8 + 5, 2.5), (3, n // 2 + 3, math.pi)]:
+            frames = _swept(p, i, j, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * theta)
+            for clearance in (1e-6 * p.length, 0.25 * p.length / n):
+                verdict = move_is_admissible(p, i, j, theta, clearance=clearance)
+                assert verdict == bool(np.all(_edge_gap(frames) > clearance))
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_below_one_rejected(self, substeps):

@@ -164,6 +164,13 @@ def test_campaign_seed_validation(campaign, seed, message):
         campaign(3, seed)
 
 
+@pytest.mark.parametrize("campaign", [schur_campaign, sphere_campaign])
+def test_campaign_non_integer_cases_rejected(campaign):
+    # failed in np.empty with a TypeError
+    with pytest.raises(ValueError, match="^cases must be an integer, got 2.5$"):
+        campaign(2.5, 0)
+
+
 def _stack(mode, seed, cases):
     """The campaign's draws for cases seed .. seed + cases - 1, and their arcs
     walked as one stack."""

@@ -109,6 +109,17 @@ class TestRegularNgon:
         with pytest.raises(ValueError):
             regular_ngon(2)
 
+    def test_non_integer_n_rejected(self):
+        # failed in np.arange with a TypeError
+        with pytest.raises(ValueError, match="^n must be an integer, got 8.0$"):
+            regular_ngon(8.0)
+
+
+def test_random_polygon_non_integer_n_rejected():
+    # failed in numpy's draw with a TypeError
+    with pytest.raises(ValueError, match="^n must be an integer, got 8.5$"):
+        random_equilateral_polygon(8.5, 0)
+
 
 class TestArcParametrization:
     def test_t_zero_is_first_vertex(self):

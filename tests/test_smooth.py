@@ -516,6 +516,34 @@ class TestGammaSeries:
         assert abs(r.inv_delta - r.proxy) / r.proxy < 0.05
 
 
+@pytest.mark.parametrize("call, name, value", [
+    # a 101-row table whose closing chord was 0.50 of the others
+    (lambda c: arc_length_reparam(circle_samples(1024), m=100.5), "m", 100.5),
+    # a non-uniform grid
+    (lambda c: w1inf_distance(inscribe_equilateral(c, 8), c, grid=100.5), "grid", 100.5),
+    # ran n = 8
+    (lambda c: gamma_series(c, [8.7], m_proxy=512), "n", 8.7),
+    # these failed in numpy with a TypeError
+    (lambda c: inscribe_equilateral(c, 8.0), "n", 8.0),
+    (lambda c: smooth_thickness_proxy(c, 64.5), "m", 64.5)],
+    ids=["arc_length_reparam", "w1inf_distance", "gamma_series", "inscribe_equilateral",
+         "smooth_thickness_proxy"])
+def test_non_integer_count_rejected(circle, call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(circle)
+
+
+def test_integral_counts_accepted(circle):
+    # numpy integers are counts too, and give the same results
+    p = inscribe_equilateral(circle, np.int64(8))
+    assert p.vertices.tobytes() == inscribe_equilateral(circle, 8).vertices.tobytes()
+    assert w1inf_distance(p, circle, np.int64(100)) == w1inf_distance(p, circle, 100)
+    assert (arc_length_reparam(circle_samples(1024), np.int32(64)).positions.tobytes()
+            == arc_length_reparam(circle_samples(1024), 64).positions.tobytes())
+    assert smooth_thickness_proxy(circle, np.int64(64)) == smooth_thickness_proxy(circle, 64)
+    assert gamma_series(circle, [np.int64(8)], 64) == gamma_series(circle, [8], 64)
+
+
 class TestCurveIO:
     def test_round_trip(self, tmp_path, circle):
         path = tmp_path / "circle.curve"

@@ -706,7 +706,7 @@ class TestTurningLemma:
 def _perpendicular_mask(p: Polygon, singly: bool) -> np.ndarray:
     """The pruned scan's perpendicularity filter over all n^2 pairs, formed
     per row block as the scan forms it."""
-    M, workspace = thickness._midpoints(p), thickness._workspace(p.n)
+    M, workspace = thickness._midpoints(p.vertices), thickness._workspace(p.n)
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     keep, idx = thickness._perpendicular(p, singly, M, span, workspace), np.arange(p.n)
     return np.vstack([keep(idx[r0:r0 + thickness._BLOCK], idx,
@@ -751,7 +751,7 @@ def _cull_mask(p: Polygon, singly: bool, window: bool = False) -> np.ndarray:
     round's drop test, spread over all n^2 pairs.  The block ranges come
     from the scan's turning window when window is set, and hold every
     column otherwise, so that the drop test is checked on every pair."""
-    M, idx, n = thickness._midpoints(p), np.arange(p.n), p.n
+    M, idx, n = thickness._midpoints(p.vertices), np.arange(p.n), p.n
     span = 2.0 * float(np.linalg.norm(M, axis=1).max())
     lo, hi = np.zeros(n, int), np.full(n, n - 1)
     if window:
@@ -820,7 +820,7 @@ class TestPerpendicularityLemma:
         p = _subject(kind, n, seed, x)
         h = p.edge_lengths
         jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, (p.n, 3))
-        M = thickness._midpoints(p) + 4.0 * x * float(h.max()) * jitter
+        M = thickness._midpoints(p.vertices) + 4.0 * x * float(h.max()) * jitter
         span, s = 2.0 * float(np.linalg.norm(M, axis=1).max()), math.isqrt(p.n)
         A = thickness._chunks_out_of_reach(p, M, s, span)[:, np.arange(p.n) // s]
         um, up, fa, ga, gb, fb = thickness._reach_bounds(p, M, span)
@@ -1074,7 +1074,7 @@ class TestPrunedScan:
         # the bound of one array fails on any float temporary of that size,
         # which glibc may hand back to the OS and fault in on every block.
         p, idx = regular_ngon(2048), np.arange(2048)
-        M, workspace = thickness._midpoints(p), thickness._workspace(p.n)
+        M, workspace = thickness._midpoints(p.vertices), thickness._workspace(p.n)
         span = 2.0 * float(np.linalg.norm(M, axis=1).max())
         lo, hi = _turning_window(p, 0.5 * math.pi - thickness._TURN_SLACK)
         R = idx[r0:r0 + thickness._BLOCK]
@@ -1167,7 +1167,7 @@ class TestPrunedScan:
             p, singly = _trefoil_proxy(), False
         else:
             p, singly = _report_large_trefoil(), True
-        descent, full = thickness._ring_descent, cKDTree(thickness._midpoints(p))
+        descent, full = thickness._ring_descent, cKDTree(thickness._midpoints(p.vertices))
         found = []
 
         def checking(M, lo, hi, blocks, reach, slack):
@@ -1203,7 +1203,7 @@ class TestPrunedScan:
             p = inscribe_equilateral(preset_curve(source, m=4096), n)
         else:
             p = _subject(source, n, seed, x)
-        n, M, B = p.n, thickness._midpoints(p), thickness._BLOCK
+        n, M, B = p.n, thickness._midpoints(p.vertices), thickness._BLOCK
         span = 2.0 * float(np.linalg.norm(M, axis=1).max())
         lo, hi = _turning_window(p, (0.5 if singly else 1.0) * math.pi - thickness._TURN_SLACK)
         lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
@@ -1243,7 +1243,7 @@ class TestPrunedScan:
         p = {"proxy": _trefoil_proxy, "report-large": _report_large_trefoil,
              "random": lambda: random_equilateral_polygon(2048, np.random.default_rng(3)),
              "regular": lambda: regular_ngon(2048)}[name]()
-        M, formed, queried = thickness._midpoints(p), [], []
+        M, formed, queried = thickness._midpoints(p.vertices), [], []
         spheres_of = thickness._spheres
 
         def recording(X, s, slack):
@@ -1324,7 +1324,7 @@ class TestPrunedScan:
         # the seed's bound is the distance of a doubly candidate of _scan
         p = _subject(kind, n, seed, x)
         lo, hi = _turning_window(p, math.pi - thickness._TURN_SLACK)
-        bound = thickness._doubly_seed(p, thickness._midpoints(p), lo, hi,
+        bound = thickness._doubly_seed(p, thickness._midpoints(p.vertices), lo, hi,
                                        math.isqrt(p.n), thickness._workspace(p.n))
         arr = _scan(p, singly=False).arrays()
         assert bound == math.inf or np.any(arr["dist"][arr["doubly"]] == bound)

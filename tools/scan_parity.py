@@ -3,7 +3,8 @@
 For every input the JSON file holds delta_n(p).to_json() and the float.hex()
 of dcsd, scsd and inv_delta_objective at clearances 1e-6 L and 1e-12 L.  For
 the inputs with n <= 512 it also holds critical_pairs(p, mode) in both modes,
-one line per pair with s, t and the distance as float.hex(), and the
+one line per pair with s, t and the distance as float.hex().  For those with
+n <= 1280, every input but the 2048- and 4096-gons, it holds the
 move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
 of 0s and 1s, at the default clearance and at a quarter edge, which refuses
 some of them.  Under "campaigns" it holds the margins, as float.hex(), of a
@@ -128,6 +129,7 @@ def _outputs(p) -> dict:
             out[f"critical_pairs_{mode}"] = [
                 f"{q.s.hex()} {q.t.hex()} {q.distance.hex()} {q.kind} {q.criticality} "
                 f"{q.i} {q.j}" for q in critical_pairs(p, mode)]
+    if n <= 1280:
         moves = [(0, n // 2, 0.3), (n // 4, 3 * n // 4, -1.0), (n // 8, n // 8 + 5, 2.5),
                  (n - 7, n // 3, -0.05), (3, n // 2 + 3, math.pi)]
         for key, clearance in (("admissible", None),
