@@ -6,11 +6,11 @@ length exactly.  A move counts only if the rotation sweep, sampled at a
 fixed number of angles, keeps every pair of non-adjacent edges apart by a
 clearance.  The move and its sweep check turn the sub-chain with the same
 formula (_swept), so the last frame checked is the polygon the chain
-commits.  Every frame is measured as computed, on the pairs the edge gap's
-one gatherer (thickness._near_pairs) finds: one midpoint tree over all
-the frames returns each frame's non-adjacent pairs whose midpoints lie
-within reach of the clearance, which holds every pair that could come
-within it, so the check's cost follows the near pairs, not n^2.
+commits.  The frames go, as computed, to the one clearance test that
+is_simple and the objective also call (thickness._clear): it measures
+only the pairs whose midpoints one tree over all the frames finds within
+reach of the clearance, so the check's cost follows the near pairs, not
+n^2.
 Crossings between sampled angles go undetected: accepted paths are
 discrete isotopies at the sampled resolution, which is not a proof that
 the knot type is preserved.
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polygon import Polygon, _format_table, _integral
-from .thickness import (_BATCH, _gathered_gap, _midpoints, _near_pairs, _reach,
-                        inv_delta_objective)
+from .polygon import Polygon, _format_table, _integral, _seed
+from .thickness import _clear, inv_delta_objective
 
 __all__ = [
     "AnnealConfig",
@@ -39,15 +38,6 @@ __all__ = [
 _THETA_MAX = math.pi / 6     # proposal angles are uniform in +-_THETA_MAX
 _SUBSTEPS = 16               # sweep samples per move in the admissibility check
 _CLEARANCE_FACTOR = 1e-6     # clearance = factor * polygon length
-
-
-def _seed(value) -> int:
-    """value as a seed for np.random, which takes non-negative integers only;
-    else ValueError naming the setting, before any draw."""
-    seed = _integral("seed", value)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -151,12 +141,9 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
     The move is replayed at angles theta*k/substeps for k = 0..substeps, so
     frame 0 is p and the last frame is the candidate crankshaft_move returns,
     bit for bit.  Every frame must keep all non-adjacent edge pairs farther
-    apart than the clearance (default 1e-6 * length).  Only the pairs whose
-    midpoints lie within _reach(clearance, h_max) of each other can fail
-    that; _near_pairs gathers them from every frame at once, and
-    _gathered_gap measures them _BATCH pairs at a time, stopping at the
-    first batch at or under the clearance.  A move with no near pair is
-    admitted without a kernel call.  Pivots that coincide and a theta that
+    apart than the clearance (default 1e-6 * length), as thickness._clear
+    tests on all the frames at once; a move with no near pair is admitted
+    without a kernel call.  Pivots that coincide and a theta that
     is not finite make the move inadmissible.  Crossings between substeps
     are not detected, so substeps trades speed against safety; it must be
     an integer, at least 1.  A pivot that is not an integer, a clearance
@@ -179,14 +166,7 @@ def move_is_admissible(p: Polygon, i: int, j: int, theta: float,
         frames = _swept(p, i, j, angles)
     except ValueError:
         return False
-    # a pair whose edges come within the clearance has its midpoints within
-    # reach; _BATCH pairs a call keep the kernel's temporaries below glibc's
-    # 128 kB mmap threshold, so the heap reuses them rather than faulting
-    # them in afresh, and the check stops at the first slice with a contact
-    F, I, J = _near_pairs(_midpoints(frames),
-                          _reach(clearance, float(p.edge_lengths.max()), p.length))
-    return all(_gathered_gap(frames, F[k:k + _BATCH], I[k:k + _BATCH], J[k:k + _BATCH])
-               > clearance for k in range(0, F.size, _BATCH))
+    return _clear(p, frames, clearance)
 
 
 def is_near_regular(p: Polygon, tol: float) -> bool:

@@ -13,8 +13,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .anneal import _seed
-from .polygon import _format_table, _integral, regular_ngon
+from .polygon import _format_table, _integral, _seed, regular_ngon
 from .schur import _bounded_arcs, _chord_check, _sphere_check
 # not called here; kept as module attributes that perfbench/spans.py rebinds
 from .schur import random_bounded_arc, schur_check  # noqa: F401
@@ -118,7 +117,7 @@ def ngon_table(n_min: int, n_max: int) -> list[tuple[int, float, float, float]]:
     The measured column runs the full pair machinery on the regular n-gon,
     not the closed form, so the difference column is an end-to-end check.
     """
-    if not 3 <= n_min <= n_max:
+    if not 3 <= _integral("n_min", n_min) <= _integral("n_max", n_max):
         raise ValueError("need 3 <= n_min <= n_max")
     rows = []
     for n in range(n_min, n_max + 1):

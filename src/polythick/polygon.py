@@ -373,6 +373,15 @@ def _integral(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """value as a seed for np.random, which takes non-negative integers only;
+    else ValueError naming the setting, before any draw."""
+    seed = _integral("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _arc_parameter(name: str, value) -> np.ndarray:
     """value as a float array when every entry is finite, else ValueError
     naming it: mod 1 turns nan and inf into nan, which indexes no edge."""

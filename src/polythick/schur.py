@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygon import PolyArc, _angles_from_dirs
+from .polygon import PolyArc, _angles_from_dirs, _integral, _seed
 # not called here; kept as a module attribute that perfbench/spans.py rebinds
 from .polygon import max_curv2  # noqa: F401
 
@@ -264,10 +264,10 @@ def random_bounded_arc(n: int, K: float, L: float, seed: int) -> PolyArc:
     Deterministic for a fixed seed.  The arc is walked as a stack of one,
     by the walk that draws the campaigns' arcs.
     """
-    if n < 2:
+    if _integral("n", n) < 2:
         raise ValueError("need at least 2 edges")
     if not (0.0 <= K < math.inf and 0.0 < L < math.inf):
         raise ValueError(f"need finite K >= 0 and L > 0, got K = {K}, L = {L}")
-    u = np.random.default_rng(seed).random(2 * n - 2)
+    u = np.random.default_rng(_seed(seed)).random(2 * n - 2)
     return PolyArc(_bounded_arcs(np.array([n]), np.array([K], dtype=float),
                                  np.array([L], dtype=float), [u])[0])

@@ -208,7 +208,10 @@ def arc_length_reparam(samples, m: int = 4096) -> ArcLengthCurve:
 
 
 def circle_samples(count: int = 16384) -> np.ndarray:
-    """(count, 3) samples of the unit circle in the xy-plane."""
+    """(count, 3) samples of the unit circle in the xy-plane; count must be
+    a positive integer."""
+    if _integral("count", count) < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     u = np.arange(count) * (2.0 * np.pi / count)
     return np.column_stack([np.cos(u), np.sin(u), np.zeros(count)])
 
@@ -238,8 +241,11 @@ def torus_knot_samples(a: int, b: int, R: float = 2.0, rho: float = 1.0,
                        count: int = 16384) -> np.ndarray:
     """(a, b) curve on the torus of radii (R, rho), 0 < |rho| < |R|, on
     which the torus is embedded; the curve is embedded for gcd(a,b)=1.
-    rho must survive R's rounding, or the samples trace one circle twice."""
+    rho must survive R's rounding, or the samples trace one circle twice.
+    count must be a positive integer."""
     _check_torus(a, b, R, rho)
+    if _integral("count", count) < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     return _torus_points(a, b, R, rho, np.arange(count) * (2.0 * np.pi / count))
 
 

@@ -63,15 +63,15 @@ critical_pairs(), the doubly ones within _TIE * L of the running doubly
 minimum for delta_n(), whose achieving pair is picked among those within
 _TIE * L of the last, and none for dcsd, scsd and the objective, which
 read the minima alone.
-Simplicity is separate: the edge gap (the minimum distance between
-non-adjacent edges) is measured one way, on gathered pairs of edges of a
-stack of vertex frames (_gathered_gap), and its pairs are gathered one
-way (_near_pairs): the non-adjacent pairs of each frame whose midpoints
-one k-d tree over every frame finds within reach of a clearance, the
-only pairs that can come within it.  is_simple and the objective gather
-them from one frame (_gap_within), the annealer's sweep check from every
-frame of a crankshaft sweep.  Python-level pair objects are only
-materialised by critical_pairs() and delta_n().
+Simplicity is separate, and one function tests it: _clear says whether
+every frame of a stack of vertex frames keeps its non-adjacent edges
+farther apart than a clearance.  It gathers the only pairs that can come
+within it (_near_pairs: the non-adjacent pairs of each frame whose
+midpoints one k-d tree over every frame finds within reach) and measures
+them (_gathered_gap) in batches, calling no kernel when none is near.
+is_simple and the objective call it on one frame, the annealer's sweep
+check on every frame of a crankshaft sweep.  Python-level pair objects
+are only materialised by critical_pairs() and delta_n().
 """
 
 from __future__ import annotations
@@ -360,36 +360,41 @@ def _near_pairs(M: np.ndarray, reach: float):
     here.  One tree holds every frame, frame f shifted by f K along x,
     where K = 2 (|M|_max + reach) leaves twice the reach between frames,
     so that no pair joins two; the shift rounds a distance by about
-    eps f K, far inside _reach's padding.  A lone frame goes unshifted,
-    and its F is 0."""
+    eps f K, far inside _reach's padding, and frame 0's is 0."""
     frames, n = M.shape[:2]
-    if frames > 1:
-        M = M + np.arange(frames)[:, None, None] * [2.0 * (np.abs(M).max() + reach), 0.0, 0.0]
+    M = M + np.arange(frames)[:, None, None] * [2.0 * (np.abs(M).max() + reach), 0.0, 0.0]
     I, J = cKDTree(M.reshape(-1, 3)).query_pairs(reach, output_type="ndarray").T   # I < J
     ok = _pair_ok(I, J, n)           # the pairs of one frame: J - I = j - i
-    return (I[ok] // n, I[ok] % n, J[ok] % n) if frames > 1 else (0, I[ok], J[ok])
+    return I[ok] // n, I[ok] % n, J[ok] % n
 
 
 def _gathered_gap(V: np.ndarray, F, I, J) -> float:
     """The smallest distance between edges I and J of frames F of the vertex
-    stack V, (frames, n, 3), over the pairs i < j that are not adjacent, or
-    +inf.  Edge k runs from vertex k to k+1, as in Polygon.edges."""
+    stack V, (frames, n, 3), or +inf; every pair i < j must be non-adjacent,
+    as _near_pairs gathers them.  Edge k runs from vertex k to k+1, as in
+    Polygon.edges."""
     n = V.shape[1]
     Vi, Vj = V[F, I], V[F, J]
     Ei, Ej = V[F, (I + 1) % n] - Vi, V[F, (J + 1) % n] - Vj
     w0, w2, c1, c2 = _quadratic(Vi, Vj, Ei, Ej)
-    d2 = _gap2(Ei, Ej, _dot(Ei, Ei), _dot(Ej, Ej), _pair_ok(I, J, n), w0,
-               _dot(Ei, Ej), w2, c1, c2)
+    d2 = _gap2(Ei, Ej, _dot(Ei, Ei), _dot(Ej, Ej), True, w0, _dot(Ei, Ej), w2, c1, c2)
     return math.sqrt(max(float(d2.min(initial=np.inf)), 0.0))
 
 
-def _gap_within(p: Polygon, clearance: float) -> float:
-    """The edge gap of p when it is at most clearance, a larger value
-    otherwise, measured on the pairs _near_pairs finds within
-    _reach(clearance, h_max) only: a pair whose edges come within the
-    clearance has its midpoints within that reach."""
+def _clear(p: Polygon, V: np.ndarray, clearance: float) -> bool:
+    """True iff every frame of the vertex stack V, (frames, n, 3), of p or
+    of p turned by rigid moves, keeps each pair of non-adjacent edges
+    farther apart than clearance.  A pair whose edges come within it has
+    its midpoints within _reach(clearance, h_max), h_max and the length
+    being p's; _near_pairs gathers those from every frame at once, and
+    _gathered_gap measures them _BATCH pairs at a time, which keeps the
+    kernel's temporaries below glibc's 128 kB mmap threshold, so the heap
+    reuses them.  It stops at the first batch at or under the clearance,
+    and calls no kernel when no pair is near."""
     reach = _reach(clearance, float(p.edge_lengths.max()), p.length)
-    return _gathered_gap(p.vertices[None], *_near_pairs(_midpoints(p.vertices)[None], reach))
+    F, I, J = _near_pairs(_midpoints(V), reach)
+    return all(_gathered_gap(V, F[k:k + _BATCH], I[k:k + _BATCH], J[k:k + _BATCH])
+               > clearance for k in range(0, F.size, _BATCH))
 
 
 # ---------------------------------------------------------------------------
@@ -976,11 +981,11 @@ def scsd(p: Polygon) -> float:
 def is_simple(p: Polygon) -> bool:
     """True iff no two non-adjacent edges, and so no two vertices, come
     within 1e-12 * length of each other: exact-contact detection only.
-    _gap_within measures the few pairs that could come that close.  Edges
-    that cross are found at any angle between them, as _gap2 takes the feet
-    of near-contact pairs from cross products."""
-    clearance = _CONTACT * p.length
-    return bool(_gap_within(p, clearance) > clearance)
+    _clear measures the few pairs that could come that close, and none
+    when no midpoints are that near.  Edges that cross are found at any
+    angle between them, as _gap2 takes the feet of near-contact pairs from
+    cross products."""
+    return _clear(p, p.vertices[None], _CONTACT * p.length)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1040,7 @@ def inv_delta_objective(p: Polygon, clearance: float) -> float:
     to 1/delta_n up to floating-point reciprocal rounding, but skips the
     singly families, pair materialisation and the report."""
     mc = float(np.max(p.kappa_d_all()))
-    if math.isinf(mc) or _gap_within(p, clearance) <= clearance:
+    if math.isinf(mc) or not _clear(p, p.vertices[None], clearance):
         return float("inf")
     dv = _minimum_scan(p, False, -math.inf).min
     if dv <= 0.0:

@@ -1,6 +1,5 @@
 """Tests for crankshaft moves, admissibility, and the annealing loop."""
 
-import importlib
 import math
 import re
 import warnings
@@ -21,6 +20,7 @@ from polythick import (
     read_polygon,
     regular_ngon,
 )
+from polythick import thickness
 from polythick.anneal import _SUBSTEPS, _THETA_MAX, _swept
 from polythick.polygon import Polygon
 from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
@@ -28,9 +28,6 @@ from polythick.thickness import _BATCH, _midpoints, _near_pairs, _reach, inv_del
 
 from _dense import _edge_gap, _pair_gaps
 from _gen import perturbed_regular
-
-# the package exports the function anneal under the module's name
-anneal_module = importlib.import_module("polythick.anneal")
 
 
 class TestCrankshaftMove:
@@ -150,16 +147,19 @@ class TestMoveAdmissibility:
              else random_equilateral_polygon(n, rng))
         i = i % n
         j = (i + 2 + gap % (n - 3)) % n     # forward gap 2..n-2
-        seen, midpoints = [], anneal_module._midpoints
+        seen, midpoints = [], thickness._midpoints
 
         def capture(V):     # the frames on their way into the gatherer
             seen.append(V.copy())
             return midpoints(V)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anneal_module, "_midpoints", capture)
-            assert move_is_admissible(p, i, j, theta)
+            mp.setattr(thickness, "_midpoints", capture)
+            admissible = move_is_admissible(p, i, j, theta)
         frames, = seen
+        # a random polygon's move may come within the clearance: the verdict
+        # is the dense one on these frames, not always True
+        assert admissible == bool(np.all(_edge_gap(frames) > 1e-6 * p.length))
         assert frames.shape == (_SUBSTEPS + 1, n, 3)
         assert frames[0].tobytes() == p.vertices.tobytes()
         assert (frames[-1].tobytes()
@@ -209,16 +209,16 @@ class TestMoveAdmissibility:
         """Record every call of the edge-gap kernel the sweep check makes,
         (F, I, J, gap), and check that each takes at most _BATCH pairs,
         batch pairs when given."""
-        calls, gathered = [], anneal_module._gathered_gap
+        calls, gathered = [], thickness._gathered_gap
         if batch is not None:
-            monkeypatch.setattr(anneal_module, "_BATCH", batch)
+            monkeypatch.setattr(thickness, "_BATCH", batch)
 
         def recording(V, F, I, J):
-            assert F.size == I.size == J.size <= anneal_module._BATCH
+            assert F.size == I.size == J.size <= thickness._BATCH
             calls.append((F, I, J, gathered(V, F, I, J)))
             return calls[-1][-1]
 
-        monkeypatch.setattr(anneal_module, "_gathered_gap", recording)
+        monkeypatch.setattr(thickness, "_gathered_gap", recording)
         return calls
 
     def test_flipped_regular_256gon_refused(self, monkeypatch):

@@ -44,6 +44,13 @@ class TestNgonTable:
         with pytest.raises(ValueError):
             ngon_table(8, 5)
 
+    @pytest.mark.parametrize("n_min, n_max, name, value", [(3.5, 5, "n_min", 3.5),
+                                                           (3, 5.0, "n_max", 5.0)])
+    def test_non_integer_bounds_rejected(self, n_min, n_max, name, value):
+        # these failed in range with a TypeError that named no bound
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            ngon_table(n_min, n_max)
+
     def test_csv_format(self):
         rows = ngon_table(3, 5)
         text = ngon_csv(rows)

@@ -1,6 +1,7 @@
 """Tests for chord comparison and the tangent-sphere exclusion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,15 @@ class TestRandomBoundedArc:
         for K, L in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 random_bounded_arc(4, K, L, seed=0)
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (4.5, 0, "n must be an integer, got 4.5"),
+        (4, -1, "seed must be a non-negative integer, got -1"),
+        (4, 1.5, "seed must be an integer, got 1.5")])
+    def test_count_and_seed_validation(self, n, seed, message):
+        # these failed in numpy with messages that named no argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_bounded_arc(n, 1.0, 1.0, seed)
 
     def test_feeds_schur_check(self):
         K = 1.0

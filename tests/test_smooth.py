@@ -533,6 +533,20 @@ def test_non_integer_count_rejected(circle, call, name, value):
         call(circle)
 
 
+@pytest.mark.parametrize("samples", [circle_samples,
+                                     lambda count: torus_knot_samples(2, 3, count=count)],
+                         ids=["circle_samples", "torus_knot_samples"])
+@pytest.mark.parametrize("count, message", [
+    # the torus knot took 101 samples, the circle failed with a TypeError
+    (100.5, "count must be an integer, got 100.5"),
+    # these divided by zero, or failed in numpy
+    (0, "count must be at least 1, got 0"),
+    (-4, "count must be at least 1, got -4")])
+def test_sample_count_validation(samples, count, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        samples(count)
+
+
 def test_integral_counts_accepted(circle):
     # numpy integers are counts too, and give the same results
     p = inscribe_equilateral(circle, np.int64(8))
@@ -542,6 +556,9 @@ def test_integral_counts_accepted(circle):
             == arc_length_reparam(circle_samples(1024), 64).positions.tobytes())
     assert smooth_thickness_proxy(circle, np.int64(64)) == smooth_thickness_proxy(circle, 64)
     assert gamma_series(circle, [np.int64(8)], 64) == gamma_series(circle, [8], 64)
+    assert circle_samples(np.int64(100)).tobytes() == circle_samples(100).tobytes()
+    assert (torus_knot_samples(2, 3, count=np.int32(100)).tobytes()
+            == torus_knot_samples(2, 3, count=100).tobytes())
 
 
 class TestCurveIO:

@@ -35,7 +35,7 @@ from polythick import thickness
 from polythick.anneal import crankshaft_move
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
-from polythick.thickness import (_gap_within, _gathered_gap, _scan, _turning_window,
+from polythick.thickness import (_clear, _gathered_gap, _scan, _turning_window,
                                  inv_delta_objective)
 
 from _dense import _edge_gap
@@ -376,7 +376,9 @@ class TestSimplicity:
         # clearance of 1.2e-11, and delta_n read 1.49e-8 at 1e-7
         p = crossing_hexagon(theta)
         assert not is_simple(p)
-        assert _gap_within(p, 1e-12 * p.length) <= 1e-15 * p.length
+        assert _near_gap(p, 1e-12 * p.length) <= 1e-15 * p.length
+        for clearance in (1e-12 * p.length, 1e-6 * p.length):
+            assert not _clear(p, p.vertices[None], clearance)
         r = delta_n(p)
         assert not r.simple and r.delta_n == 0.0
 
@@ -417,13 +419,23 @@ def _sweep_frames(p: Polygon, i: int, j: int, theta: float, frames: int) -> np.n
                      for k in range(frames)])
 
 
+def _near_gap(p: Polygon, clearance: float) -> float:
+    """The edge gap of p over the pairs _near_pairs gathers within the reach
+    of clearance, in one _gathered_gap call: what _clear measures."""
+    V = p.vertices[None]
+    reach = thickness._reach(clearance, float(p.edge_lengths.max()), p.length)
+    return _gathered_gap(V, *thickness._near_pairs(thickness._midpoints(V), reach))
+
+
 def _check_gap_within(p: Polygon, gap: float) -> None:
-    """_gap_within against the dense edge gap of p: the same verdict at
-    1e-12 L and 1e-6 L, and the same value within 1e-12 L at or below the
-    clearance (its b is an elementwise dot, not a row-block matmul)."""
+    """The gathered edge gap and _clear's verdict against the dense edge
+    gap of p: the same verdict at 1e-12 L and 1e-6 L, and the same value
+    within 1e-12 L at or below the clearance (its b is an elementwise dot,
+    not a row-block matmul)."""
     for clearance in (1e-12 * p.length, 1e-6 * p.length):
-        near = _gap_within(p, clearance)
+        near = _near_gap(p, clearance)
         assert (near <= clearance) == (gap <= clearance)
+        assert _clear(p, p.vertices[None], clearance) == (gap > clearance)
         if gap <= clearance:
             assert abs(near - gap) <= 1e-12 * p.length
 
@@ -896,6 +908,21 @@ def _families_rows(p: Polygon, singly: bool) -> list:
     return calls
 
 
+def _gap_calls(p: Polygon) -> list:
+    """(I, J) of each batch of pairs is_simple hands to _gathered_gap, one
+    pair of arrays per kernel call."""
+    calls, gathered = [], thickness._gathered_gap
+
+    def recording(V, F, I, J):
+        calls.append((I, J))
+        return gathered(V, F, I, J)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thickness, "_gathered_gap", recording)
+        is_simple(p)
+    return calls
+
+
 def _tree_queries(p: Polygon, singly: bool) -> list:
     """(tree size, pairs returned) of each sparse_distance_matrix call the
     pruned scan makes, its ring round's midpoint queries.  The calls are
@@ -959,8 +986,9 @@ def _window_pairs(p: Polygon, singly: bool) -> list | None:
 def test_scan_parity_counts_both_rounds():
     # tools/scan_parity.py --faults counts the pruned scan's pairs with this
     # module's _families_rows, _tree_queries, _descent_levels and
-    # _window_pairs.  The trefoil 512-gon's ring queries the one tree in
-    # every block; the 2048-gon's takes the descent
+    # _window_pairs, and is_simple's with _gap_calls.  The trefoil 512-gon's
+    # ring queries the one tree in every block; the 2048-gon's takes the
+    # descent, and its is_simple finds no pair to measure
     path = Path(__file__).resolve().parents[1] / "tools" / "scan_parity.py"
     spec = importlib.util.spec_from_file_location("scan_parity", path)
     tool = importlib.util.module_from_spec(spec)
@@ -974,7 +1002,7 @@ def test_scan_parity_counts_both_rounds():
     c = tool._scan_pairs(_report_large_trefoil())
     w, _, kept = c["levels"][-1]
     assert (c["round"], c["tree"], c["window"], w) == ("ring", 0, 0, 1)
-    assert kept == c["leaf"] >= c["pairs"] > 0
+    assert kept == c["leaf"] >= c["pairs"] > 0 and c["simple"] == "0/0"
     c = tool._scan_pairs(regular_ngon(512))
     assert (c["round"], c["pairs"] > 0, c["tree"], c["leaf"], c["window"] > 0) == (
         "covering", True, 0, 0, True)
@@ -1455,7 +1483,7 @@ class TestGapWithin:
         gap2 = thickness._gap2
 
         def counting(Ei, Ej, a, c, mask, *args):
-            measured.append(np.size(mask))
+            measured.append(np.size(a))
             return gap2(Ei, Ej, a, c, mask, *args)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1466,17 +1494,31 @@ class TestGapWithin:
     @pytest.mark.parametrize("name", ["trefoil", "random-00"])
     def test_measures_non_adjacent_pairs_only(self, name):
         # the tree finds every edge's neighbours; the trefoil's 2,048 pairs
-        # are all adjacent, and random-00's leave 4,913 of 6,961
-        p, seen = _named_2048(name), []
-        gathered = thickness._gathered_gap
+        # are all adjacent, so no kernel runs, and random-00's leave 4,913
+        # of 6,961, measured _BATCH pairs a call
+        p = _named_2048(name)
+        assert is_simple(p)
+        seen = _gap_calls(p)
+        assert all(np.all(thickness._pair_ok(I, J, p.n)) for I, J in seen)
+        assert [I.size for I, _ in seen] == {"trefoil": [], "random-00": [4096, 817]}[name]
 
-        def recording(V, F, I, J):
-            seen.append((I, J))
-            return gathered(V, F, I, J)
+    def test_octagon_starts_call_no_kernel(self):
+        # the annealing benchmark's 32 perturbed octagons: no non-adjacent
+        # midpoints lie within reach of either clearance, so is_simple and
+        # the objective read their verdicts off the tree alone
+        calls, gathered = [], thickness._gathered_gap
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thickness, "_gathered_gap", recording)
-            assert is_simple(p)
-        (I, J), = seen
-        assert np.all(thickness._pair_ok(I, J, p.n))
-        assert I.size == {"trefoil": 0, "random-00": 4913}[name]
+        def recording(*args):
+            calls.append(args)
+            return gathered(*args)
+
+        for j in range(32):
+            p = perturbed_regular(8, 0.18, np.random.default_rng(j))
+            gap = float(_edge_gap(p.vertices))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(thickness, "_gathered_gap", recording)
+                simple = is_simple(p)
+                objective = inv_delta_objective(p, 1e-6 * p.length)
+            assert calls == []
+            assert simple == (gap > 1e-12 * p.length)
+            assert math.isfinite(objective) == (gap > 1e-6 * p.length)

@@ -53,15 +53,16 @@ one-tree queries returned and the leaf pairs of its descent, the window
 pairs its covering round's perpendicularity filter formed, the round it
 ran ("covering" when it called _perpendicular, which only the covering
 round does, "ring" otherwise) and, when the ring took the descent, the
-node pairs that survived each level as width:kept/tested, all counted by
-the tests' wrappers.  It then runs the op sequence of the benchmark's
-report-large workload, delta_n of the trefoil, the regular and a random
-2048-gon in turn, each after malloc_trim, for 24 rounds, and prints each
-case's median time and minor faults.  Per-block arrays that glibc hands
-back to the OS are faulted in afresh on every block, and the order of the
-ops decides which ones it keeps, so a regression of the allocator shows
-there first; run it also with MALLOC_TRIM_THRESHOLD_=131072, which keeps
-fewer.
+node pairs that survived each level as width:kept/tested, and last the
+edge pairs is_simple measured and the kernel calls it took them in, all
+counted by the tests' wrappers.  It then runs the op sequence of the
+benchmark's report-large workload, delta_n of the trefoil, the regular
+and a random 2048-gon in turn, each after malloc_trim, for 24 rounds,
+and prints each case's median time and minor faults.  Per-block arrays
+that glibc hands back to the OS are faulted in afresh on every block, and
+the order of the ops decides which ones it keeps, so a regression of the
+allocator shows there first; run it also with
+MALLOC_TRIM_THRESHOLD_=131072, which keeps fewer.
 
 The lines are tab-separated.  The time and fault columns, the second and
 third of each line, vary from run to run (fault counts are often bimodal,
@@ -196,14 +197,16 @@ def _scan_pairs(p) -> dict:
     its one-tree queries return, the leaf pairs of its ring descent, the
     window pairs its covering round's filter forms, the round it takes,
     "covering" when it called _perpendicular, which only the covering
-    round does, "ring" otherwise, and the descent's levels as (run width,
-    node pairs tested, node pairs kept)."""
+    round does, "ring" otherwise, the descent's levels as (run width,
+    node pairs tested, node pairs kept), and the edge pairs is_simple
+    measures and its kernel calls."""
     from test_thickness import (_delta_n_collector, _descent_levels, _families_rows,
-                                _gathered, _tree_queries, _window_pairs)
+                                _gap_calls, _gathered, _tree_queries, _window_pairs)
 
     calls, levels = _families_rows(p, True), _descent_levels(p, True)
-    window = _window_pairs(p, True)
+    window, gaps = _window_pairs(p, True), _gap_calls(p)
     return {"pairs": sum(I.size for I in calls), "calls": len(calls),
+            "simple": f"{sum(I.size for I, _ in gaps)}/{len(gaps)}",
             "kept": _gathered(_delta_n_collector(p)),
             "tree": sum(size for _, size in _tree_queries(p, True)),
             "leaf": sum(kept for w, _, kept in levels if w == 1),
@@ -301,8 +304,8 @@ def main(argv=None) -> int:
     ap.add_argument("--faults", action="store_true",
                     help="print best-of-5 delta_n time, minor faults, scanned pairs, "
                          "kernel calls, kept candidates, tree, leaf and window pairs, the "
-                         "round and the descent's levels per input, then the report-large "
-                         "sequence")
+                         "round, the descent's levels and is_simple's pairs/kernel calls "
+                         "per input, then the report-large sequence")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
                   f"\t{c['pairs']} pairs\t{c['calls']} kernel calls\t{c['kept']} kept"
                   f"\t{c['tree']} tree pairs"
                   f"\t{c['leaf']} leaf pairs\t{c['window']} window pairs\t{c['round']}"
-                  f"\t{levels or '-'}", flush=True)
+                  f"\t{levels or '-'}\t{c['simple']} is_simple pairs/calls", flush=True)
     results["campaigns"] = _campaigns()
     if trim is not None:
         _report_sequence(trim, inputs)
