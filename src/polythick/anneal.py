@@ -14,6 +14,18 @@ n^2.
 Crossings between sampled angles go undetected: accepted paths are
 discrete isotopies at the sampled resolution, which is not a proof that
 the knot type is preserved.
+
+The objective max(max kappa_d, 2/dcsd) is the larger of a cheap term and
+a costly one, the pair scan.  The annealer scores a candidate curvature
+first: max kappa_d and the clearance test, then the scan only when the
+Metropolis test may still accept.  A candidate whose max kappa_d already
+exceeds the current objective can be accepted only with probability
+exp(-(objective - current)/T) <= exp(-(max kappa_d - current)/T), so
+the uniform draw that decides it is taken first, as early-rejection
+Metropolis does (Solonen et al., Bayesian Analysis 7(3), 2012), and a
+draw over that bound rejects the move unscanned.  The draw comes at the
+same point of the random stream as before and decides the same way, so
+every chain, its trace and its best polygon stay the same bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polygon import Polygon, _format_table, _integral, _seed
-from .thickness import _clear, inv_delta_objective
+from .thickness import _clear, _curvature_term, inv_delta_objective
 
 __all__ = [
     "AnnealConfig",
@@ -194,6 +206,23 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
     check runs only for proposals that Metropolis already accepted, which
     cannot change the chain (a move commits only when both tests pass).
     Deterministic for fixed (p0, cfg).
+
+    Scoring takes two stages.  The first is max kappa_d and the clearance
+    test, which decide whether the objective is finite (the argument is
+    in inv_delta_objective's docstring).  When max kappa_d exceeds both
+    the current objective f and the n-gon bound, the objective f_cand
+    exceeds f too, so the Metropolis test would draw u and accept only if
+    u < exp(-(f_cand - f)/T) <= exp(-(max kappa_d - f)/T).  u is drawn
+    then, and the pair scan runs only when u is within that bound (with
+    a relative slack of 1e-15 for exp's rounding).  Float subtraction and
+    division are monotone, and exp is up to that slack, so this rejects
+    no move the full test accepts and draws no number it does not draw:
+    each accept, each draw and each trace row is as when every candidate
+    is fully scored.  The angle check, which fails loudly, sees every
+    candidate it would see then, and so does the n-gon bound check but
+    for unscanned ones, whose objective is at least max kappa_d, which is
+    at least the bound.  A scanned candidate that passed the first stage
+    yet scores +inf would break the argument, and fails loudly too.
     """
     n = p0.n
     L = p0.length
@@ -228,25 +257,35 @@ def anneal(p0: Polygon, cfg: AnnealConfig = AnnealConfig()):
                 cand = crankshaft_move(current, i, j, theta)
             except ValueError:
                 cand = None
-            if cand is not None:
-                f_cand = inv_delta_objective(cand, clearance)
-                if math.isfinite(f_cand):
-                    # both hold for every closed equilateral polygon; a
-                    # violation means the kernel miscounted, so fail loudly
+            # +inf exactly when the objective is: see inv_delta_objective
+            mc = math.inf if cand is None else _curvature_term(cand, clearance)
+            if math.isfinite(mc):
+                # curvature first (see the docstring): past f and the n-gon
+                # bound, u is drawn now and the scan runs only if u can pass
+                u = rng.random() if mc > f and mc >= lower_bound else None
+                f_cand = math.inf       # rejected on curvature alone
+                if u is None or u <= math.exp(-(mc - f) / T) * (1.0 + 1e-15):
+                    f_cand = inv_delta_objective(cand, clearance)
+                    # these hold for every closed equilateral polygon that
+                    # passed the clearance test; a violation means the kernel
+                    # miscounted, so fail loudly
+                    if math.isinf(f_cand):
+                        raise RuntimeError("objective infinite on a cleared polygon")
                     if f_cand < lower_bound:
                         raise RuntimeError(
                             f"objective {f_cand:.17g} under the n-gon bound")
-                    if float(cand.exterior_angles().max()) < angle_floor:
-                        raise RuntimeError("no exterior angle reaches 2*pi/n")
-                    if f_cand <= f or rng.random() < math.exp(-(f_cand - f) / T):
-                        if move_is_admissible(current, i, j, theta,
-                                              clearance=clearance):
-                            current = cand
-                            f = f_cand
-                            accepted = 1
-                            if f < f_best:
-                                f_best = f
-                                best = cand
+                if float(cand.exterior_angles().max()) < angle_floor:
+                    raise RuntimeError("no exterior angle reaches 2*pi/n")
+                if u is None and f_cand > f:
+                    u = rng.random()
+                if ((u is None or u < math.exp(-(f_cand - f) / T))
+                        and move_is_admissible(current, i, j, theta, clearance=clearance)):
+                    current = cand
+                    f = f_cand
+                    accepted = 1
+                    if f < f_best:
+                        f_best = f
+                        best = cand
 
             rows.append((step, T, f, accepted, i, j, theta, f_best))
             step += 1

@@ -69,12 +69,17 @@ def _vertex_array(points) -> np.ndarray:
     return v
 
 
-def _angles_from_dirs(d_in: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    # rows of d_in/d_out are unit incoming/outgoing directions at each vertex
-    cross = np.cross(d_in, d_out)
-    sin = np.linalg.norm(cross, axis=1)
-    cos = np.einsum("ij,ij->i", d_in, d_out)
-    return np.arctan2(sin, cos)
+def _angles_from_dirs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Turning angles between the unit rows of a (incoming) and b (outgoing).
+
+    The cross product is formed a component at a time in np.cross's
+    operation order, and its norm as sqrt(c0 c0 + c1 c1 + c2 c2), as
+    np.linalg.norm sums a row of three, so the angles are those of np.cross
+    and np.linalg.norm bit for bit, without their per-call set-up."""
+    c0 = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    c1 = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    c2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), np.einsum("ij,ij->i", a, b))
 
 
 class _Polyline:
@@ -164,7 +169,7 @@ class Polygon(_Polyline):
         if v.shape[0] < 3:
             raise ValueError("a closed polygon needs at least 3 vertices")
         with np.errstate(over="ignore"):    # an overflow fails the range check
-            super().__init__(v, np.roll(v, -1, axis=0) - v)
+            super().__init__(v, np.concatenate((v[1:], v[:1])) - v)
         lens = self._lens
         mean = float(lens.mean())
         if not _EDGE_RANGE[0] <= mean <= _EDGE_RANGE[1]:
@@ -180,8 +185,9 @@ class Polygon(_Polyline):
 
     @staticmethod
     def _at_vertices(x: np.ndarray):
-        # vertex i sits between edges i-1 and i, cyclically
-        return np.roll(x, 1, axis=0), x
+        # vertex i sits between edges i-1 and i, cyclically: np.roll(x, 1),
+        # whose per-call set-up costs more than the copy on small polygons
+        return np.concatenate((x[-1:], x[:-1])), x
 
     def _index(self, i: int) -> int:
         return i % self.n

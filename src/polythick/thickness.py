@@ -70,7 +70,10 @@ within it (_near_pairs: the non-adjacent pairs of each frame whose
 midpoints one k-d tree over every frame finds within reach) and measures
 them (_gathered_gap) in batches, calling no kernel when none is near.
 is_simple and the objective call it on one frame, the annealer's sweep
-check on every frame of a crankshaft sweep.  Python-level pair objects
+check on every frame of a crankshaft sweep.  The objective's first stage,
+max kappa_d and that test (_curvature_term), is kept on the polygon, so
+the annealer can reject a candidate on it before any scan and still
+clear it once.  Python-level pair objects
 are only materialised by critical_pairs() and delta_n().
 """
 
@@ -104,6 +107,7 @@ _MEMBER_EPS = 1e-9        # foot this close to an edge end counts as the vertex
 _CONTACT = 1e-12          # simplicity clearance, relative to length
 _BLOCK = 96               # row-block size for the O(n^2) scans
 _BATCH = 4096             # kept pairs the pruned scan hands to _families per call
+_GAP_BATCH = 131072 // 24  # edge pairs _clear measures per call: (pairs, 3) floats under 128 kB
 _TIE = 1e-12              # distances this close to the minimum tie, relative to length
 _CROSSOVER = 96           # n from which the minima come from the pruned scan
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
@@ -387,14 +391,16 @@ def _clear(p: Polygon, V: np.ndarray, clearance: float) -> bool:
     farther apart than clearance.  A pair whose edges come within it has
     its midpoints within _reach(clearance, h_max), h_max and the length
     being p's; _near_pairs gathers those from every frame at once, and
-    _gathered_gap measures them _BATCH pairs at a time, which keeps the
-    kernel's temporaries below glibc's 128 kB mmap threshold, so the heap
-    reuses them.  It stops at the first batch at or under the clearance,
-    and calls no kernel when no pair is near."""
+    _gathered_gap measures them _GAP_BATCH pairs at a time: the most whose
+    (pairs, 3) float temporaries, 24 bytes a pair, stay under glibc's
+    128 kB mmap threshold, so the heap reuses them.  It stops at the first
+    batch at or under the clearance, and calls no kernel when no pair is
+    near."""
     reach = _reach(clearance, float(p.edge_lengths.max()), p.length)
     F, I, J = _near_pairs(_midpoints(V), reach)
-    return all(_gathered_gap(V, F[k:k + _BATCH], I[k:k + _BATCH], J[k:k + _BATCH])
-               > clearance for k in range(0, F.size, _BATCH))
+    w = _GAP_BATCH
+    return all(_gathered_gap(V, F[k:k + w], I[k:k + w], J[k:k + w]) > clearance
+               for k in range(0, F.size, w))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,13 +1040,46 @@ def delta_n(p: Polygon) -> ThicknessReport:
         achieving_vertex=achieving_vertex, achieving_pair=pair, simple=simple)
 
 
+def _curvature_term(p: Polygon, clearance: float) -> float:
+    """The objective's cheap stage: max kappa_d of p, or +inf when p folds
+    back or fails _clear at clearance.  It is kept on p for the last
+    clearance asked, so that inv_delta_objective after it, as the annealer
+    scores a candidate in two stages, clears p only once."""
+    memo = getattr(p, "_curvature_memo", None)
+    if memo is None or memo[0] != clearance:
+        mc = float(np.max(p.kappa_d_all()))
+        if math.isfinite(mc) and not _clear(p, p.vertices[None], clearance):
+            mc = math.inf
+        memo = p._curvature_memo = (clearance, mc)
+    return memo[1]
+
+
 def inv_delta_objective(p: Polygon, clearance: float) -> float:
     """max(max_curv, 2/dcsd) of p, +inf when p is within clearance of
     self-contact or folds back.  This is the annealing objective: identical
     to 1/delta_n up to floating-point reciprocal rounding, but skips the
-    singly families, pair materialisation and the report."""
-    mc = float(np.max(p.kappa_d_all()))
-    if math.isinf(mc) or not _clear(p, p.vertices[None], clearance):
+    singly families, pair materialisation and the report.
+
+    Once _curvature_term is finite, so is the objective, at the annealer's
+    clearance of 1e-6 times the length: dcsd then reads above 0, as every
+    doubly candidate joins two points that _clear holds apart.
+      - edge-edge, and the parallel representative: points of two
+        non-adjacent edges;
+      - vertex-vertex: vertices i and j, which start the non-adjacent
+        edges i and j;
+      - vertex i and a point of edge j, j neither i - 1 nor i: vertex i
+        starts edge i, non-adjacent to j unless j = i + 1, and ends edge
+        i - 1, non-adjacent to i + 1 for n >= 4.  For n = 3, which has no
+        non-adjacent edges, the one candidate is a vertex's foot on the
+        opposite edge: the equilateral triangle's height.
+    Each candidate's squared distance is the edge-pair quadratic at one
+    point of the unit square.  Its inputs are differences of vertices,
+    each within an ulp, so it rounds by a small multiple of eps L^2, far
+    below the clearance's 1e-12 L^2; _clear reads near gaps off
+    displacement vectors, to about eps L.  The annealer's early rejection
+    rests on this."""
+    mc = _curvature_term(p, clearance)
+    if math.isinf(mc):
         return float("inf")
     dv = _minimum_scan(p, False, -math.inf).min
     if dv <= 0.0:

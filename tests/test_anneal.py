@@ -1,12 +1,13 @@
 """Tests for crankshaft moves, admissibility, and the annealing loop."""
 
+import importlib
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polythick import (
@@ -24,9 +25,10 @@ from polythick import thickness
 from polythick.anneal import _SUBSTEPS, _THETA_MAX, _swept
 from polythick.polygon import Polygon
 from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
-from polythick.thickness import _BATCH, _midpoints, _near_pairs, _reach, inv_delta_objective
+from polythick.thickness import (_GAP_BATCH, _curvature_term, _midpoints, _near_pairs,
+                                 _reach, dcsd, inv_delta_objective)
 
-from _dense import _edge_gap, _pair_gaps
+from _dense import _anneal_fully_scored, _edge_gap, _pair_gaps
 from _gen import perturbed_regular
 
 
@@ -207,14 +209,14 @@ class TestMoveAdmissibility:
     @staticmethod
     def _kernel_calls(monkeypatch, batch=None):
         """Record every call of the edge-gap kernel the sweep check makes,
-        (F, I, J, gap), and check that each takes at most _BATCH pairs,
+        (F, I, J, gap), and check that each takes at most _GAP_BATCH pairs,
         batch pairs when given."""
         calls, gathered = [], thickness._gathered_gap
         if batch is not None:
-            monkeypatch.setattr(thickness, "_BATCH", batch)
+            monkeypatch.setattr(thickness, "_GAP_BATCH", batch)
 
         def recording(V, F, I, J):
-            assert F.size == I.size == J.size <= thickness._BATCH
+            assert F.size == I.size == J.size <= thickness._GAP_BATCH
             calls.append((F, I, J, gathered(V, F, I, J)))
             return calls[-1][-1]
 
@@ -223,7 +225,7 @@ class TestMoveAdmissibility:
 
     def test_flipped_regular_256gon_refused(self, monkeypatch):
         # flipping half the regular 256-gon by pi lands it on the other half
-        # in the last frame only: the kernel takes at most _BATCH pairs a
+        # in the last frame only: the kernel takes at most _GAP_BATCH pairs a
         # call, and the check stops at the first call that reads a contact
         p, clearance = regular_ngon(256), 1e-6
         calls = self._kernel_calls(monkeypatch)
@@ -248,7 +250,7 @@ class TestMoveAdmissibility:
     def test_batches_cover_the_near_pairs(self, monkeypatch):
         # an admissible move measures every frame's non-adjacent pairs whose
         # midpoints lie within reach, each once: the random 300-gon's 9,571
-        # near pairs in three calls, against a dense midpoint distance
+        # near pairs in two calls, against a dense midpoint distance
         p = random_equilateral_polygon(300, np.random.default_rng(300))
         calls = self._kernel_calls(monkeypatch)
         assert move_is_admissible(p, 0, 150, 0.2)
@@ -258,7 +260,7 @@ class TestMoveAdmissibility:
         D = np.linalg.norm(M[:, :, None] - M[:, None, :], axis=-1)
         reach = _reach(1e-6 * p.length, float(p.edge_lengths.max()), p.length)
         f, i, j = np.nonzero((D <= reach) & np.isfinite(_pair_gaps(frames)))
-        assert len(calls) == math.ceil(f.size / _BATCH) == 3
+        assert len(calls) == math.ceil(f.size / _GAP_BATCH) == 2
         assert sorted(zip(F.tolist(), I.tolist(), J.tolist())) == list(zip(f, i, j))
 
     def test_no_near_pair_no_kernel_call(self, monkeypatch):
@@ -383,6 +385,63 @@ class TestObjective:
         p = read_polygon("tests/data/pentagram10.txt")
         assert math.isinf(inv_delta_objective(p, 1e-6 * p.length))
 
+    @staticmethod
+    def _check_finite(p: Polygon) -> bool:
+        """The annealer's early rejection rests on this: once max kappa_d
+        is finite and p passes the clearance test, dcsd reads above 0 and
+        the objective is finite.  Returns whether p passed."""
+        clearance = 1e-6 * p.length
+        mc = _curvature_term(p, clearance)
+        if math.isfinite(mc):
+            assert dcsd(p) > 0.0
+            assert inv_delta_objective(p, clearance) == max(mc, 2.0 / dcsd(p))
+        else:
+            assert math.isinf(inv_delta_objective(p, clearance))
+        return math.isfinite(mc)
+
+    @pytest.mark.parametrize("fold", [0.0, 0.3, 1.5, 3.0])
+    def test_finite_on_near_fold_rhombi(self, fold):
+        # rhombi of angle alpha fold back at two vertices as alpha -> 0; edges
+        # 0 and 2, and 1 and 3, lie sin(alpha) apart, and vertex i sees edge
+        # i + 1 within that distance too.  Folding the rhombus about its
+        # diagonal makes it skew.  The clearance of 4e-6 separates the angles
+        sides = []
+        for alpha in 10.0 ** -np.linspace(0.0, 7.0, 57):
+            e2 = [math.cos(alpha), math.sin(alpha), 0.0]
+            p = Polygon(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                  np.add([1.0, 0.0, 0.0], e2), e2]))
+            if fold:
+                p = crankshaft_move(p, 0, 2, fold)
+            sides.append(self._check_finite(p))
+        assert True in sides and False in sides
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-6, 1.0, 1e6, 1e40])
+    def test_finite_on_triangles(self, scale):
+        # n = 3 has no non-adjacent edges to clear; its one doubly candidate
+        # is a vertex's foot on the opposite edge, the triangle's height
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p = Polygon(scale * (regular_ngon(3).vertices @ _rotation(rng) + rng.normal(size=3)))
+            assert self._check_finite(p)
+
+    @given(n=st.integers(3, 16), seed=st.integers(0, 2**31 - 1), perturbed=st.booleans(),
+           i=st.integers(0, 15), gap=st.integers(0, 13), theta=st.floats(-math.pi, math.pi))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_on_candidates(self, n, seed, perturbed, i, gap, theta):
+        # crankshaft candidates of random and perturbed regular polygons,
+        # at angles up to pi, which fold and cross many of them
+        rng = np.random.default_rng(seed)
+        p = (perturbed_regular(n, 0.3, rng) if perturbed
+             else random_equilateral_polygon(n, rng))
+        i = i % n
+        j = (i + 2 + gap % max(n - 3, 1)) % n
+        self._check_finite(crankshaft_move(p, i, j, theta))
+
+
+def _rotation(rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q
+
 
 QUICK = AnnealConfig(seed=3, steps_per_temp=40, cooling=0.85, t_min=1e-3)
 
@@ -485,3 +544,80 @@ class TestAnneal:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AnnealConfig(seed=seed)
         AnnealConfig(seed=np.int64(5))
+
+
+class TestCurvatureFirst:
+    """anneal skips the pair scan of a candidate that the Metropolis draw
+    already rejects on max kappa_d; the chain is the fully scored one."""
+
+    @staticmethod
+    def _same_chain(p0: Polygon, cfg: AnnealConfig):
+        """anneal(p0, cfg) and the fully scored reference agree bit for bit
+        in every trace column and the best vertices; returns the trace."""
+        best, trace = anneal(p0, cfg)
+        ref_best, ref = _anneal_fully_scored(p0, cfg)
+        for name in ("step", "temperature", "objective", "accepted", "i", "j", "theta",
+                     "best_objective", "best_vertices"):
+            got, want = getattr(trace, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert best.vertices.tobytes() == ref_best.vertices.tobytes()
+        return trace
+
+    @given(n=st.integers(3, 48), seed=st.integers(0, 2**31 - 1),
+           start=st.sampled_from(["perturbed", "random"]),
+           t0=st.sampled_from([None, "hot", "cold"]), steps=st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fully_scored(self, n, seed, start, t0, steps):
+        # hot chains accept most moves and decide few on curvature; cold
+        # ones reject most of them on curvature alone
+        rng = np.random.default_rng(seed)
+        p0 = (perturbed_regular(n, 0.18, rng) if start == "perturbed"
+              else random_equilateral_polygon(n, rng))
+        f0 = inv_delta_objective(p0, 1e-6 * p0.length)
+        assume(math.isfinite(f0))
+        T = {None: 0.5 * f0, "hot": 5.0 * f0, "cold": 1e-3 * f0}[t0]
+        cfg = AnnealConfig(t0=None if t0 is None else T, cooling=0.5,
+                           steps_per_temp=steps, t_min=0.2 * T, seed=seed % 1000)
+        assert len(self._same_chain(p0, cfg)) == 3 * steps
+
+    # the schedule of the benchmark's anneal-octagon workload
+    WORKLOAD = dict(steps_per_temp=20, cooling=0.8, t_min=1e-3)
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3])
+    def test_octagon_workload_starts(self, start):
+        # the workload's start j is perturbed_regular(8, 0.18, rng(j)),
+        # annealed with seed j
+        p0 = perturbed_regular(8, 0.18, np.random.default_rng(start))
+        self._same_chain(p0, AnnealConfig(seed=start, **self.WORKLOAD))
+
+    def test_crumpled10(self):
+        p0 = read_polygon("tests/data/crumpled10.txt")
+        trace = self._same_chain(p0, AnnealConfig(seed=3, **self.WORKLOAD))
+        assert 0 < trace.accepted.sum() < len(trace)
+
+    def test_octagon_00_skips_a_third_of_the_scans(self, monkeypatch):
+        # the workload's octagon-00 chain: counted as _gap_calls counts, the
+        # objective is called once for the start and once per fully scored
+        # candidate; the rest, 234 of the 760, are decided on curvature
+        # alone.  No polygon goes through the one-frame clearance test twice
+        module = importlib.import_module("polythick.anneal")
+        calls, objective = [], module.inv_delta_objective
+        cleared, clear = [], thickness._clear
+
+        def counting(p, clearance):
+            calls.append(clearance)
+            return objective(p, clearance)
+
+        def recording(p, V, clearance):
+            if len(V) == 1:
+                cleared.append(p)
+            return clear(p, V, clearance)
+
+        monkeypatch.setattr(module, "inv_delta_objective", counting)
+        monkeypatch.setattr(thickness, "_clear", recording)
+        p0 = perturbed_regular(8, 0.18, np.random.default_rng(0))
+        _, trace = anneal(p0, AnnealConfig(seed=0, **self.WORKLOAD))
+        skipped = len(trace) - (len(calls) - 1)
+        assert len(trace) == 760
+        assert skipped >= 0.3 * len(trace)
+        assert len({id(p) for p in cleared}) == len(cleared) > len(calls)

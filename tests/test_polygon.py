@@ -235,6 +235,69 @@ class TestDiscreteCurvature:
         assert [p.kappa_d2(i) for i in range(4)] == p.kappa_d2_all().tolist()
 
 
+def _reference_angles(d_in, d_out):
+    """The turning angles as np.cross and np.linalg.norm form them."""
+    sin = np.linalg.norm(np.cross(d_in, d_out), axis=1)
+    return np.arctan2(sin, np.einsum("ij,ij->i", d_in, d_out))
+
+
+def _unit_rows(rng, k):
+    d = rng.normal(size=(k, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+class TestAnglesFromDirs:
+    """polygon._angles_from_dirs forms np.cross a component at a time and
+    its norm as one sum of squares: bit for bit the np.cross and
+    np.linalg.norm angles, on Polygon and PolyArc alike."""
+
+    @given(k=st.integers(1, 70), seed=st.integers(0, 2**31 - 1),
+           kind=st.sampled_from(["random", "parallel", "antiparallel", "mixed"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_cross_and_norm(self, k, seed, kind):
+        rng = np.random.default_rng(seed)
+        a = _unit_rows(rng, k)
+        b = {"random": _unit_rows(rng, k), "parallel": a.copy(), "antiparallel": -a,
+             "mixed": np.where(rng.random((k, 1)) < 0.5, a, -a)}[kind]
+        got = polygon._angles_from_dirs(a, b)
+        assert got.tobytes() == _reference_angles(a, b).tobytes()
+        if kind == "antiparallel":
+            assert np.all(got == math.pi)
+
+    def test_signed_zeros(self):
+        # the axis directions, each with every sign on each of its
+        # components, zeros included, paired every way
+        signs = np.array([(x, y, w) for x in (1, -1) for y in (1, -1) for w in (1, -1)])
+        rows = np.vstack([np.copysign(np.eye(3)[k], signs) for k in range(3)])
+        assert np.signbit(rows[rows == 0.0]).sum() == 24
+        a = np.repeat(rows, len(rows), axis=0)
+        b = np.tile(rows, (len(rows), 1))
+        got = polygon._angles_from_dirs(a, b)
+        assert got.tobytes() == _reference_angles(a, b).tobytes()
+        assert set(got.tolist()) == {0.0, 0.5 * math.pi, math.pi}
+
+    @pytest.mark.parametrize("name", ["square", "signed-zero square", "hairpin", "random"])
+    def test_through_polygon_and_arc(self, name):
+        # a square in the plane z = -0: its edges carry -0.0 and 0.0; the
+        # hairpin folds back at vertices 1 and 3, a turn of pi
+        V = {"square": [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+             "signed-zero square": [(0.0, -0.0, -0.0), (1.0, 0.0, -0.0),
+                                    (1.0, 1.0, 0.0), (-0.0, 1.0, -0.0)],
+             "hairpin": [(0, 0, 0), (1, 0, 0), (0, 0, 0), (-1, 0, 0)],
+             "random": random_equilateral_polygon(40, np.random.default_rng(4)).vertices}[name]
+        V = np.array(V, dtype=float)
+        p = Polygon(V)
+        E = np.roll(V, -1, axis=0) - V
+        assert p.edges.tobytes() == E.tobytes()
+        d = E / np.linalg.norm(E, axis=1)[:, None]
+        want = _reference_angles(np.roll(d, 1, axis=0), d)
+        assert p.exterior_angles().tobytes() == want.tobytes()
+        arc = PolyArc(np.vstack([V, V[:1]]))
+        assert arc.exterior_angles().tobytes() == want[1:].tobytes()
+        if name == "hairpin":
+            assert want[1] == want[3] == math.pi
+
+
 class TestCircumradiusAngleIdentity:
     def test_identity_on_random_triples(self):
         # place y between x and z on a circle of radius rho, with half-angles

@@ -1495,12 +1495,12 @@ class TestGapWithin:
     def test_measures_non_adjacent_pairs_only(self, name):
         # the tree finds every edge's neighbours; the trefoil's 2,048 pairs
         # are all adjacent, so no kernel runs, and random-00's leave 4,913
-        # of 6,961, measured _BATCH pairs a call
+        # of 6,961, fewer than _GAP_BATCH, measured in one call
         p = _named_2048(name)
         assert is_simple(p)
         seen = _gap_calls(p)
         assert all(np.all(thickness._pair_ok(I, J, p.n)) for I, J in seen)
-        assert [I.size for I, _ in seen] == {"trefoil": [], "random-00": [4096, 817]}[name]
+        assert [I.size for I, _ in seen] == {"trefoil": [], "random-00": [4913]}[name]
 
     def test_octagon_starts_call_no_kernel(self):
         # the annealing benchmark's 32 perturbed octagons: no non-adjacent

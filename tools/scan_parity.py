@@ -9,10 +9,17 @@ move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
 of 0s and 1s, at the default clearance and at a quarter edge, which refuses
 some of them.  Under "campaigns" it holds the margins, as float.hex(), of a
 250-case strict and a relaxed Schur campaign and a sphere campaign, and of
-an 1100-case sphere campaign, whose stack crosses a chunk boundary.  Run it
-once per checkout and compare the files byte for byte; a change that keeps
-the scan's arithmetic, the sweep check's verdicts and the campaigns' draws
-must leave them equal:
+an 1100-case sphere campaign, whose stack crosses a chunk boundary.  Under
+"anneal" it holds three short annealing chains on the schedule of the
+benchmark's anneal-octagon workload (20 proposals per temperature, cooling
+0.8, t_min 1e-3): that workload's octagon start 0 with seed 0,
+tests/data/crumpled10.txt with seed 3 and a random 24-gon with seed 24.
+For each it records the proposals, the accepted moves, the best objective
+as float.hex() and, for every trace column and the best vertices, a
+sha256 digest of their float.hex() strings.  Run it once per checkout and
+compare the files byte for byte; a change that keeps the scan's
+arithmetic, the sweep check's verdicts, the campaigns' draws and the
+annealer's chains must leave them equal:
 
     python tools/scan_parity.py change.json
     python tools/scan_parity.py parent.json --checkout ../parent
@@ -148,6 +155,33 @@ def _campaigns() -> dict:
             "sphere/500": sphere_campaign(250, 500),
             "sphere/1000": sphere_campaign(1100, 1000)}
     return {name: [m.hex() for m in res.margins.tolist()] for name, res in runs.items()}
+
+
+def _anneals() -> dict:
+    """Counts, best objective and float.hex() digests of three chains."""
+    import hashlib
+
+    import numpy as np
+    from _gen import perturbed_regular
+    from polythick.anneal import AnnealConfig, anneal
+    from polythick.polygon import random_equilateral_polygon, read_polygon
+
+    data = Path(__file__).resolve().parents[1] / "tests" / "data"
+    chains = {"octagon-00/0": (perturbed_regular(8, 0.18, np.random.default_rng(0)), 0),
+              "crumpled10/3": (read_polygon(data / "crumpled10.txt"), 3),
+              "random-24/24": (random_equilateral_polygon(24, np.random.default_rng(24)), 24)}
+    out = {}
+    for name, (p0, seed) in chains.items():
+        _, trace = anneal(p0, AnnealConfig(seed=seed, steps_per_temp=20, cooling=0.8,
+                                           t_min=1e-3))
+        out[f"{name}.proposals"] = len(trace)
+        out[f"{name}.accepts"] = int(trace.accepted.sum())
+        out[f"{name}.best"] = float(trace.best_objective[-1]).hex()
+        for col in ("step", "temperature", "objective", "accepted", "i", "j", "theta",
+                    "best_objective", "best_vertices"):
+            text = " ".join(float(x).hex() for x in getattr(trace, col).ravel())
+            out[f"{name}.{col}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 def _best_delta_n(p, trim) -> tuple[float, int]:
@@ -328,6 +362,7 @@ def main(argv=None) -> int:
                   f"\t{c['leaf']} leaf pairs\t{c['window']} window pairs\t{c['round']}"
                   f"\t{levels or '-'}\t{c['simple']} is_simple pairs/calls", flush=True)
     results["campaigns"] = _campaigns()
+    results["anneal"] = _anneals()
     if trim is not None:
         _report_sequence(trim, inputs)
     args.out.write_text(json.dumps(results, indent=1) + "\n")
