@@ -218,21 +218,20 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / _norms(v)[:, None]
 
 
-def _bounded_arcs(n: np.ndarray, K: np.ndarray, L: np.ndarray, uniforms) -> np.ndarray:
+def _bounded_arcs(n: np.ndarray, K: np.ndarray, L: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Vertices of the arcs random_bounded_arc draws from these numbers.
 
-    Arc b turns by the 2(n[b] - 1) numbers uniforms[b], the first that
+    Arc b turns by the 2(n[b] - 1) numbers U[b, :2 n[b] - 2], the first that
     random_bounded_arc(n[b], K[b], L[b], seed) draws from default_rng(seed)
     with one rng.random call; they are the same stream as alternating
-    rng.uniform(0, K*ell) and rng.uniform(0, 2 pi) calls.  Arc b is
-    V[b, :n[b] + 1] of the returned (B, max n + 1, 3) array.  The uniforms
-    past arc b's are 0, so its padded steps turn by 0 and are dropped with
-    the rows they make.
+    rng.uniform(0, K*ell) and rng.uniform(0, 2 pi) calls.  U is
+    (B, 2 max n - 2), zero past each arc's numbers, as a campaign's chunk
+    draws it in one stack (experiments._campaign_draws) and as
+    random_bounded_arc passes its one row; the padded steps turn by 0 and
+    are dropped with the rows they make.  Arc b is V[b, :n[b] + 1] of the
+    returned (B, max n + 1, 3) array.
     """
     B, N = len(n), int(n.max())
-    U = np.zeros((B, 2 * N - 2))
-    for b, u in enumerate(uniforms):
-        U[b, :len(u)] = u
     ell = L / n
     theta = (K * ell)[:, None] * U[:, 0::2]
     psi = (2.0 * math.pi) * U[:, 1::2]
@@ -270,4 +269,4 @@ def random_bounded_arc(n: int, K: float, L: float, seed: int) -> PolyArc:
         raise ValueError(f"need finite K >= 0 and L > 0, got K = {K}, L = {L}")
     u = np.random.default_rng(_seed(seed)).random(2 * n - 2)
     return PolyArc(_bounded_arcs(np.array([n]), np.array([K], dtype=float),
-                                 np.array([L], dtype=float), [u])[0])
+                                 np.array([L], dtype=float), u[None])[0])

@@ -179,11 +179,28 @@ def test_campaign_non_integer_cases_rejected(campaign):
 
 
 def _stack(mode, seed, cases):
-    """The campaign's draws for cases seed .. seed + cases - 1, and their arcs
-    walked as one stack."""
-    n, K, L, U = zip(*(experiments._campaign_case(mode, seed + k) for k in range(cases)))
+    """The campaign's draws for cases seed .. seed + cases - 1, each drawn
+    alone by _campaign_case, and their arcs walked as one stack."""
+    n, K, L, u = zip(*(experiments._campaign_case(mode, seed + k) for k in range(cases)))
     n, K, L = np.array(n), np.array(K), np.array(L)
+    U = np.zeros((cases, 2 * n.max() - 2))
+    for b, row in enumerate(u):
+        U[b, :len(row)] = row
     return n, K, L, schur._bounded_arcs(n, K, L, U)
+
+
+def _draw_too_long(monkeypatch, seed):
+    """Make the stacked draw give the case of this seed L = 4 pi / K."""
+    draws = experiments._campaign_draws
+
+    def drawing(mode, seeds):
+        n, K, L, U = draws(mode, seeds)
+        if seed in seeds:
+            b = seeds.index(seed)
+            L[b] = 4.0 * math.pi / K[b]
+        return n, K, L, U
+
+    monkeypatch.setattr(experiments, "_campaign_draws", drawing)
 
 
 def _hex(x) -> str:
@@ -237,13 +254,7 @@ class TestCampaignStack:
     def test_length_violation_names_the_case(self, monkeypatch):
         # a case past the first chunk is drawn four times too long
         k = experiments._CHUNK + 5
-        draw = experiments._campaign_case
-
-        def drawing(mode, seed):
-            n, K, L, u = draw(mode, seed)
-            return (n, K, 4.0 * math.pi / K, u) if seed == 7 + k else (n, K, L, u)
-
-        monkeypatch.setattr(experiments, "_campaign_case", drawing)
+        _draw_too_long(monkeypatch, 7 + k)
         with pytest.raises(ValueError, match=f"length bound violated at case {k}: K\\*L"):
             schur_campaign(k + 10, 7)
 
@@ -260,13 +271,7 @@ class TestCampaignStack:
     def test_sphere_length_violation_names_the_case(self, monkeypatch):
         # as for the chord check: a case past the first chunk drawn too long
         k = experiments._CHUNK + 5
-        draw = experiments._campaign_case
-
-        def drawing(mode, seed):
-            n, K, L, u = draw(mode, seed)
-            return (n, K, 4.0 * math.pi / K, u) if seed == 7 + k else (n, K, L, u)
-
-        monkeypatch.setattr(experiments, "_campaign_case", drawing)
+        _draw_too_long(monkeypatch, 7 + k)
         with pytest.raises(ValueError, match=f"length bound violated at case {k}: K\\*L"):
             sphere_campaign(k + 10, 7)
 
@@ -311,3 +316,128 @@ class TestCampaignStack:
         assert np.all(dists[past] == math.inf)
         assert not np.any(lhs[past]) and not np.any(rhs[past])
         assert np.all(np.isfinite(dists[~past]))
+
+
+# 0 and the seeds where a seed grows from one 32-bit word to two, from two to
+# three and from four to five; five words overflow SeedSequence's pool, so
+# lanes from 2**128 on take the scalar draw
+_EDGES = (0, 2**32, 2**64, 2**128)
+
+
+def _assert_draws_are_cases(mode, seeds, draws):
+    n, K, L, U = draws
+    for b, s in enumerate(seeds):
+        n1, K1, L1, u1 = experiments._campaign_case(mode, s)
+        assert (int(n[b]), _hex(K[b]), _hex(L[b])) == (n1, _hex(K1), _hex(L1)), s
+        assert U[b, :len(u1)].tobytes() == u1.tobytes(), s
+        assert not U[b, len(u1):].any(), s
+
+
+def _crafted(first):
+    """A PCG64 whose output 0 is first: its state steps to (0, first), which
+    XSL-RR reads as first."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    bits = np.random.PCG64(0)
+    inc = bits.state["state"]["inc"]
+    start = (first - inc) * pow(mult, -1, 2**128) % 2**128
+    bits.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+class TestCampaignDraws:
+    """The stacked draw against numpy's own PCG64 and Generator, as installed:
+    NEP 19 fixes the bit generator's stream but not Generator's methods, so
+    a numpy that draws otherwise fails here."""
+
+    @staticmethod
+    def _raw(monkeypatch, seeds):
+        outputs = experiments._pcg64_outputs
+        raw = []
+
+        def recording(*lanes):
+            raw.append(outputs(*lanes).copy())
+            return raw[-1]
+
+        monkeypatch.setattr(experiments, "_pcg64_outputs", recording)
+        experiments._campaign_draws("strict", seeds)
+        return raw[0]
+
+    def test_lanes_are_numpy_pcg64(self, monkeypatch):
+        for first in _EDGES[:3] + (2**40 + 3, 2**128 - 32):
+            seeds = range(max(0, first - 32), first + 32)
+            raw = self._raw(monkeypatch, seeds)
+            for b, s in enumerate(seeds):
+                assert raw[b].tobytes() == np.random.PCG64(s).random_raw(46).tobytes(), s
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed", "sphere"])
+    def test_draws_are_cases(self, mode):
+        # 8192 seeds a mode: 1024 on each side of every edge
+        for edge in _EDGES:
+            first = max(0, edge - 1024)
+            seeds = range(first, edge + 1024)
+            for start in range(0, len(seeds), experiments._CHUNK):
+                chunk = seeds[start:start + experiments._CHUNK]
+                draws = experiments._campaign_draws(mode, chunk)
+                assert draws[3].shape == (len(chunk), 2 * draws[0].max() - 2)
+                _assert_draws_are_cases(mode, chunk, draws)
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed", "sphere"])
+    def test_campaign_across_two_words(self, mode):
+        # 250 cases from 2**64 - 100: seeds of two and three words in one chunk
+        seed = 2**64 - 100
+        n, K, L, V = _stack(mode, seed, 250)
+        if mode == "sphere":
+            margins = sphere_campaign(250, seed).margins
+            expected = schur._sphere_check(V, n, K)[0].min(axis=1)
+        else:
+            margins = schur_campaign(250, seed, mode).margins
+            _, circle, poly = schur._chord_check(V, n, K, mode)
+            expected = poly - circle
+        assert margins.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed", "sphere"])
+    def test_rejected_lanes_take_the_scalar_draw(self, mode, monkeypatch):
+        # output 0 of every seventh lane given a low word of 0, which
+        # Generator.integers(2, 25) rejects; those lanes must be redrawn
+        outputs = experiments._pcg64_outputs
+
+        def rejecting(*lanes):
+            raw = outputs(*lanes)
+            raw[::7, 0] &= np.uint64(0xFFFFFFFF00000000)
+            return raw
+
+        monkeypatch.setattr(experiments, "_pcg64_outputs", rejecting)
+        seeds = range(2**32 - 100, 2**32 + 100)
+        _assert_draws_are_cases(mode, seeds, experiments._campaign_draws(mode, seeds))
+
+    def test_rejection_threshold_is_numpys(self, monkeypatch):
+        # low words whose Lemire leftover (23 low mod 2**32) is 11 and 12:
+        # numpy draws again for 11, from output 0's high word, but keeps 12
+        high = 2**31
+        low = {r: r * pow(23, -1, 2**32) % 2**32 for r in (11, 12)}
+        from_high = 2 + (high * 23 >> 32)
+        assert all(2 + (w * 23 >> 32) != from_high for w in low.values())
+        for r, w in low.items():
+            n = np.random.Generator(_crafted(high << 32 | w)).integers(2, 25)
+            assert n == (from_high if r == 11 else 2 + (w * 23 >> 32))
+        # the stack keeps lane 0 (leftover 12) and redraws lane 1 (leftover 11)
+        outputs = experiments._pcg64_outputs
+
+        def crafted(*lanes):
+            raw = outputs(*lanes)
+            for b, r in ((0, 12), (1, 11)):
+                raw[b] = _crafted(high << 32 | low[r]).random_raw(46)
+            return raw
+
+        monkeypatch.setattr(experiments, "_pcg64_outputs", crafted)
+        seeds = range(500, 510)
+        n, K, L, U = experiments._campaign_draws("strict", seeds)
+        rng = np.random.Generator(_crafted(high << 32 | low[12]))
+        n0 = int(rng.integers(2, 25))
+        K0 = float(rng.uniform(0.2, 5.0))
+        L0 = float(rng.uniform(0.1, 0.98 * math.pi)) / K0
+        u0 = np.random.Generator(_crafted(high << 32 | low[12])).random(2 * n0 - 2)
+        assert (int(n[0]), _hex(K[0]), _hex(L[0])) == (n0, _hex(K0), _hex(L0))
+        assert U[0, :len(u0)].tobytes() == u0.tobytes() and not U[0, len(u0):].any()
+        _assert_draws_are_cases("strict", seeds[1:], (n[1:], K[1:], L[1:], U[1:]))

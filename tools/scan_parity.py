@@ -8,8 +8,11 @@ n <= 1280, every input but the 2048- and 4096-gons, it holds the
 move_is_admissible verdicts of a fixed list of crankshaft moves, as a string
 of 0s and 1s, at the default clearance and at a quarter edge, which refuses
 some of them.  Under "campaigns" it holds the margins, as float.hex(), of a
-250-case strict and a relaxed Schur campaign and a sphere campaign, and of
-an 1100-case sphere campaign, whose stack crosses a chunk boundary.  Under
+250-case strict and a relaxed Schur campaign and a sphere campaign, of
+an 1100-case sphere campaign, whose stack crosses a chunk boundary, and of
+two campaigns at big seeds: a 250-case strict one from 2^64 - 100, whose
+seeds pass from two 32-bit words to three, and a 20-case sphere one from
+2^128, whose seeds have more words than SeedSequence's pool.  Under
 "anneal" it holds three short annealing chains on the schedule of the
 benchmark's anneal-octagon workload (20 proposals per temperature, cooling
 0.8, t_min 1e-3): that workload's octagon start 0 with seed 0,
@@ -153,7 +156,9 @@ def _campaigns() -> dict:
     runs = {"strict/0": schur_campaign(250, 0, "strict"),
             "relaxed/250": schur_campaign(250, 250, "relaxed"),
             "sphere/500": sphere_campaign(250, 500),
-            "sphere/1000": sphere_campaign(1100, 1000)}
+            "sphere/1000": sphere_campaign(1100, 1000),
+            "strict/2^64-100": schur_campaign(250, 2**64 - 100, "strict"),
+            "sphere/2^128": sphere_campaign(20, 2**128)}
     return {name: [m.hex() for m in res.margins.tolist()] for name, res in runs.items()}
 
 
