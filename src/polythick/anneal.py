@@ -8,9 +8,10 @@ clearance.  The move and its sweep check turn the sub-chain with the same
 formula (_swept), so the last frame checked is the polygon the chain
 commits.  The frames go, as computed, to the one clearance test that
 is_simple and the objective also call (thickness._clear): it measures
-only the pairs whose midpoints one tree over all the frames finds within
-reach of the clearance, so the check's cost follows the near pairs, not
-n^2.
+only the pairs whose midpoints lie within reach of the clearance.  A
+small stack, as an octagon's 17 frames are, tests every non-adjacent
+pair's midpoints against the reach; a larger one puts all the frames in
+one k-d tree, so the check's cost follows the near pairs, not n^2.
 Crossings between sampled angles go undetected: accepted paths are
 discrete isotopies at the sampled resolution, which is not a proof that
 the knot type is preserved.

@@ -71,8 +71,11 @@ def _check_curvature(V: np.ndarray, n: np.ndarray, K: np.ndarray, cases=None):
     D = E / lens[:, None]
     kappa = (_angles_from_dirs(D[k], D[k + 1])
              / (0.5 * (lens[k] + lens[k + 1])))
-    # arc b owns n[b] - 1 interior vertices, at least one
-    kc = np.maximum.reduceat(kappa, ends - n - np.arange(len(n)))
+    # arc b owns the n[b] - 1 interior vertices from ends[b] - n[b] - b on;
+    # the -inf sentinel lets an arc with none end the stack, and such an
+    # arc reads 0, as max_curv2 does, not its neighbour's first vertex
+    kc = np.maximum.reduceat(np.append(kappa, -math.inf), ends - n - np.arange(len(n)))
+    kc = np.where(n > 1, kc, 0.0)
     over = kc > K + _PRE_TOL
     if over.any():
         i = int(np.argmax(over))

@@ -15,8 +15,10 @@ existing, so the boundary pairs are enumerated too.  The thickness radius is
 Every edge pair is described by one convex quadratic in the two foot
 parameters.  One kernel, _families, reads every critical-pair family off
 it.  Two enumerations feed it.  The dense scan (_scan) takes all n^2
-pairs, a row block at a time; critical_pairs() uses it, and so do the
-minima below _CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
+pairs, a row block at a time, and when one block holds them all it reads
+the arrays that depend on the labels alone from a table formed once per
+n (_square_index); critical_pairs() uses it, and so do the minima below
+_CROSSOVER edges.  From there on delta_n, dcsd, scsd and the
 annealing objective take the pruned scan: only pairs whose two arcs can
 both turn pi (pi/2 for the singly families), in one round.  It starts
 from a bound r on dcsd: the doubly pairs next to the closest midpoints of
@@ -67,8 +69,10 @@ Simplicity is separate, and one function tests it: _clear says whether
 every frame of a stack of vertex frames keeps its non-adjacent edges
 farther apart than a clearance.  It gathers the only pairs that can come
 within it (_near_pairs: the non-adjacent pairs of each frame whose
-midpoints one k-d tree over every frame finds within reach) and measures
-them (_gathered_gap) in batches, calling no kernel when none is near.
+midpoints lie within reach, tested pair by pair on a stack of at most
+_DENSE_PAIRS frame pairs and found by one k-d tree over every frame on a
+larger one) and measures them (_gathered_gap) in batches, calling no
+kernel when none is near.
 is_simple and the objective call it on one frame, the annealer's sweep
 check on every frame of a crankshaft sweep.  The objective's first stage,
 max kappa_d and that test (_curvature_term), is kept on the polygon, so
@@ -110,6 +114,7 @@ _BATCH = 4096             # kept pairs the pruned scan hands to _families per ca
 _GAP_BATCH = 131072 // 24  # edge pairs _clear measures per call: (pairs, 3) floats under 128 kB
 _TIE = 1e-12              # distances this close to the minimum tie, relative to length
 _CROSSOVER = 96           # n from which the minima come from the pruned scan
+_DENSE_PAIRS = 2048       # frames x non-adjacent pairs up to which _near_pairs tests each
 _PAD = 1e-6               # radius slack for rounding, relative to r + 4 h_max
 _TURN_SLACK = 1e-6        # turning slack of the pruned scan's arc filter
 _PARALLEL = 1e-4          # pairs with b^2 >= (1 - _PARALLEL) a h_min^2 count as parallel
@@ -210,8 +215,10 @@ class _Collector:
         self._chunks = [(z.astype(int), z.astype(int), z, z, z, 0, False)]
 
     def add(self, i, j, mask, dist, fs, ft, kind: int, doubly: bool):
-        dist = np.broadcast_to(dist, mask.shape)
-        d = float(np.min(dist, where=mask, initial=np.inf))
+        if np.shape(dist) != mask.shape:
+            dist = np.broadcast_to(dist, mask.shape)
+        # np.min's wrapper costs more than the reduction of a small scan
+        d = float(np.minimum.reduce(dist, axis=None, where=mask, initial=np.inf))
         if d == np.inf:                                   # nothing accepted
             return
         self.min = min(self.min, d)
@@ -222,7 +229,8 @@ class _Collector:
             if not doubly or d > limit:
                 return
             mask = mask & (dist <= limit)
-        i, j, dist, fs, ft = (np.broadcast_to(x, mask.shape)[mask]
+        i, j, dist, fs, ft = (x[mask] if np.shape(x) == mask.shape
+                              else np.broadcast_to(x, mask.shape)[mask]
                               for x in (i, j, dist, fs, ft))
         self._chunks.append((i, j, dist, fs, ft, kind, doubly))
 
@@ -263,8 +271,48 @@ def _pair_ok(I, J, n: int):
     return (d >= 2) & (d <= n - 2)
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only, as a cache shares them."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@cache
+def _pairs(n: int):
+    """(I, J), read-only: every non-adjacent pair i < j of n edges, in
+    row-major order."""
+    I, J = np.triu_indices(n, 2)
+    ok = _pair_ok(I, J, n)
+    return _read_only(I[ok], J[ok])
+
+
+def _index(I, J, n: int) -> tuple:
+    """The arrays _families reads off the labels alone: pair_ok, the edges
+    (I - 1) % n and (J - 1) % n before each, not_incident (j is neither i
+    nor i - 1) and the masks j = i + 1 and j = i - 2, mod n."""
+    Im, Jm = (I - 1) % n, (J - 1) % n
+    return (_pair_ok(I, J, n), Im, Jm, (J != I) & (J != Im),
+            J == (I + 1) % n, J == (I - 2) % n)
+
+
+@cache
+def _square_index(n: int) -> tuple:
+    """_index of every row i against every column j of n edges, read-only:
+    the scan's one row block when n <= _BLOCK."""
+    idx = np.arange(n)
+    return _read_only(*_index(idx[:, None], idx[None, :], n))
+
+
 def _dot(x, y):
     return np.einsum("...k,...k->...", x, y)
+
+
+def _unit(x):
+    """np.clip(x, 0.0, 1.0) bit for bit, -0.0 and NaN included, without
+    np.clip's Python-level wrapper; np.maximum(x, 0.0) would turn -0.0
+    into 0.0."""
+    return np.minimum(np.maximum(0.0, x), 1.0)
 
 
 def _workspace(n: int) -> np.ndarray:
@@ -311,8 +359,8 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
     elsewhere; Ei, Ej are the pairs' edge vectors, shaped as w0, and a, c
     their E . E.  Edges that cross read a gap at rounding level at any
     angle between them."""
-    sides = [(0.0, np.clip(c2 / c, 0.0, 1.0)), (1.0, np.clip((c2 + b) / c, 0.0, 1.0)),
-             (np.clip(-c1 / a, 0.0, 1.0), 0.0), (np.clip((b - c1) / a, 0.0, 1.0), 1.0)]
+    sides = [(0.0, _unit(c2 / c)), (1.0, _unit((c2 + b) / c)),
+             (_unit(-c1 / a), 0.0), (_unit((b - c1) / a), 1.0)]
     s_in, t_in, ok = _stationary(a, b, c, c1, c2, 1e-14)
     inside = ok & (s_in >= 0.0) & (s_in <= 1.0) & (t_in >= 0.0) & (t_in <= 1.0)
     d2 = _square_min(
@@ -337,8 +385,8 @@ def _gap2(Ei, Ej, a, c, mask, w0, b, w2, c1, c2):
 
         N = np.cross(Ei, Ej)
         N2 = _dot(N, N)
-        s = np.clip(-_dot(np.cross(W, Ej), N) / np.where(N2 > 0.0, N2, 1.0), 0.0, 1.0)
-        t = np.clip(_dot(W + s[:, None] * Ei, Ej) / at(c), 0.0, 1.0)
+        s = _unit(-_dot(np.cross(W, Ej), N) / np.where(N2 > 0.0, N2, 1.0))
+        t = _unit(_dot(W + s[:, None] * Ei, Ej) / at(c))
         d2[near] = _square_min(exact, [(at(x), at(y)) for x, y in sides], N2 > 0.0, (s, t))
     return d2
 
@@ -359,13 +407,30 @@ def _midpoints(V: np.ndarray) -> np.ndarray:
 def _near_pairs(M: np.ndarray, reach: float):
     """(F, I, J): the non-adjacent pairs i < j of each frame f of the
     midpoint stack M, (frames, n, 3), whose midpoints lie within reach.
-    Every edge's neighbours are within reach, and on a finely inscribed
-    curve they are most of the pairs the tree finds, so they are dropped
-    here.  One tree holds every frame, frame f shifted by f K along x,
+    Two gathers find them.  A stack of at most _DENSE_PAIRS frame pairs
+    tests every one, from _pairs' list, by the test _node_pairs uses,
+    d2 <= reach^2 with d2 summed as cKDTree sums it, so frame 0 gathers
+    what the tree gathers.  At that size the dense test costs less than
+    building a tree, and its (pairs, 3) temporaries stay under 48 kB.
+    On perturbed and random polygons (best of 7, one BLAS thread) one
+    frame broke even at 1.5k-3k pairs (n = 56-80) and three frames at
+    3.2k-4.5k (n = 48-56); 17 frames won to 7.9k pairs (n = 32) but lost
+    by up to 2.9 times on some stacks from 10k pairs (n = 36-48), whose
+    temporaries pass glibc's 128 kB mmap threshold.  A larger stack
+    goes to one tree over every frame, frame f shifted by f K along x,
     where K = 2 (|M|_max + reach) leaves twice the reach between frames,
     so that no pair joins two; the shift rounds a distance by about
-    eps f K, far inside _reach's padding, and frame 0's is 0."""
+    eps f K, far inside _reach's padding, and frame 0's is 0.  Every
+    edge's neighbours are within reach, and on a finely inscribed curve
+    they are most of the pairs the tree finds, so they are dropped
+    there."""
     frames, n = M.shape[:2]
+    if frames * (n * (n - 3) // 2) <= _DENSE_PAIRS:
+        I, J = _pairs(n)
+        D = M.take(I, axis=1) - M.take(J, axis=1)
+        d2 = D[..., 0] * D[..., 0] + D[..., 1] * D[..., 1] + D[..., 2] * D[..., 2]
+        F, k = np.nonzero(d2 <= reach * reach)
+        return F, I.take(k), J.take(k)
     M = M + np.arange(frames)[:, None, None] * [2.0 * (np.abs(M).max() + reach), 0.0, 0.0]
     I, J = cKDTree(M.reshape(-1, 3)).query_pairs(reach, output_type="ndarray").T   # I < J
     ok = _pair_ok(I, J, n)           # the pairs of one frame: J - I = j - i
@@ -390,7 +455,9 @@ def _clear(p: Polygon, V: np.ndarray, clearance: float) -> bool:
     of p turned by rigid moves, keeps each pair of non-adjacent edges
     farther apart than clearance.  A pair whose edges come within it has
     its midpoints within _reach(clearance, h_max), h_max and the length
-    being p's; _near_pairs gathers those from every frame at once, and
+    being p's; _near_pairs gathers those from every frame at once, by its
+    dense test on a stack of at most _DENSE_PAIRS frame pairs, as the
+    annealer's octagons are, and by its tree on a larger one, and
     _gathered_gap measures them _GAP_BATCH pairs at a time: the most whose
     (pairs, 3) float temporaries, 24 bytes a pair, stay under glibc's
     128 kB mmap threshold, so the heap reuses them.  It stops at the first
@@ -408,8 +475,9 @@ def _clear(p: Polygon, V: np.ndarray, clearance: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
-    """Evaluate every candidate family on the pairs (I, J) into out.
+def _families(out: _Collector, p: Polygon, I, J, b, singly: bool, index=None):
+    """Evaluate every candidate family on the pairs (I, J) into out; index
+    is _index(I, J, n), formed here when not given.
 
     Families:
       edge-edge      mutual perpendicular feet inside non-adjacent edges,
@@ -433,13 +501,13 @@ def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
     """
     V, E, lens, dirs = p.vertices, p.edges, p.edge_lengths, p.directions()
     n = V.shape[0]
-    pair_ok = _pair_ok(I, J, n)
+    pair_ok, Im, Jm, not_incident, next_j, back2_j = index or _index(I, J, n)
     Ei, Ej = E.take(I, axis=0), E.take(J, axis=0)
     w0, w2, c1, c2 = _quadratic(V.take(I, axis=0), V.take(J, axis=0), Ei, Ej)
     a, c = lens[I] * lens[I], lens[J] * lens[J]
-    um, up = dirs.take((I - 1) % n, axis=0), dirs.take(I, axis=0)     # u-_i, u+_i
+    um, up = dirs.take(Im, axis=0), dirs.take(I, axis=0)     # u-_i, u+_i
     um_w, up_w, um_E, up_E = _dot(um, w0), _dot(up, w0), _dot(um, Ej), _dot(up, Ej)
-    vm_w = -_dot(dirs.take((J - 1) % n, axis=0), w0)    # <u-_j, -w0>
+    vm_w = -_dot(dirs.take(Jm, axis=0), w0)             # <u-_j, -w0>
     vp_w = -_dot(dirs.take(J, axis=0), w0)              # <u+_j, -w0>
     del w0
 
@@ -454,8 +522,7 @@ def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
     inr = (pair_ok & skew
            & (s_star >= -PARAM_TOL) & (s_star <= 1.0 + PARAM_TOL)
            & (t_star >= -PARAM_TOL) & (t_star <= 1.0 + PARAM_TOL))
-    sc = np.clip(s_star, 0.0, 1.0)
-    tc = np.clip(t_star, 0.0, 1.0)
+    sc, tc = _unit(s_star), _unit(t_star)
     dist = np.sqrt(np.maximum(d2_at(sc, tc), 0.0))
     out.add(I, J, inr, dist, sc, tc, 2, True)
 
@@ -465,23 +532,22 @@ def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
     lo = np.maximum(np.minimum(tau0, tau1), 0.0)
     hi = np.minimum(np.maximum(tau0, tau1), 1.0)
     has = pair_ok & ~skew & (hi >= lo - PARAM_TOL)
-    if np.any(has):
-        smid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
-        tmid = np.clip((c2 + smid * b) / c, 0.0, 1.0)
+    if has.any():
+        smid = _unit(0.5 * (lo + hi))
+        tmid = _unit((c2 + smid * b) / c)
         distp = np.sqrt(np.maximum(d2_at(smid, tmid), 0.0))
         out.add(I, J, has, distp, smid, tmid, 2, True)
 
     # ---- vertex(row) - edge(col): d^2(f) = w2 - 2 f c2 + f^2 c ----------
     foot = c2 / c
-    not_incident = (J != I) & (J != (I - 1) % n)
     inr_f = (foot >= -PARAM_TOL) & (foot <= 1.0 + PARAM_TOL) & not_incident
-    fc = np.clip(foot, 0.0, 1.0)
+    fc = _unit(foot)
     # a foot at an edge end is that vertex; drop it when it shares an
     # edge with the row vertex (the vertex-vertex family owns the rest)
     at0 = fc <= _MEMBER_EPS
     at1 = fc >= 1.0 - _MEMBER_EPS
-    inr_f &= ~(at0 & (J == (I + 1) % n))
-    inr_f &= ~(at1 & (J == (I - 2) % n))
+    inr_f &= ~(at0 & next_j)
+    inr_f &= ~(at1 & back2_j)
     dq = foot_dist(fc)
     safe = np.where(dq > 0.0, dq, 1.0)
     am = (um_w - fc * um_E) / safe
@@ -513,22 +579,24 @@ def _families(out: _Collector, p: Polygon, I, J, b, singly: bool):
             tm = np.where(good, u_w / np.where(good, u_E, 1.0), -1.0)
             interior = (tm >= PARAM_TOL) & (tm <= 1.0 - PARAM_TOL)
             keep0 = interior & not_incident
-            if not np.any(keep0):
+            if not keep0.any():
                 continue
-            tmc = np.clip(tm, 0.0, 1.0)
+            tmc = _unit(tm)
             out.add(I, J, keep0, foot_dist(tmc), 0.0, tmc, 1, False)
 
 
 def _scan(p: Polygon, singly: bool, window: float | None = None) -> _Collector:
     """Every critical-pair candidate of p: _families over all n^2 pairs,
     one row block against every column at a time, into a _Collector with
-    that window."""
-    idx, out = np.arange(p.n), _Collector(p.edge_lengths, window)
-    workspace = _workspace(p.n)
-    for r0 in range(0, p.n, _BLOCK):
+    that window.  A scan of one block takes its _index from _square_index,
+    formed once per n."""
+    n, out = p.n, _Collector(p.edge_lengths, window)
+    workspace, idx = _workspace(n), np.arange(n)
+    for r0 in range(0, n, _BLOCK):
         rows = slice(r0, r0 + _BLOCK)
-        _families(out, p, idx[rows, None], idx[None, :],
-                  _gram(p.edges, rows, workspace), singly)
+        I, J = idx[rows, None], idx[None, :]
+        index = _square_index(n) if n <= _BLOCK else _index(I, J, n)
+        _families(out, p, I, J, _gram(p.edges, rows, workspace), singly, index)
     return out
 
 

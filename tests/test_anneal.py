@@ -247,20 +247,25 @@ class TestMoveAdmissibility:
         assert F.size == 394 and 1 < len(calls) < F.size // 2
         assert min(gap for *_, gap in calls[:-1]) > clearance >= calls[-1][-1]
 
-    def test_batches_cover_the_near_pairs(self, monkeypatch):
+    @pytest.mark.parametrize("n, dense_pairs, kernel_calls",
+                             [(300, thickness._DENSE_PAIRS, 2), (24, 0, 1), (24, 10**6, 1)])
+    def test_batches_cover_the_near_pairs(self, monkeypatch, n, dense_pairs, kernel_calls):
         # an admissible move measures every frame's non-adjacent pairs whose
-        # midpoints lie within reach, each once: the random 300-gon's 9,571
-        # near pairs in two calls, against a dense midpoint distance
-        p = random_equilateral_polygon(300, np.random.default_rng(300))
+        # midpoints lie within reach, each once, against a dense midpoint
+        # distance: the random 300-gon's 9,571 near pairs in two calls, and
+        # a random 24-gon's in one, gathered by the tree (a _DENSE_PAIRS of
+        # 0) and by the dense test
+        p = random_equilateral_polygon(n, np.random.default_rng(n))
+        monkeypatch.setattr(thickness, "_DENSE_PAIRS", dense_pairs)
         calls = self._kernel_calls(monkeypatch)
-        assert move_is_admissible(p, 0, 150, 0.2)
+        assert move_is_admissible(p, 0, n // 2, 0.2)
         F, I, J = (np.concatenate(x) for x in list(zip(*calls))[:3])
-        frames = _swept(p, 0, 150, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * 0.2)
+        frames = _swept(p, 0, n // 2, np.arange(_SUBSTEPS + 1) / _SUBSTEPS * 0.2)
         M = _midpoints(frames)
         D = np.linalg.norm(M[:, :, None] - M[:, None, :], axis=-1)
         reach = _reach(1e-6 * p.length, float(p.edge_lengths.max()), p.length)
         f, i, j = np.nonzero((D <= reach) & np.isfinite(_pair_gaps(frames)))
-        assert len(calls) == math.ceil(f.size / _GAP_BATCH) == 2
+        assert len(calls) == math.ceil(f.size / _GAP_BATCH) == kernel_calls
         assert sorted(zip(F.tolist(), I.tolist(), J.tolist())) == list(zip(f, i, j))
 
     def test_no_near_pair_no_kernel_call(self, monkeypatch):

@@ -15,6 +15,7 @@ from polythick import (
     sphere_exclusion_check,
 )
 from polythick.polygon import PolyArc
+from polythick.schur import _check_curvature
 
 
 def constant_turn_arc(n_edges: int, phi: float, ell: float = 1.0) -> PolyArc:
@@ -165,6 +166,30 @@ class TestSchurCheck:
         with pytest.raises(ValueError):
             schur_check(straight_arc(3), -1.0)
 
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_one_edge_arc(self, mode):
+        # an arc of one edge has no interior vertex and max_curv2 0; the
+        # stacked check raised IndexError from maximum.reduceat
+        arc = straight_arc(1, 0.7)
+        assert max_curv2(arc) == 0.0
+        case = schur_check(arc, 2.0, mode)
+        assert (case.L, case.polygon_chord) == (0.7, 0.7)
+        assert case.circle_chord == math.sin(0.7)
+        assert case.margin > 0.0
+
+    def test_stacked_max_curv2_with_one_edge_arcs(self):
+        # a one-edge arc between two others, and one ending the stack,
+        # read max_curv2 0, and their neighbours their own
+        arcs = [constant_turn_arc(2, 0.3), straight_arc(1), constant_turn_arc(3, 0.5),
+                straight_arc(1)]
+        n = np.array([arc.m for arc in arcs])
+        V = np.zeros((len(arcs), n.max() + 1, 3))
+        for b, arc in enumerate(arcs):
+            V[b, :arc.m + 1] = arc.vertices
+        _, _, kc, _ = _check_curvature(V, n, np.full(len(arcs), 1.0))
+        assert kc.tolist() == [max_curv2(arc) for arc in arcs]
+        assert kc[[1, 3]].tolist() == [0.0, 0.0] and kc[0] > 0.0 and kc[2] > 0.0
+
     def test_case_records_inputs(self):
         arc = straight_arc(4)
         case = schur_check(arc, 2.0)
@@ -183,6 +208,14 @@ class TestSphereExclusion:
         expect = np.sqrt(a * a + 1.0) - 1.0
         assert np.max(np.abs(rep.distances - expect)) < 1e-12
         assert rep.min_distance > 0.0
+
+    def test_one_edge_arc(self):
+        # the closed form above at k = 1: the stacked check raised
+        # IndexError on an arc with no interior vertex
+        rep = sphere_exclusion_check(straight_arc(1, 0.3), 1.0)
+        assert rep.distances.shape == (1,)
+        assert abs(rep.distances[0] - (math.sqrt(1.09) - 1.0)) < 1e-12
+        assert np.min(rep.anchor_lhs - rep.anchor_rhs) >= -1e-12
 
     def test_anchor_inequality(self):
         arc = straight_arc(5, 0.3)

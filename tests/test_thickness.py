@@ -32,13 +32,13 @@ from polythick import (
     scsd,
 )
 from polythick import thickness
-from polythick.anneal import crankshaft_move
+from polythick.anneal import _swept, crankshaft_move, move_is_admissible
 from polythick.geom import segment_min_distance
 from polythick.polygon import Polygon
 from polythick.thickness import (_clear, _gathered_gap, _scan, _turning_window,
                                  inv_delta_objective)
 
-from _dense import _edge_gap
+from _dense import _edge_gap, _pair_gaps
 from _gen import crossing_hexagon, perturbed_regular
 from _oracle import double_grid_scan
 
@@ -1505,7 +1505,7 @@ class TestGapWithin:
     def test_octagon_starts_call_no_kernel(self):
         # the annealing benchmark's 32 perturbed octagons: no non-adjacent
         # midpoints lie within reach of either clearance, so is_simple and
-        # the objective read their verdicts off the tree alone
+        # the objective read their verdicts off the gather alone
         calls, gathered = [], thickness._gathered_gap
 
         def recording(*args):
@@ -1522,3 +1522,91 @@ class TestGapWithin:
             assert calls == []
             assert simple == (gap > 1e-12 * p.length)
             assert math.isfinite(objective) == (gap > 1e-6 * p.length)
+
+
+def _gather_verdicts(p: Polygon, frames: np.ndarray, clearance: float, move):
+    """What the two gathers must agree on, under the gather the current
+    _DENSE_PAIRS selects: _clear of p and of its sweep frames, is_simple,
+    move_is_admissible, and the sets (f, i, j) that _near_pairs gathers
+    from the one-frame stack and from the frames."""
+    reach = thickness._reach(clearance, float(p.edge_lengths.max()), p.length)
+    gathered = [set(zip(*(x.tolist() for x in thickness._near_pairs(
+        thickness._midpoints(V), reach)))) for V in (p.vertices[None], frames)]
+    return ((_clear(p, p.vertices[None], clearance), _clear(p, frames, clearance),
+             is_simple(p), move_is_admissible(p, *move, clearance=clearance)), gathered)
+
+
+class TestGathers:
+    """_near_pairs' dense test and its tree, selected by the stack's size
+    (_DENSE_PAIRS), and forced here by setting it to either extreme."""
+
+    @given(kind=st.sampled_from(["random", "perturbed", "crumpled10", "crossing-hexagon"]),
+           n=st.integers(4, 95), seed=st.integers(0, 10**6), x=st.floats(0.0, 1.0),
+           i=st.integers(0, 94), gap=st.integers(0, 92), theta=st.floats(-math.pi, math.pi))
+    @settings(max_examples=80, deadline=None)
+    def test_gathers_agree(self, kind, n, seed, x, i, gap, theta):
+        if kind == "crumpled10":
+            p = read_polygon("tests/data/crumpled10.txt")
+        elif kind == "crossing-hexagon":
+            p = crossing_hexagon(10.0 ** (-2.0 - 7.0 * x))
+        else:
+            p = _subject(kind, n, seed, x)
+        n = p.n
+        move = (i % n, (i % n + 2 + gap % (n - 3)) % n, theta)
+        frames = _swept(p, move[0], move[1], np.arange(17) / 16 * theta)
+        for clearance in (1e-12 * p.length, 1e-6 * p.length, x * p.length / n):
+            seen = []
+            for dense_pairs in (10**9, -1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(thickness, "_DENSE_PAIRS", dense_pairs)
+                    seen.append(_gather_verdicts(p, frames, clearance, move))
+            (dense, (one_d, stack_d)), (tree, (one_t, stack_t)) = seen
+            assert dense == tree
+            assert one_d == one_t
+            assert {q for q in stack_d if q[0] == 0} == {q for q in stack_t if q[0] == 0}
+            close = set(zip(*(a.tolist() for a in np.nonzero(_pair_gaps(frames) <= clearance))))
+            assert close <= stack_d and close <= stack_t
+            assert {q for q in close if q[0] == 0} <= one_d
+
+
+class TestPerNCaches:
+    """The non-adjacent pair lists of the dense gather and the index
+    tables of the one-block scan are formed once per n and shared."""
+
+    def test_read_only(self):
+        for n in (4, 8, 64, 96):
+            cached = thickness._pairs(n) + thickness._square_index(n)
+            idx = np.arange(n)
+            fresh = thickness._index(idx[:, None], idx[None, :], n)
+            for x, y in zip(thickness._square_index(n), fresh):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            for x in cached:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    x[...] = 0
+
+    def test_interleaved_calls_match_a_cleared_cache(self):
+        def results(n):
+            p = random_equilateral_polygon(n, np.random.default_rng(n))
+            V, reach = p.vertices[None], 0.5 * p.length / n
+            scans = [_scan(p, singly).arrays() for singly in (False, True)]
+            return ([{k: v.tobytes() for k, v in arr.items()} for arr in scans],
+                    critical_pairs(p, "doubly"), critical_pairs(p, "singly"),
+                    [_clear(p, V, c * p.length / n) for c in (1e-6, 0.05, 0.25)],
+                    [x.tobytes() for x in thickness._near_pairs(thickness._midpoints(V), reach)])
+
+        sequence = (5, 8, 24, 8, 64, 5)
+        warm = [results(n) for n in sequence]
+        for n, seen in zip(sequence, warm):
+            thickness._pairs.cache_clear()
+            thickness._square_index.cache_clear()
+            assert results(n) == seen
+
+    def test_unit_is_clip(self):
+        # _families and _gap2 clamp to [0, 1] with _unit; -0.0 stays -0.0
+        rng = np.random.default_rng(0)
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1e-300])
+        for size in (1, 7, 64, 1001):
+            x = np.concatenate([rng.choice(special, size), rng.normal(0.5, 1.0, size)])
+            assert thickness._unit(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
+        assert math.copysign(1.0, thickness._unit(-0.0)) == -1.0

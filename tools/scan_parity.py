@@ -49,9 +49,15 @@ torus knots at n = 128..512, random equilateral polygons (one of them a
 1024-gons from nearly regular to crumpled, cranked and plain regular 2048-gons,
 the 2048-gon trefoil of the benchmark's report-large workload and the 4096-gon
 of its trefoil proxy, and three planar hexagons whose edges 0 and 3 cross at
-1e-6, 1e-7 and 1e-8 rad, which the edge gap must see as crossings.  The
-inputs and the pair counter of --faults come from this repository's tests/,
-so only the library under test differs between checkouts.
+1e-6, 1e-7 and 1e-8 rad, which the edge gap must see as crossings.  Below
+the crossover n = 96, where the minima come from the dense scan, they hold
+the hexagons, the anneal-octagon workload's perturbed octagon 0
+(perturbed_regular(8, 0.18) from seed 0), tests/data/crumpled10.txt and
+random 24- and 64-gons; their one-frame clearance tests take _near_pairs'
+dense gather, and their sweep checks the dense gather or the tree by the
+stack's size.  The inputs and the pair counter of --faults come from this
+repository's tests/, so only the library under test differs between
+checkouts.
 
 --faults also prints, per input, the best of five delta_n timings and the
 minor page faults of that call, each taken after malloc_trim (glibc only),
@@ -104,7 +110,7 @@ def _inputs():
     import numpy as np
     from _gen import crossing_hexagon, perturbed_regular
     from polythick.anneal import crankshaft_move
-    from polythick.polygon import random_equilateral_polygon, regular_ngon
+    from polythick.polygon import random_equilateral_polygon, read_polygon, regular_ngon
     from polythick.smooth import inscribe_equilateral, preset_curve, rescale_unit
 
     for spec in ("torus:2,3", "torus:2,5", "torus:3,4"):
@@ -125,6 +131,11 @@ def _inputs():
     yield "trefoil-proxy/4096", inscribe_equilateral(trefoil, 4096)
     for theta in (1e-6, 1e-7, 1e-8):
         yield f"crossing-hexagon/{theta}", crossing_hexagon(theta)
+    yield "perturbed-regular/8/0.18", perturbed_regular(8, 0.18, np.random.default_rng(0))
+    yield "crumpled10", read_polygon(Path(__file__).resolve().parents[1] / "tests" / "data"
+                                     / "crumpled10.txt")
+    for n in (24, 64):
+        yield f"random/{n}", random_equilateral_polygon(n, np.random.default_rng(n))
 
 
 def _outputs(p) -> dict:
