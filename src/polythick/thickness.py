@@ -192,8 +192,9 @@ class _Collector:
     and the candidates a minimum can pick.
 
     add() takes the row and column labels i, j of the evaluated pairs, as
-    broadcast against the mask, with the edge fractions fs, ft of the two
-    points, 0.0 at a vertex; min and doubly_min follow the smallest
+    broadcast against the mask, their distances dist, shaped as the mask,
+    and the edge fractions fs, ft of the two points, 0.0 at a vertex, as
+    broadcast against it; min and doubly_min follow the smallest
     accepted distance.  It keeps i, j, dist, fs, ft of every accepted entry
     when window is None, as critical_pairs needs, and otherwise only of the
     doubly ones within window of the running doubly_min, none at -inf.  A
@@ -215,8 +216,6 @@ class _Collector:
         self._chunks = [(z.astype(int), z.astype(int), z, z, z, 0, False)]
 
     def add(self, i, j, mask, dist, fs, ft, kind: int, doubly: bool):
-        if np.shape(dist) != mask.shape:
-            dist = np.broadcast_to(dist, mask.shape)
         # np.min's wrapper costs more than the reduction of a small scan
         d = float(np.minimum.reduce(dist, axis=None, where=mask, initial=np.inf))
         if d == np.inf:                                   # nothing accepted
