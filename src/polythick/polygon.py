@@ -304,6 +304,8 @@ def regular_ngon(n: int) -> Polygon:
 def random_equilateral_polygon(n: int, rng) -> Polygon:
     """Random closed equilateral n-gon of total length 1, deterministic per rng.
 
+    rng is a numpy Generator, drawn from in place, or a non-negative integer
+    seed for default_rng; anything else, None included, raises ValueError.
     Draws n independent uniform directions and then alternates "subtract the
     mean" with "renormalise to unit length" until the directions sum to
     (nearly) zero.  The projection converges linearly for generic draws; the
@@ -313,7 +315,8 @@ def random_equilateral_polygon(n: int, rng) -> Polygon:
     """
     if _integral("n", n) < 3:
         raise ValueError("n must be at least 3")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_seed(rng, "rng"))
     for _attempt in range(16):
         e = rng.normal(size=(n, 3))
         e /= np.linalg.norm(e, axis=1)[:, None]
@@ -379,12 +382,12 @@ def _integral(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _seed(value) -> int:
+def _seed(value, name: str = "seed") -> int:
     """value as a seed for np.random, which takes non-negative integers only;
     else ValueError naming the setting, before any draw."""
-    seed = _integral("seed", value)
+    seed = _integral(name, value)
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return seed
 
 

@@ -81,8 +81,12 @@ def _check_curvature(V: np.ndarray, n: np.ndarray, K: np.ndarray, cases=None):
         i = int(np.argmax(over))
         raise ValueError(f"curvature bound violated{_at(cases, i)}: "
                          f"max_curv2 = {kc[i]:.17g} > K = {K[i]:.17g}")
-    # numpy's pairwise sum blocks by length, so each arc sums its own edges
-    L = np.array([lens[a:b].sum() for a, b in zip((ends - n).tolist(), ends.tolist())])
+    # numpy's pairwise sum blocks by length, so each arc sums its own edges:
+    # the arcs of m edges as the rows of one (arcs, m) gather
+    starts, L = ends - n, np.empty(len(n))
+    for m in set(n.tolist()):
+        k = np.flatnonzero(n == m)
+        L[k] = lens[starts[k, None] + np.arange(m)].sum(axis=1)
     return lens, ends, kc, L
 
 
@@ -208,9 +212,11 @@ def sphere_exclusion_check(arc: PolyArc, K: float) -> SphereExclusionReport:
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                     a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                     a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
+    c = np.empty_like(a)
+    c[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    c[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    c[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return c
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -121,6 +121,26 @@ def test_random_polygon_non_integer_n_rejected():
         random_equilateral_polygon(8.5, 0)
 
 
+@pytest.mark.parametrize("rng, message", [
+    (1.5, "^rng must be an integer, got 1.5$"),
+    ("a", "^rng must be an integer, got 'a'$"),
+    (None, "^rng must be an integer, got None$"),
+    (-1, "^rng must be a non-negative integer, got -1$"),
+], ids=["float", "str", "None", "negative"])
+def test_random_polygon_rng_validated_by_name(rng, message):
+    # numpy raised a TypeError for 1.5 and 'a' and an unnamed ValueError
+    # for -1, and drew from fresh entropy for None
+    with pytest.raises(ValueError, match=message):
+        random_equilateral_polygon(8, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+def test_random_polygon_integer_seed_is_default_rng(seed):
+    p = random_equilateral_polygon(12, seed)
+    q = random_equilateral_polygon(12, np.random.default_rng(seed))
+    assert p.vertices.tobytes() == q.vertices.tobytes()
+
+
 class TestArcParametrization:
     def test_t_zero_is_first_vertex(self):
         p = regular_ngon(4)
